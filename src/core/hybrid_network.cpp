@@ -434,11 +434,9 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
     split.total_macs += qualifier_macs;
   }
 
-  // Walk the network propagating shapes to count every layer's MACs.
-  std::size_t c = input_shape[0];
+  // Walk the network propagating spatial sizes to count every layer's MACs.
   std::size_t h = input_shape[1];
   std::size_t w = input_shape[2];
-  std::size_t features = 0;  // once flattened
   for (std::size_t i = 0; i < cnn_->size(); ++i) {
     const nn::Layer& l = cnn_->layer(i);
     if (const auto* conv = dynamic_cast<const nn::Conv2d*>(&l)) {
@@ -447,7 +445,6 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
       split.total_macs += static_cast<std::uint64_t>(conv->out_channels()) *
                           oh * ow * conv->in_channels() * conv->kernel() *
                           conv->kernel();
-      c = conv->out_channels();
       h = oh;
       w = ow;
     } else if (const auto* pool = dynamic_cast<const nn::MaxPool*>(&l)) {
@@ -456,10 +453,6 @@ HybridNetwork::CostSplit HybridNetwork::cost_split(
     } else if (const auto* fc = dynamic_cast<const nn::Linear*>(&l)) {
       split.total_macs +=
           static_cast<std::uint64_t>(fc->out_features()) * fc->in_features();
-      features = fc->out_features();
-    } else if (l.name() == "flatten") {
-      features = c * h * w;
-      (void)features;
     }
     // relu/lrn/softmax/dropout contribute no MACs.
   }

@@ -34,7 +34,9 @@ reliable::ReliableConv2d make_sobel_conv(
 }  // namespace
 
 ShapeQualifier::ShapeQualifier(ShapeQualifierConfig config)
-    : config_(config), sobel_conv_(make_sobel_conv(config.policy)) {
+    : config_(config),
+      sobel_conv_(make_sobel_conv(config.policy)),
+      rays_(vision::ray_directions(config.samples)) {
   // The matcher precomputes the polygon templates; configurations it
   // rejects (e.g. samples shorter than the SAX word) fall back to the
   // per-call match path, which reproduces the legacy error behaviour.
@@ -98,10 +100,15 @@ QualifierVerdict ShapeQualifier::qualify_feature_map(
   const vision::MaskView silhouette{h, w, ws.alloc_as<std::uint8_t>(h * w)};
   vision::mask_from_feature_map(feature_map, h, w, silhouette, ws);
 
+  // The silhouette is already the largest 4-connected component, so the
+  // series is taken around its centroid without labelling it again.
   const std::span<double> series =
       ws.alloc_span_as<double>(config_.samples);
-  const std::size_t got =
-      vision::shape_signature(silhouette, series, ws);
+  std::size_t got = 0;
+  if (const std::optional<vision::Centroid> c = vision::centroid(silhouette)) {
+    vision::radial_distance_series(silhouette, *c, rays_, series);
+    got = series.size();
+  }
   if (got < config_.match.sax.word_length) {
     return verdict;  // no usable shape found; not a match
   }

@@ -5,11 +5,13 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "core/qualifier.hpp"
 #include "reliable/reliable_conv.hpp"
 #include "runtime/workspace.hpp"
 #include "sax/shape_match.hpp"
+#include "vision/radial.hpp"
 
 namespace hybridcnn::core {
 
@@ -43,11 +45,13 @@ struct ShapeQualifierConfig {
 /// Deterministic, reliably executed shape qualifier.
 ///
 /// Construction precomputes everything shared across images — the
-/// reliable Sobel convolution weights and the SAX ShapeMatcher (distance
-/// table + polygon template words) — so the per-image qualify paths only
-/// draw transient scratch from a runtime::Workspace arena. The object is
-/// immutable after construction; qualify calls are const and safe to run
-/// concurrently from campaign/batch workers.
+/// reliable Sobel convolution weights, the radial scan's ray table (the
+/// sin/cos direction of each of the `samples` rays) and the SAX
+/// ShapeMatcher (distance table + polygon template words) — so the
+/// per-image qualify paths only draw transient scratch from a
+/// runtime::Workspace arena. The object is immutable after construction;
+/// qualify calls are const and safe to run concurrently from
+/// campaign/batch workers.
 class ShapeQualifier final : public Qualifier {
  public:
   explicit ShapeQualifier(ShapeQualifierConfig config = {});
@@ -85,6 +89,9 @@ class ShapeQualifier final : public Qualifier {
   /// shorter than the word length) — those series never qualify anyway.
   std::optional<sax::ShapeMatcher> matcher_;
   reliable::ReliableConv2d sobel_conv_;
+  /// vision::ray_directions(config_.samples); empty when samples == 0,
+  /// which radial_distance_series rejects at use time.
+  std::vector<vision::RayDirection> rays_;
 };
 
 }  // namespace hybridcnn::core

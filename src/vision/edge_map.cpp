@@ -26,7 +26,7 @@ tensor::Tensor edge_magnitude(const tensor::Tensor& chw) {
   return sobel_magnitude(to_gray(chw));
 }
 
-BinaryMask dominant_shape(const tensor::Tensor& chw, double min_fraction) {
+BinaryMask dominant_shape(const tensor::Tensor& chw) {
   const auto& sh = chw.shape();
   if (sh.rank() != 3 || (sh[0] != 3 && sh[0] != 1)) {
     throw std::invalid_argument("dominant_shape: expected [3|1, H, W]");
@@ -63,9 +63,7 @@ BinaryMask dominant_shape(const tensor::Tensor& chw, double min_fraction) {
     }
     dist[p] = static_cast<float>(std::sqrt(acc));
   }
-  const BinaryMask candidate = largest_component(threshold_otsu(dist));
-  (void)min_fraction;
-  return candidate;
+  return largest_component(threshold_otsu(dist));
 }
 
 void mask_from_feature_map(std::span<const float> feature_map, std::size_t h,
@@ -121,39 +119,54 @@ void mask_from_feature_map(std::span<const float> feature_map, std::size_t h,
   clear_band(dilated, 1);
 
   // Fill the interior: flood the background from the border over non-edge
-  // pixels; whatever is unreachable is inside an edge contour.
-  std::uint8_t* outside = ws.alloc_as<std::uint8_t>(n);
-  for (std::size_t i = 0; i < n; ++i) outside[i] = 0;
+  // pixels; whatever is unreachable is inside an edge contour. The flood
+  // runs on a grid padded by one pixel that counts as already reached, so
+  // neighbour reads need no bounds checks or coordinate division.
+  constexpr std::uint8_t kOpen = 0;
+  constexpr std::uint8_t kEdge = 1;
+  constexpr std::uint8_t kOutside = 2;
+  const std::size_t pw = w + 2;
+  std::uint8_t* state = ws.alloc_as<std::uint8_t>((h + 2) * pw);
+  std::fill(state, state + pw, kOutside);
+  std::fill(state + (h + 1) * pw, state + (h + 2) * pw, kOutside);
+  for (std::size_t y = 0; y < h; ++y) {
+    std::uint8_t* row = state + (y + 1) * pw;
+    const std::uint8_t* src = dilated.data + y * w;
+    row[0] = kOutside;
+    for (std::size_t x = 0; x < w; ++x) {
+      row[x + 1] = src[x] != 0 ? kEdge : kOpen;
+    }
+    row[w + 1] = kOutside;
+  }
   std::size_t* queue = ws.alloc_as<std::size_t>(n);
   std::size_t head = 0;
   std::size_t tail = 0;
-  const auto push = [&](std::size_t y, std::size_t x) {
-    const std::size_t idx = y * w + x;
-    if (outside[idx] != 0 || dilated.data[idx] != 0) return;
-    outside[idx] = 1;
-    queue[tail++] = idx;
+  const auto push = [&](std::size_t p) {
+    if (state[p] != kOpen) return;
+    state[p] = kOutside;
+    queue[tail++] = p;
   };
-  for (std::size_t x = 0; x < w; ++x) {
-    push(0, x);
-    push(h - 1, x);
+  for (std::size_t x = 1; x <= w; ++x) {
+    push(pw + x);
+    push(h * pw + x);
   }
-  for (std::size_t y = 0; y < h; ++y) {
-    push(y, 0);
-    push(y, w - 1);
+  for (std::size_t y = 1; y <= h; ++y) {
+    push(y * pw + 1);
+    push(y * pw + w);
   }
   while (head < tail) {
-    const std::size_t idx = queue[head++];
-    const std::size_t y = idx / w;
-    const std::size_t x = idx % w;
-    if (y > 0) push(y - 1, x);
-    if (y + 1 < h) push(y + 1, x);
-    if (x > 0) push(y, x - 1);
-    if (x + 1 < w) push(y, x + 1);
+    const std::size_t p = queue[head++];
+    push(p - pw);
+    push(p + pw);
+    push(p - 1);
+    push(p + 1);
   }
 
   MaskView filled{h, w, ws.alloc_as<std::uint8_t>(n)};
-  for (std::size_t i = 0; i < n; ++i) {
-    filled.data[i] = outside[i] != 0 ? 0 : 1;
+  for (std::size_t y = 0; y < h; ++y) {
+    const std::uint8_t* row = state + (y + 1) * pw + 1;
+    std::uint8_t* dst = filled.data + y * w;
+    for (std::size_t x = 0; x < w; ++x) dst[x] = row[x] == kOutside ? 0 : 1;
   }
   // Erode once to undo the dilation's boundary fattening.
   MaskView eroded{h, w, ws.alloc_as<std::uint8_t>(n)};

@@ -22,9 +22,9 @@ tensor::Tensor edge_magnitude(const tensor::Tensor& chw);
 /// The background colour is estimated from the image border ring; pixels
 /// are scored by colour distance to it and Otsu-binarised, so a sign whose
 /// fill and rim straddle the background luminance is still segmented as
-/// one silhouette. Returns the largest connected component.
-BinaryMask dominant_shape(const tensor::Tensor& chw,
-                          double min_fraction = 0.02);
+/// one silhouette. Returns the largest 4-connected component, however
+/// small; an image with no foreground yields an empty mask.
+BinaryMask dominant_shape(const tensor::Tensor& chw);
 
 /// Explicit-scratch overload of mask_from_feature_map over a flat H*W
 /// feature-map plane. Every intermediate (magnitude, edge masks, flood

@@ -1,5 +1,6 @@
 #include "vision/mask.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +17,61 @@ void require_same_dims(const ConstMaskView& in, const MaskView& out,
   }
 }
 
+/// Radius-1 dilation: a column pass ORs each pixel with the pixels above
+/// and below it into `out`, then an in-place row pass ORs each result
+/// with its left and right neighbours. Together they OR over the 3x3
+/// square clipped to the image, exactly what the general path computes;
+/// a missing neighbour row reuses the centre row, which leaves the OR
+/// unchanged. The row pass carries the overwritten left neighbour in a
+/// scalar, so no scratch is needed.
+void dilate_3x3(ConstMaskView mask, MaskView out) {
+  const std::size_t h = mask.height;
+  const std::size_t w = mask.width;
+  for (std::size_t y = 0; y < h; ++y) {
+    const std::uint8_t* mid = mask.data + y * w;
+    const std::uint8_t* up = y > 0 ? mid - w : mid;
+    const std::uint8_t* down = y + 1 < h ? mid + w : mid;
+    std::uint8_t* row = out.data + y * w;
+    for (std::size_t x = 0; x < w; ++x) {
+      row[x] = (up[x] | mid[x] | down[x]) != 0 ? 1 : 0;
+    }
+    std::uint8_t left = 0;
+    for (std::size_t x = 0; x < w; ++x) {
+      const std::uint8_t centre = row[x];
+      const std::uint8_t right = x + 1 < w ? row[x + 1] : 0;
+      row[x] = static_cast<std::uint8_t>(left | centre | right);
+      left = centre;
+    }
+  }
+}
+
+/// Radius-1 erosion as separable AND passes, the same way as dilate_3x3.
+/// Pixels outside the image count as unset, so the one-pixel frame is
+/// always cleared.
+void erode_3x3(ConstMaskView mask, MaskView out) {
+  const std::size_t h = mask.height;
+  const std::size_t w = mask.width;
+  out.fill(0);
+  if (h < 3 || w < 3) return;
+  for (std::size_t y = 1; y + 1 < h; ++y) {
+    const std::uint8_t* mid = mask.data + y * w;
+    const std::uint8_t* up = mid - w;
+    const std::uint8_t* down = mid + w;
+    std::uint8_t* row = out.data + y * w;
+    for (std::size_t x = 0; x < w; ++x) {
+      row[x] = (up[x] != 0 && mid[x] != 0 && down[x] != 0) ? 1 : 0;
+    }
+    std::uint8_t left = row[0];
+    row[0] = 0;
+    for (std::size_t x = 1; x + 1 < w; ++x) {
+      const std::uint8_t centre = row[x];
+      row[x] = static_cast<std::uint8_t>(left & centre & row[x + 1]);
+      left = centre;
+    }
+    row[w - 1] = 0;
+  }
+}
+
 }  // namespace
 
 std::size_t BinaryMask::count() const {
@@ -26,6 +82,10 @@ std::size_t BinaryMask::count() const {
 
 void dilate(ConstMaskView mask, std::size_t radius, MaskView out) {
   require_same_dims(mask, out, "dilate");
+  if (radius == 1) {
+    dilate_3x3(mask, out);
+    return;
+  }
   const auto r = static_cast<std::int64_t>(radius);
   out.fill(0);
   for (std::size_t y = 0; y < mask.height; ++y) {
@@ -53,6 +113,10 @@ BinaryMask dilate(const BinaryMask& mask, std::size_t radius) {
 
 void erode(ConstMaskView mask, std::size_t radius, MaskView out) {
   require_same_dims(mask, out, "erode");
+  if (radius == 1) {
+    erode_3x3(mask, out);
+    return;
+  }
   const auto r = static_cast<std::int64_t>(radius);
   out.fill(0);
   for (std::size_t y = 0; y < mask.height; ++y) {
@@ -83,60 +147,71 @@ BinaryMask erode(const BinaryMask& mask, std::size_t radius) {
 void largest_component(ConstMaskView mask, MaskView out,
                        runtime::Workspace& ws) {
   require_same_dims(mask, out, "largest_component");
-  const std::size_t n = mask.size();
+  const std::size_t h = mask.height;
+  const std::size_t w = mask.width;
   out.fill(0);
-  if (n == 0) return;
+  if (mask.size() == 0) return;
 
   runtime::Workspace::Scope scope(ws);
-  // Component labels (0 = background / unvisited) and a flat BFS ring
-  // buffer; every pixel enters the queue at most once, so n slots are
-  // enough.
-  std::size_t* label = ws.alloc_as<std::size_t>(n);
-  std::size_t* queue = ws.alloc_as<std::size_t>(n);
-  for (std::size_t i = 0; i < n; ++i) label[i] = 0;
+  // Component labels on a grid padded by one pixel on every side
+  // (0 = set and unvisited). Background and padding start as kBlocked,
+  // so the flood fill reads the four neighbours of any pixel without
+  // bounds checks or coordinate division.
+  constexpr std::size_t kBlocked = ~std::size_t{0};
+  const std::size_t pw = w + 2;
+  std::size_t* label = ws.alloc_as<std::size_t>((h + 2) * pw);
+  std::fill(label, label + pw, kBlocked);
+  std::fill(label + (h + 1) * pw, label + (h + 2) * pw, kBlocked);
+  for (std::size_t y = 0; y < h; ++y) {
+    std::size_t* row = label + (y + 1) * pw;
+    const std::uint8_t* src = mask.data + y * w;
+    row[0] = kBlocked;
+    for (std::size_t x = 0; x < w; ++x) {
+      row[x + 1] = src[x] != 0 ? 0 : kBlocked;
+    }
+    row[w + 1] = kBlocked;
+  }
+  // Flat BFS queue of padded indices; every set pixel enters it at most
+  // once, so mask.size() slots are enough.
+  std::size_t* queue = ws.alloc_as<std::size_t>(mask.size());
 
   std::size_t next_label = 0;
   std::size_t best_label = 0;
   std::size_t best_size = 0;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (mask.data[start] == 0 || label[start] != 0) continue;
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t x = 0; x < w; ++x) {
+      const std::size_t start = (y + 1) * pw + x + 1;
+      if (label[start] != 0) continue;
 
-    // BFS flood fill from `start`. Start pixels are visited in raster
-    // order, so on ties the earliest component wins — the same tie-break
-    // the allocating version applies.
-    ++next_label;
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    queue[tail++] = start;
-    label[start] = next_label;
-    std::size_t component_size = 0;
-    while (head < tail) {
-      const std::size_t idx = queue[head++];
-      ++component_size;
-      const auto y = static_cast<std::int64_t>(idx / mask.width);
-      const auto x = static_cast<std::int64_t>(idx % mask.width);
-      const std::int64_t neighbours[4][2] = {
-          {y - 1, x}, {y + 1, x}, {y, x - 1}, {y, x + 1}};
-      for (const auto& nb : neighbours) {
-        if (!mask.contains(nb[0], nb[1])) continue;
-        const std::size_t nidx =
-            static_cast<std::size_t>(nb[0]) * mask.width +
-            static_cast<std::size_t>(nb[1]);
-        if (mask.data[nidx] == 0 || label[nidx] != 0) continue;
-        label[nidx] = next_label;
-        queue[tail++] = nidx;
+      // BFS flood fill from `start`. Start pixels are visited in raster
+      // order, so on ties the earliest component wins.
+      ++next_label;
+      std::size_t head = 0;
+      std::size_t tail = 0;
+      queue[tail++] = start;
+      label[start] = next_label;
+      while (head < tail) {
+        const std::size_t idx = queue[head++];
+        for (const std::size_t nidx : {idx - pw, idx + pw, idx - 1, idx + 1}) {
+          if (label[nidx] != 0) continue;
+          label[nidx] = next_label;
+          queue[tail++] = nidx;
+        }
       }
-    }
 
-    if (component_size > best_size) {
-      best_size = component_size;
-      best_label = next_label;
+      // Every pixel of the component entered the queue exactly once.
+      if (tail > best_size) {
+        best_size = tail;
+        best_label = next_label;
+      }
     }
   }
 
   if (best_size == 0) return;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.data[i] = label[i] == best_label ? 1 : 0;
+  for (std::size_t y = 0; y < h; ++y) {
+    const std::size_t* row = label + (y + 1) * pw + 1;
+    std::uint8_t* dst = out.data + y * w;
+    for (std::size_t x = 0; x < w; ++x) dst[x] = row[x] == best_label ? 1 : 0;
   }
 }
 

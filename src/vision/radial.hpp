@@ -6,6 +6,11 @@
 // distance to the farthest shape pixel along the ray is recorded. Regular
 // polygons map to characteristic periodic series: an octagon produces
 // eight smooth peaks (the corners), which SAX then symbolises.
+//
+// The ray is defined as a march of half-pixel steps out to the image
+// edge. The implementation searches only the steps before the ray passes
+// the set pixels' bounding box and returns exactly the distance the full
+// march would; the exactness argument is at RayScanner in radial.cpp.
 #pragma once
 
 #include <span>
@@ -16,6 +21,24 @@
 #include "vision/mask.hpp"
 
 namespace hybridcnn::vision {
+
+/// Unit direction of one ray: dy = sin(theta), dx = cos(theta).
+struct RayDirection {
+  double dy = 0.0;
+  double dx = 1.0;
+};
+
+/// The `samples` ray directions at theta = 2*pi*s/samples, s = 0..samples-1,
+/// exactly as the radial_distance_series overloads without a table compute
+/// them (empty for samples == 0).
+std::vector<RayDirection> ray_directions(std::size_t samples);
+
+/// Precomputed-ray overload: out[s] is the distance along rays[s].
+/// Allocation-free. Throws std::invalid_argument for an empty `rays` or
+/// when out.size() != rays.size().
+void radial_distance_series(ConstMaskView mask, const Centroid& c,
+                            std::span<const RayDirection> rays,
+                            std::span<double> out);
 
 /// Explicit-scratch overload: radial distance series of `mask` around
 /// `c`, sampled at out.size() angles over [0, 2*pi). Allocation-free.

@@ -1,13 +1,22 @@
 // Golden regression tests for the deterministic vision pipeline
 // (gray -> threshold -> sobel -> edge_map -> centroid) on small synthetic
-// shape images, plus scratch-overload vs allocating-overload equivalence
-// for every refactored sax/vision function.
+// shape images, scratch-overload vs allocating-overload equivalence for
+// every refactored sax/vision function, and bit-for-bit comparisons of the
+// radial scan and the morphology against straightforward reference
+// implementations kept in this file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/shape_qualifier.hpp"
+#include "data/renderer.hpp"
+#include "data/shapes.hpp"
 #include "runtime/workspace.hpp"
 #include "sax/breakpoints.hpp"
 #include "sax/paa.hpp"
@@ -298,6 +307,395 @@ TEST(VisionScratchEquivalence, RadialSeriesAndShapeSignature) {
   runtime::Workspace::Scope scope(ws);
   const std::span<double> out = ws.alloc_span_as<double>(16);
   EXPECT_EQ(vision::shape_signature(BinaryMask(8, 8).view(), out, ws), 0u);
+}
+
+// ------------------------------------------------------------------
+// Radial scan and morphology against reference implementations.
+//
+// The library's radial scan searches a bounded range of each ray and its
+// radius-1 morphology runs separable passes; the references below are
+// the plain definitions (march every half-pixel step to the image edge;
+// test every pixel of the square structuring element). Every public
+// overload must match them bit for bit.
+// ------------------------------------------------------------------
+
+/// Marches r = 0, 0.5, 1, ... out to hypot(H, W), stopping when the ray
+/// leaves the image, and keeps the last r that lands on a set pixel.
+std::vector<double> reference_radial(const BinaryMask& mask,
+                                     const vision::Centroid& c,
+                                     std::size_t samples) {
+  std::vector<double> out(samples, 0.0);
+  const double max_r = std::hypot(static_cast<double>(mask.height),
+                                  static_cast<double>(mask.width));
+  constexpr double two_pi = 6.283185307179586476925286766559;
+  for (std::size_t s = 0; s < samples; ++s) {
+    const double theta =
+        two_pi * static_cast<double>(s) / static_cast<double>(samples);
+    const double dy = std::sin(theta);
+    const double dx = std::cos(theta);
+    double farthest = 0.0;
+    for (double r = 0.0; r <= max_r; r += 0.5) {
+      const auto y = static_cast<std::int64_t>(std::llround(c.y + r * dy));
+      const auto x = static_cast<std::int64_t>(std::llround(c.x + r * dx));
+      if (!mask.contains(y, x)) break;
+      if (mask.at(static_cast<std::size_t>(y), static_cast<std::size_t>(x))) {
+        farthest = r;
+      }
+    }
+    out[s] = farthest;
+  }
+  return out;
+}
+
+/// Square structuring element of radius r, pixel by pixel. Dilation sets
+/// a pixel when any in-image pixel of its square is set; erosion when
+/// every pixel of its square is in the image and set.
+BinaryMask reference_morphology(const BinaryMask& mask, std::size_t radius,
+                                bool dilation) {
+  BinaryMask out(mask.height, mask.width);
+  const auto r = static_cast<std::int64_t>(radius);
+  for (std::size_t y = 0; y < mask.height; ++y) {
+    for (std::size_t x = 0; x < mask.width; ++x) {
+      bool any = false;
+      bool all = true;
+      for (std::int64_t dy = -r; dy <= r; ++dy) {
+        for (std::int64_t dx = -r; dx <= r; ++dx) {
+          const auto ny = static_cast<std::int64_t>(y) + dy;
+          const auto nx = static_cast<std::int64_t>(x) + dx;
+          const bool set =
+              mask.contains(ny, nx) && mask.at(static_cast<std::size_t>(ny),
+                                               static_cast<std::size_t>(nx));
+          any = any || set;
+          all = all && set;
+        }
+      }
+      out.set(y, x, dilation ? any : all);
+    }
+  }
+  return out;
+}
+
+/// Largest 4-connected component by BFS with explicit bounds checks; on
+/// ties the component met first in raster order wins.
+BinaryMask reference_largest_component(const BinaryMask& mask) {
+  std::vector<int> label(mask.data.size(), 0);
+  int best_label = 0;
+  std::size_t best_size = 0;
+  int next_label = 0;
+  for (std::size_t start = 0; start < mask.data.size(); ++start) {
+    if (mask.data[start] == 0 || label[start] != 0) continue;
+    ++next_label;
+    std::vector<std::size_t> frontier{start};
+    label[start] = next_label;
+    std::size_t size = 0;
+    while (!frontier.empty()) {
+      const std::size_t idx = frontier.back();
+      frontier.pop_back();
+      ++size;
+      const auto y = static_cast<std::int64_t>(idx / mask.width);
+      const auto x = static_cast<std::int64_t>(idx % mask.width);
+      for (const auto& [ny, nx] : {std::pair{y - 1, x}, std::pair{y + 1, x},
+                                   std::pair{y, x - 1}, std::pair{y, x + 1}}) {
+        if (!mask.contains(ny, nx)) continue;
+        const std::size_t n = static_cast<std::size_t>(ny) * mask.width +
+                              static_cast<std::size_t>(nx);
+        if (mask.data[n] == 0 || label[n] != 0) continue;
+        label[n] = next_label;
+        frontier.push_back(n);
+      }
+    }
+    if (size > best_size) {
+      best_size = size;
+      best_label = next_label;
+    }
+  }
+  BinaryMask out(mask.height, mask.width);
+  for (std::size_t i = 0; i < out.data.size(); ++i) {
+    out.data[i] = best_size != 0 && label[i] == best_label ? 1 : 0;
+  }
+  return out;
+}
+
+/// mask_from_feature_map's documented recipe built from the references:
+/// Otsu edges of |feature| with a two-pixel frame cleared, a radius-1
+/// dilation with the one-pixel frame cleared, the pixels a 4-connected
+/// flood from the image border over non-edge pixels cannot reach, a
+/// radius-1 erosion, and the largest component.
+BinaryMask reference_mask_from_feature_map(const Tensor& feature_map) {
+  Tensor mag = feature_map;
+  for (std::size_t i = 0; i < mag.count(); ++i) mag[i] = std::abs(mag[i]);
+  BinaryMask edges = vision::threshold_otsu(mag);
+  const std::size_t h = edges.height;
+  const std::size_t w = edges.width;
+  const auto clear_frame = [&](BinaryMask& m, std::size_t band) {
+    for (std::size_t y = 0; y < h; ++y) {
+      for (std::size_t x = 0; x < w; ++x) {
+        if (y < band || x < band || y + band >= h || x + band >= w) {
+          m.set(y, x, false);
+        }
+      }
+    }
+  };
+  clear_frame(edges, 2);
+  BinaryMask dilated = reference_morphology(edges, 1, true);
+  clear_frame(dilated, 1);
+
+  BinaryMask outside(h, w);
+  std::vector<std::pair<std::int64_t, std::int64_t>> frontier;
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t x = 0; x < w; ++x) {
+      if (y == 0 || x == 0 || y + 1 == h || x + 1 == w) {
+        frontier.emplace_back(y, x);
+      }
+    }
+  }
+  while (!frontier.empty()) {
+    const auto [y, x] = frontier.back();
+    frontier.pop_back();
+    if (!outside.contains(y, x)) continue;
+    const auto uy = static_cast<std::size_t>(y);
+    const auto ux = static_cast<std::size_t>(x);
+    if (outside.at(uy, ux) || dilated.at(uy, ux)) continue;
+    outside.set(uy, ux, true);
+    frontier.insert(frontier.end(),
+                    {{y - 1, x}, {y + 1, x}, {y, x - 1}, {y, x + 1}});
+  }
+  BinaryMask filled(h, w);
+  for (std::size_t i = 0; i < filled.data.size(); ++i) {
+    filled.data[i] = outside.data[i] != 0 ? 0 : 1;
+  }
+  return reference_largest_component(
+      reference_morphology(filled, 1, false));
+}
+
+/// Every public radial overload against reference_radial at `samples`.
+void expect_radial_matches_reference(const BinaryMask& mask,
+                                     const vision::Centroid& c,
+                                     std::size_t samples) {
+  SCOPED_TRACE(::testing::Message()
+               << mask.height << "x" << mask.width << " c=(" << c.y << ", "
+               << c.x << ") samples=" << samples);
+  const std::vector<double> expect = reference_radial(mask, c, samples);
+
+  EXPECT_EQ(vision::radial_distance_series(mask, c, samples), expect);
+
+  std::vector<double> got(samples, -1.0);
+  vision::radial_distance_series(mask.view(), c, std::span<double>(got));
+  EXPECT_EQ(got, expect);
+
+  const std::vector<vision::RayDirection> rays =
+      vision::ray_directions(samples);
+  std::fill(got.begin(), got.end(), -1.0);
+  vision::radial_distance_series(mask.view(), c,
+                                 std::span<const vision::RayDirection>(rays),
+                                 std::span<double>(got));
+  EXPECT_EQ(got, expect);
+}
+
+void expect_morphology_matches_reference(const BinaryMask& mask) {
+  for (const std::size_t radius : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << mask.height << "x" << mask.width
+                                      << " radius=" << radius);
+    const BinaryMask expect_dilated = reference_morphology(mask, radius, true);
+    const BinaryMask expect_eroded = reference_morphology(mask, radius, false);
+    expect_same_mask(vision::dilate(mask, radius), expect_dilated, "dilate");
+    expect_same_mask(vision::erode(mask, radius), expect_eroded, "erode");
+
+    // The view overloads overwrite every output pixel.
+    BinaryMask got(mask.height, mask.width);
+    std::fill(got.data.begin(), got.data.end(), std::uint8_t{1});
+    vision::dilate(mask.view(), radius, got.view());
+    expect_same_mask(got, expect_dilated, "dilate (view)");
+    std::fill(got.data.begin(), got.data.end(), std::uint8_t{1});
+    vision::erode(mask.view(), radius, got.view());
+    expect_same_mask(got, expect_eroded, "erode (view)");
+  }
+}
+
+/// Radial scan around the mask's own centroid at every tested resolution,
+/// both morphology operators and the largest component.
+void expect_mask_matches_references(const BinaryMask& mask) {
+  expect_morphology_matches_reference(mask);
+  expect_same_mask(vision::largest_component(mask),
+                   reference_largest_component(mask), "largest_component");
+  if (const auto c = vision::centroid(mask)) {
+    for (const std::size_t samples : {1u, 45u, 90u, 360u}) {
+      expect_radial_matches_reference(mask, *c, samples);
+    }
+  }
+}
+
+BinaryMask filled_rect(std::size_t h, std::size_t w, std::size_t y0,
+                       std::size_t x0, std::size_t y1, std::size_t x1) {
+  BinaryMask m(h, w);
+  for (std::size_t y = y0; y < y1; ++y) {
+    for (std::size_t x = x0; x < x1; ++x) m.set(y, x, true);
+  }
+  return m;
+}
+
+TEST(VisionReferenceEquivalence, RenderedSignsAt96And227Pixels) {
+  const core::ShapeQualifier qualifier;  // default: octagon, 360 samples
+  const sax::ShapeMatcher matcher(qualifier.config().sides,
+                                  qualifier.config().samples,
+                                  qualifier.config().match);
+  runtime::Workspace ws;
+  for (const std::size_t size : {96u, 227u}) {
+    for (const data::SignClass cls : data::all_classes()) {
+      SCOPED_TRACE(::testing::Message()
+                   << data::class_name(cls) << " at " << size << "px");
+      data::RenderParams params;
+      params.cls = cls;
+      params.size = size;
+      params.rotation = 0.1;
+      const Tensor img = data::render_sign(params);
+      const Tensor edge = vision::edge_magnitude(img);
+
+      // The morphology's inputs in the qualifier: Otsu edge pixels, and
+      // the filled silhouette.
+      expect_morphology_matches_reference(vision::threshold_otsu(edge));
+      const BinaryMask silhouette = vision::mask_from_feature_map(edge);
+      ASSERT_GT(silhouette.count(), 0u);
+      expect_same_mask(silhouette, reference_mask_from_feature_map(edge),
+                       "mask_from_feature_map");
+      expect_mask_matches_references(silhouette);
+      expect_mask_matches_references(vision::dominant_shape(img));
+
+      // The qualifier's verdict equals the reference signature (relabel
+      // the component, centroid, full-ray scan) pushed through the matcher.
+      const BinaryMask component = vision::largest_component(silhouette);
+      const auto c = vision::centroid(component);
+      ASSERT_TRUE(c.has_value());
+      const sax::ShapeMatchResult expect = matcher.match(
+          std::span<const double>(reference_radial(component, *c, 360)), ws);
+      reliable::ExecutionReport report;
+      report.ok = true;
+      const core::QualifierVerdict got =
+          qualifier.qualify_feature_map(edge, report);
+      EXPECT_EQ(got.match, expect.match);
+      EXPECT_EQ(got.shape.match, expect.match);
+      EXPECT_EQ(got.shape.distance, expect.distance);
+      EXPECT_EQ(got.shape.corners, expect.corners);
+      EXPECT_EQ(got.shape.word, expect.word);
+      EXPECT_EQ(got.shape.template_word, expect.template_word);
+      EXPECT_EQ(got.shape.rotation, expect.rotation);
+    }
+  }
+}
+
+TEST(VisionReferenceEquivalence, AdversarialMasks) {
+  // Hollow ring: annulus 4 <= d < 8 around (10, 10).
+  BinaryMask ring(21, 21);
+  for (std::size_t y = 0; y < 21; ++y) {
+    for (std::size_t x = 0; x < 21; ++x) {
+      const double d = std::hypot(static_cast<double>(y) - 10.0,
+                                  static_cast<double>(x) - 10.0);
+      ring.set(y, x, d >= 4.0 && d < 8.0);
+    }
+  }
+  // Concave notch: a square with a deep wedge cut in from the right, so
+  // rays leave the shape and re-enter it.
+  BinaryMask notch = filled_rect(24, 24, 3, 3, 21, 21);
+  for (std::size_t y = 3; y < 21; ++y) {
+    const std::size_t half = y < 12 ? 12 - y : y - 11;
+    for (std::size_t x = 10 + half; x < 21; ++x) notch.set(y, x, false);
+  }
+  const BinaryMask empty(7, 9);
+
+  std::vector<BinaryMask> masks;
+  masks.push_back(empty);
+  masks.emplace_back(1, 1);                    // 1x1 unset
+  masks.push_back(filled_rect(1, 1, 0, 0, 1, 1));    // 1x1 set
+  masks.push_back(filled_rect(1, 13, 0, 0, 1, 13));  // 1xN row
+  masks.push_back(filled_rect(1, 13, 0, 4, 1, 9));   // 1xN segment
+  masks.push_back(filled_rect(11, 1, 0, 0, 11, 1));  // Nx1 column
+  masks.push_back(filled_rect(11, 1, 3, 0, 8, 1));   // Nx1 segment
+  masks.push_back(filled_rect(2, 2, 0, 0, 2, 2));    // 2x2, all set
+  masks.push_back(filled_rect(12, 10, 0, 0, 12, 10));  // touches every border
+  {
+    // Frame one pixel wide along every border, hollow inside.
+    BinaryMask m(12, 10);
+    for (std::size_t y = 0; y < 12; ++y) {
+      for (std::size_t x = 0; x < 10; ++x) {
+        m.set(y, x, y == 0 || x == 0 || y == 11 || x == 9);
+      }
+    }
+    masks.push_back(m);
+  }
+  masks.push_back(ring);
+  masks.push_back(notch);
+  // Centroids on exact .5 coordinates: even-sided blocks.
+  masks.push_back(filled_rect(16, 16, 4, 6, 10, 12));   // c = (6.5, 8.5)
+  masks.push_back(filled_rect(9, 14, 1, 1, 7, 13));     // c = (3.5, 6.5)
+  // Non-canonical set values (any non-zero byte counts as set).
+  {
+    BinaryMask m = filled_rect(8, 8, 2, 2, 6, 6);
+    m.data[2 * 8 + 3] = 2;
+    m.data[4 * 8 + 4] = 255;
+    masks.push_back(m);
+  }
+
+  for (const BinaryMask& m : masks) expect_mask_matches_references(m);
+
+  // Centroids chosen by hand: exact half-pixel positions, the image
+  // corners, points off the shape and points outside the image.
+  for (const vision::Centroid c :
+       {vision::Centroid{10.5, 10.5}, vision::Centroid{0.5, 0.5},
+        vision::Centroid{-0.5, 10.0}, vision::Centroid{20.5, 20.5},
+        vision::Centroid{0.0, 0.0}, vision::Centroid{20.0, 20.0},
+        vision::Centroid{2.0, 18.0}, vision::Centroid{-3.0, 4.0},
+        vision::Centroid{25.0, 5.0}, vision::Centroid{10.0, 10.49999}}) {
+    for (const std::size_t samples : {1u, 45u, 90u, 360u}) {
+      expect_radial_matches_reference(ring, c, samples);
+      expect_radial_matches_reference(notch, c, samples);
+      expect_radial_matches_reference(empty, c, samples);
+    }
+  }
+}
+
+TEST(VisionReferenceEquivalence, RandomMasks) {
+  std::mt19937 rng(8);
+  std::uniform_int_distribution<std::size_t> side(1, 19);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t h = side(rng);
+    const std::size_t w = side(rng);
+    const BinaryMask m = random_mask(rng, h, w, 0.15 + 0.012 * trial);
+    expect_mask_matches_references(m);
+    expect_mask_matches_references(vision::largest_component(m));
+  }
+}
+
+TEST(VisionReferenceEquivalence, MaskFromNoisyFeatureMaps) {
+  std::mt19937 rng(9);
+  for (int trial = 0; trial < 8; ++trial) {
+    const std::size_t h = 6 + 5 * static_cast<std::size_t>(trial);
+    const std::size_t w = 30 - 3 * static_cast<std::size_t>(trial);
+    Tensor fm = random_plane(rng, h, w);
+    for (std::size_t i = 0; i < fm.count(); ++i) {
+      if (i % 3 == 0) fm[i] = -fm[i];  // the recipe takes |response|
+    }
+    SCOPED_TRACE(::testing::Message() << h << "x" << w);
+    expect_same_mask(vision::mask_from_feature_map(fm),
+                     reference_mask_from_feature_map(fm),
+                     "mask_from_feature_map");
+  }
+}
+
+TEST(VisionReferenceEquivalence, RayTableArgumentChecks) {
+  EXPECT_TRUE(vision::ray_directions(0).empty());
+  const BinaryMask m = filled_rect(5, 5, 1, 1, 4, 4);
+  const std::vector<vision::RayDirection> rays = vision::ray_directions(8);
+  std::vector<double> out(7);
+  EXPECT_THROW(vision::radial_distance_series(
+                   m.view(), {2.0, 2.0},
+                   std::span<const vision::RayDirection>(rays),
+                   std::span<double>(out)),
+               std::invalid_argument);
+  EXPECT_THROW(vision::radial_distance_series(
+                   m.view(), {2.0, 2.0},
+                   std::span<const vision::RayDirection>(),
+                   std::span<double>()),
+               std::invalid_argument);
 }
 
 TEST(SaxScratchEquivalence, ZnormPaaAndWord) {

@@ -1,19 +1,17 @@
 // BENCH-BATCH — batched + served hybrid inference throughput.
 //
 // Measures end-to-end hybrid classification (reliable DCNN + qualifier +
-// CNN remainder) as images/sec at 1/2/8 threads for four execution
+// CNN remainder) as images/sec at 1/2/8 threads for three execution
 // shapes:
 //   loop         — single-image classify() per image (the baseline)
-//   batch-serial — PR 2's classify_batch: dependable stage fanned across
-//                  the pool, CNN remainder serial per image
-//   batch-fanned — the re-entrant shape: the whole per-image pipeline,
+//   batch-fanned — classify_batch: the whole per-image pipeline,
 //                  remainder included, fans across the pool as const
 //                  inference over one shared model
 //   service      — serve::InferenceService: 4 submitter OS threads with
 //                  one Session each push their slice through the bounded
 //                  queue; the dispatcher coalesces micro-batches onto
 //                  the same fanned path
-// All four are bit-identical (verified here before timing): submitter t
+// All three are bit-identical (verified here before timing): submitter t
 // opens its session at seed base 1 + first-slice-index, so every image
 // consumes exactly the seed the classify() loop gives it. Alongside the
 // stdout table the bench emits BENCH_batch_inference.json so the perf
@@ -131,7 +129,6 @@ std::vector<core::HybridClassification> run_service(
 struct Row {
   std::size_t threads = 0;
   double loop_ips = 0.0;
-  double serial_ips = 0.0;
   double fanned_ips = 0.0;
   double service_ips = 0.0;
 };
@@ -155,16 +152,13 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     std::fprintf(
         f,
         "    {\"threads\": %zu, \"loop_images_per_sec\": %.6g, "
-        "\"batch_serial_remainder_images_per_sec\": %.6g, "
         "\"batch_fanned_remainder_images_per_sec\": %.6g, "
         "\"service_images_per_sec\": %.6g, "
         "\"fanned_speedup_vs_loop\": %.6g, "
-        "\"fanned_speedup_vs_serial_remainder\": %.6g, "
         "\"service_speedup_vs_loop\": %.6g, "
         "\"service_speedup_vs_fanned\": %.6g}%s\n",
-        r.threads, r.loop_ips, r.serial_ips, r.fanned_ips, r.service_ips,
-        r.fanned_ips / r.loop_ips, r.fanned_ips / r.serial_ips,
-        r.service_ips / r.loop_ips, r.service_ips / r.fanned_ips,
+        r.threads, r.loop_ips, r.fanned_ips, r.service_ips,
+        r.fanned_ips / r.loop_ips, r.service_ips / r.loop_ips, r.service_ips / r.fanned_ips,
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -188,13 +182,12 @@ int main() {
               "time-slice one core and cannot speed up\n", cores);
 
   util::Table table(
-      "hybrid inference throughput: loop vs serial vs fanned vs service",
-      {"threads", "loop img/s", "serial-rem img/s", "fanned-rem img/s",
-       "service img/s", "fanned/loop", "service/fanned"});
+      "hybrid inference throughput: loop vs fanned vs service",
+      {"threads", "loop img/s", "fanned-rem img/s", "service img/s",
+       "fanned/loop", "service/fanned"});
   util::CsvWriter csv(
       util::results_path(bench::results_dir(), "batch_inference.csv"),
-      {"threads", "loop_images_per_sec", "batch_serial_images_per_sec",
-       "batch_fanned_images_per_sec", "service_images_per_sec",
+      {"threads", "loop_images_per_sec", "batch_fanned_images_per_sec", "service_images_per_sec",
        "fanned_speedup_vs_loop"});
 
   std::vector<Row> rows;
@@ -213,18 +206,10 @@ int main() {
     const double loop_s = sw.seconds();
 
     const core::HybridNetwork batched(make_net(size), 0, core::HybridConfig{});
-    core::FaultSeedStream serial_seeds = batched.seed_stream();
-    sw.reset();
-    const std::vector<core::HybridClassification> serial_results =
-        batched.classify_batch(images, serial_seeds,
-                               {core::RemainderMode::kSerial});
-    const double serial_s = sw.seconds();
-
     core::FaultSeedStream fanned_seeds = batched.seed_stream();
     sw.reset();
     const std::vector<core::HybridClassification> fanned_results =
-        batched.classify_batch(images, fanned_seeds,
-                               {core::RemainderMode::kFanned});
+        batched.classify_batch(images, fanned_seeds);
     const double fanned_s = sw.seconds();
 
     const auto shared_net = std::make_shared<const core::HybridNetwork>(
@@ -235,7 +220,6 @@ int main() {
 
     for (std::size_t i = 0; i < count; ++i) {
       all_identical = all_identical &&
-                      identical(loop_results[i], serial_results[i]) &&
                       identical(loop_results[i], fanned_results[i]) &&
                       identical(loop_results[i], service_results[i]);
     }
@@ -243,18 +227,15 @@ int main() {
     Row row;
     row.threads = threads;
     row.loop_ips = static_cast<double>(count) / loop_s;
-    row.serial_ips = static_cast<double>(count) / serial_s;
     row.fanned_ips = static_cast<double>(count) / fanned_s;
     row.service_ips = static_cast<double>(count) / service_s;
     rows.push_back(row);
     table.row({std::to_string(threads), util::Table::fixed(row.loop_ips, 2),
-               util::Table::fixed(row.serial_ips, 2),
                util::Table::fixed(row.fanned_ips, 2),
                util::Table::fixed(row.service_ips, 2),
                util::Table::fixed(row.fanned_ips / row.loop_ips, 2),
                util::Table::fixed(row.service_ips / row.fanned_ips, 2)});
     csv.row({std::to_string(threads), util::CsvWriter::num(row.loop_ips),
-             util::CsvWriter::num(row.serial_ips),
              util::CsvWriter::num(row.fanned_ips),
              util::CsvWriter::num(row.service_ips),
              util::CsvWriter::num(row.fanned_ips / row.loop_ips)});
@@ -267,8 +248,7 @@ int main() {
               "embarrassingly parallel once the remainder is re-entrant, "
               "so the fanned path approaches linear scaling and the "
               "service path matches it (same compute, plus queueing) "
-              "while absorbing 4 concurrent submitters; the serial-"
-              "remainder path saturates at the dependable stage's share.\n");
+              "while absorbing 4 concurrent submitters.\n");
   const std::string json_path =
       util::results_path(bench::results_dir(), "BENCH_batch_inference.json");
   write_json(json_path, rows, count, size, all_identical);

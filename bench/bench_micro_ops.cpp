@@ -162,10 +162,9 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardBatch)->Arg(1)->Arg(4);
 
 // ------------------------------------------------- dense fast path
-// Gather kernel (per-neuron row dot products, strided weight loads) vs
-// the repacked [in][padded_out] neuron-lane kernel behind
-// ReliableLinear's fault-free fast path. items/sec reads as MACs; the
-// packed variant must win here to stay the default.
+// The repacked [in][padded_out] neuron-lane kernel behind
+// ReliableLinear's fault-free fast path, and the repack it needs.
+// items/sec reads as MACs.
 constexpr std::size_t kLinOut = 128;
 constexpr std::size_t kLinIn = 1024;
 
@@ -180,18 +179,6 @@ struct LinearData {
 };
 
 #ifdef HYBRIDCNN_ISA_SIMD
-
-void BM_LinearFastPathGather(benchmark::State& state) {
-  LinearData d;
-  for (auto _ : state) {
-    reliable::detail::linear_raw_compute_simd(
-        kLinOut, kLinIn, d.x.data(), d.w.data(), d.b.data(), d.y.data());
-    benchmark::DoNotOptimize(d.y.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLinOut * kLinIn));
-}
-BENCHMARK(BM_LinearFastPathGather);
 
 void BM_LinearFastPathPacked(benchmark::State& state) {
   LinearData d;

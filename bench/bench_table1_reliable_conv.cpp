@@ -15,16 +15,16 @@
 //
 // On top of that, the bench tracks the statically dispatched engine the
 // public forward() selects: per scheme it times the generic oracle, the
-// scalar fast path (SIMD kill-switch closed), and the SIMD fast path
-// swept across both vector strategies (pixel lanes, channel lanes, and
-// the auto heuristic) at 1/2/8 pool threads, checks bit-identity of
-// outputs and reports across every cell, and emits
-// bench_results/BENCH_reliable_conv.json — including the gap to the
-// unqualified im2col/GEMM conv on the same geometry — so the hot path's
-// perf trajectory is tracked across PRs like BENCH_batch_inference.json.
-// The legacy JSON fields (simd_images_per_sec, gap_vs_unqualified) stay
-// pinned to the auto kernel at 1 thread so the cross-PR trajectory is
-// comparable; the full sweep lands in the per-scheme "kernels" array.
+// scalar fast path (SIMD kill-switch closed), and the SIMD fast path (the
+// kernel the conv's shape picks: channel lanes for this strided conv) at
+// 1/2/8 pool threads, checks bit-identity of outputs and reports across
+// every cell, and emits bench_results/BENCH_reliable_conv.json —
+// including the gap to the unqualified im2col/GEMM conv on the same
+// geometry — so the hot path's perf trajectory is tracked over time
+// like BENCH_batch_inference.json. The legacy JSON fields
+// (simd_images_per_sec, gap_vs_unqualified) stay pinned to 1 thread so
+// the trajectory stays comparable; the full sweep lands in the
+// per-scheme "thread_sweep" array.
 // Exit code 1 on any bit-identity failure.
 #include <cstdio>
 #include <string>
@@ -71,22 +71,14 @@ double time_generic(const reliable::ReliableConv2d& conv,
 /// document oversubscription rather than speedup, which is still the
 /// honest number for this machine.
 constexpr std::size_t kThreadAxis[] = {1, 2, 8};
-constexpr const char* kKernelNames[] = {"pixel", "channel", "auto"};
-constexpr reliable::detail::ConvKernel kKernelValues[] = {
-    reliable::detail::ConvKernel::kPixel,
-    reliable::detail::ConvKernel::kChannel,
-    reliable::detail::ConvKernel::kAuto};
 
 double time_dispatch(const reliable::ReliableConv2d& conv,
                      const tensor::Tensor& input, const char* scheme,
-                     bool simd, reliable::detail::ConvKernel kernel,
-                     std::size_t threads, reliable::ReliableResult* out) {
-  namespace rd = reliable::detail;
-  const rd::ConvKernel prior_kernel = rd::reliable_kernel_choice();
+                     bool simd, std::size_t threads,
+                     reliable::ReliableResult* out) {
   const std::size_t prior_threads =
       runtime::ComputeContext::global().slot_count();
-  rd::set_reliable_simd_enabled(simd);
-  rd::set_reliable_kernel_choice(kernel);
+  reliable::detail::set_reliable_simd_enabled(simd);
   runtime::ComputeContext::set_global_threads(threads);
   const auto exec = reliable::make_executor(scheme, nullptr);
   double best = 0.0;
@@ -97,14 +89,12 @@ double time_dispatch(const reliable::ReliableConv2d& conv,
     if (rep == 0 || t < best) best = t;
   }
   runtime::ComputeContext::set_global_threads(prior_threads);
-  rd::set_reliable_kernel_choice(prior_kernel);
   reliable::detail::set_reliable_simd_enabled(true);
   return best;
 }
 
-/// One (kernel, threads) cell of the per-scheme sweep.
-struct KernelCell {
-  const char* kernel = nullptr;
+/// One pool-width cell of the per-scheme sweep.
+struct ThreadCell {
   std::size_t threads = 1;
   double seconds = 0.0;
   [[nodiscard]] double ips() const { return 1.0 / seconds; }
@@ -114,13 +104,13 @@ struct SchemeRow {
   const char* scheme = nullptr;
   double generic_s = 0.0;
   double scalar_s = 0.0;
-  /// Legacy trajectory column: the auto kernel at 1 thread — what
-  /// forward() picks in the default single-threaded configuration.
+  /// Legacy trajectory column: the SIMD fast path at 1 thread — the
+  /// default single-threaded configuration.
   double simd_s = 0.0;
   /// Unqualified im2col/GEMM conv on the same geometry; the gap the
   /// qualified fast path still pays for reliability bookkeeping.
   double unqualified_s = 0.0;
-  std::vector<KernelCell> cells;  ///< kernel x threads sweep
+  std::vector<ThreadCell> cells;  ///< one cell per kThreadAxis entry
   [[nodiscard]] double simd_ips() const { return 1.0 / simd_s; }
   [[nodiscard]] double speedup_vs_generic() const {
     return generic_s / simd_s;
@@ -128,13 +118,6 @@ struct SchemeRow {
   [[nodiscard]] double speedup_vs_scalar() const { return scalar_s / simd_s; }
   [[nodiscard]] double gap_vs_unqualified() const {
     return simd_s / unqualified_s;
-  }
-  [[nodiscard]] const KernelCell* cell(const char* kernel,
-                                       std::size_t threads) const {
-    for (const KernelCell& c : cells) {
-      if (std::string(c.kernel) == kernel && c.threads == threads) return &c;
-    }
-    return nullptr;
   }
 };
 
@@ -164,8 +147,8 @@ void write_json(const std::string& path, const std::vector<SchemeRow>& rows,
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SchemeRow& r = rows[i];
-    // Legacy trajectory fields first (simd_* = auto kernel, 1 thread),
-    // then the full kernel x threads sweep.
+    // Legacy trajectory fields first (simd_* = 1 thread), then the
+    // thread sweep.
     std::fprintf(f,
                  "    {\"scheme\": \"%s\", "
                  "\"generic_images_per_sec\": %.6g, "
@@ -177,13 +160,12 @@ void write_json(const std::string& path, const std::vector<SchemeRow>& rows,
                  r.scheme, 1.0 / r.generic_s, 1.0 / r.scalar_s, r.simd_ips(),
                  r.speedup_vs_generic(), r.speedup_vs_scalar(),
                  r.gap_vs_unqualified());
-    std::fprintf(f, "     \"kernels\": [\n");
+    std::fprintf(f, "     \"thread_sweep\": [\n");
     for (std::size_t c = 0; c < r.cells.size(); ++c) {
-      const KernelCell& cell = r.cells[c];
+      const ThreadCell& cell = r.cells[c];
       std::fprintf(f,
-                   "       {\"kernel\": \"%s\", \"threads\": %zu, "
-                   "\"images_per_sec\": %.6g}%s\n",
-                   cell.kernel, cell.threads, cell.ips(),
+                   "       {\"threads\": %zu, \"images_per_sec\": %.6g}%s\n",
+                   cell.threads, cell.ips(),
                    c + 1 < r.cells.size() ? "," : "");
     }
     std::fprintf(f, "     ]}%s\n", i + 1 < rows.size() ? "," : "");
@@ -236,9 +218,8 @@ int main() {
 
   // Per scheme: the generic oracle (virtual per-op dispatch — the
   // paper's execution style) vs the statically dispatched fault-free
-  // fast path forward() selects, swept over kernel strategy and pool
-  // threads, with the bit-identity contract checked on every cell.
-  using reliable::detail::ConvKernel;
+  // fast path forward() selects, swept over pool threads, with the
+  // bit-identity contract checked on every cell.
   std::vector<SchemeRow> rows;
   std::vector<reliable::ExecutionReport> reports;
   bool bit_identical = true;
@@ -249,29 +230,24 @@ int main() {
     reliable::ReliableResult generic_result;
     reliable::ReliableResult scalar_result;
     row.generic_s = time_generic(rconv, image, scheme, &generic_result);
-    row.scalar_s = time_dispatch(rconv, image, scheme, /*simd=*/false,
-                                 ConvKernel::kAuto, 1, &scalar_result);
+    row.scalar_s = time_dispatch(rconv, image, scheme, /*simd=*/false, 1,
+                                 &scalar_result);
     bit_identical =
         bit_identical &&
         tensor::bit_identical(generic_result.output, scalar_result.output) &&
         generic_result.report == scalar_result.report;
     reliable::ReliableResult simd_result;
-    for (std::size_t k = 0; k < 3; ++k) {
-      for (const std::size_t threads : kThreadAxis) {
-        KernelCell cell;
-        cell.kernel = kKernelNames[k];
-        cell.threads = threads;
-        cell.seconds = time_dispatch(rconv, image, scheme, /*simd=*/true,
-                                     kKernelValues[k], threads, &simd_result);
-        bit_identical =
-            bit_identical &&
-            tensor::bit_identical(generic_result.output, simd_result.output) &&
-            generic_result.report == simd_result.report;
-        row.cells.push_back(cell);
-        if (kKernelValues[k] == ConvKernel::kAuto && threads == 1) {
-          row.simd_s = cell.seconds;
-        }
-      }
+    for (const std::size_t threads : kThreadAxis) {
+      ThreadCell cell;
+      cell.threads = threads;
+      cell.seconds = time_dispatch(rconv, image, scheme, /*simd=*/true,
+                                   threads, &simd_result);
+      bit_identical =
+          bit_identical &&
+          tensor::bit_identical(generic_result.output, simd_result.output) &&
+          generic_result.report == simd_result.report;
+      row.cells.push_back(cell);
+      if (threads == 1) row.simd_s = cell.seconds;
     }
     rows.push_back(row);
     reports.push_back(simd_result.report);
@@ -308,7 +284,7 @@ int main() {
 
   util::Table dispatch_table(
       std::string("static dispatch: fault-free qualified conv, generic vs "
-                  "scalar vs simd (auto kernel, 1 thread, isa ") +
+                  "scalar vs simd (1 thread, isa ") +
           runtime::isa::kIsaName + ")",
       {"scheme", "generic [s]", "scalar [s]", "simd [s]", "simd img/s",
        "simd/scalar", "gap vs unqual"});
@@ -325,20 +301,16 @@ int main() {
                       util::Table::fixed(1.0 / t_native, 2), "-", "1.00"});
   dispatch_table.print();
 
-  util::Table kernel_table(
-      "fault-free fast path: img/s by kernel strategy and pool threads",
-      {"scheme", "kernel", "t=1", "t=2", "t=8"});
+  util::Table thread_table("fault-free fast path: img/s by pool threads",
+                           {"scheme", "t=1", "t=2", "t=8"});
   for (const SchemeRow& r : rows) {
-    for (const char* kernel : kKernelNames) {
-      std::vector<std::string> cols{r.scheme, kernel};
-      for (const std::size_t threads : kThreadAxis) {
-        const KernelCell* c = r.cell(kernel, threads);
-        cols.push_back(c != nullptr ? util::Table::fixed(c->ips(), 2) : "-");
-      }
-      kernel_table.row(cols);
+    std::vector<std::string> cols{r.scheme};
+    for (const ThreadCell& c : r.cells) {
+      cols.push_back(util::Table::fixed(c.ips(), 2));
     }
+    thread_table.row(cols);
   }
-  kernel_table.print();
+  thread_table.print();
 
   std::printf("\npaper ratio redundant/non-redundant = %.3f, "
               "this implementation (generic engine) = %.3f\n",

@@ -311,32 +311,17 @@ std::vector<HybridClassification> HybridNetwork::classify_indexed(
 
   auto& ctx = runtime::ComputeContext::global();
   std::vector<HybridClassification> results(count);
-  if (options.remainder == RemainderMode::kFanned) {
-    // The whole per-image pipeline — reliable DCNN, qualifier and CNN
-    // remainder — is a pure function of (weights, image, seed) now that
-    // the remainder runs through the const inference path. One parallel
-    // region covers everything; each chunk writes only its own result
-    // slot, so outputs are bit-identical at every thread count. Nested
-    // parallel regions inside the reliable/vision/GEMM code serialise
-    // inline.
-    ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-      results[i] = run_remainder(
-          dependable_stage(rconv, *images[i], seed_of(i), options.report),
-          ctx.workspace());
-    });
-  } else {
-    // Historical two-phase shape (kept for the benches): dependable
-    // stages in parallel, remainder serially per image — the remainder's
-    // GEMMs then parallelise over tiles instead of images.
-    std::vector<DependableStage> stages(count);
-    ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-      stages[i] =
-          dependable_stage(rconv, *images[i], seed_of(i), options.report);
-    });
-    for (std::size_t i = 0; i < count; ++i) {
-      results[i] = run_remainder(std::move(stages[i]), ctx.workspace());
-    }
-  }
+  // The whole per-image pipeline — reliable DCNN, qualifier and CNN
+  // remainder — is a pure function of (weights, image, seed) now that the
+  // remainder runs through the const inference path. One parallel region
+  // covers everything; each chunk writes only its own result slot, so
+  // outputs are bit-identical at every thread count. Nested parallel
+  // regions inside the reliable/vision/GEMM code serialise inline.
+  ctx.pool().parallel_for(0, count, [&](std::size_t i) {
+    results[i] = run_remainder(
+        dependable_stage(rconv, *images[i], seed_of(i), options.report),
+        ctx.workspace());
+  });
   return results;
 }
 

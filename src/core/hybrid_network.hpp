@@ -61,15 +61,13 @@ struct HybridClassification {
   }
 };
 
-/// How classify_batch executes the non-reliable CNN remainder.
+/// How classify_batch executes the non-reliable CNN remainder. kFanned is
+/// the only mode; the enum stays so callers that aggregate-initialise
+/// BatchOptions with it (the perfbench harness) keep compiling.
 enum class RemainderMode {
   /// Whole per-image pipeline (reliable DCNN + qualifier + CNN remainder)
   /// fans across the pool as one re-entrant const inference per image.
   kFanned,
-  /// Historical two-phase shape: dependable stages in parallel, CNN
-  /// remainder serially per image afterwards. Kept for the throughput
-  /// benches; results are identical to kFanned.
-  kSerial,
 };
 
 /// Execution knobs for the batched classify entry points. A struct so

@@ -72,7 +72,11 @@ void ReliableConv2d::set_weights(tensor::Tensor weights) {
 
 std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
     const {
-#ifdef HYBRIDCNN_ISA_SIMD
+  // Decided before the lock: convs the rule keeps off channel lanes (the
+  // qualifier's shared Sobel, the kill-switch) never touch the mutex.
+  if (!detail::channel_lanes_selected(spec_.stride, weights_.shape()[0])) {
+    return nullptr;
+  }
   std::lock_guard<std::mutex> lock(pack_mutex_);
   if (!pack_ || pack_->generation != weight_generation_) {
     pack_ = std::make_shared<const detail::WeightPack>(
@@ -82,11 +86,6 @@ std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
                                   bias_.data().data(), weight_generation_));
   }
   return pack_;
-#else
-  // Only the SIMD channel kernel consumes the pack; building one on
-  // scalar targets would be dead weight.
-  return nullptr;
-#endif
 }
 
 std::uint64_t ReliableConv2d::mac_count(const tensor::Shape& in) const {
@@ -126,7 +125,7 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   if (exec.guaranteed_fault_free()) {
     // Golden fast path: no operation can fail, so the qualified schedule
     // collapses to raw arithmetic in the identical order (vectorized
-    // across output channels or pixels where the target allows, fanned
+    // across output channels or pixels as the conv's shape picks, fanned
     // across the pool); the per-op bookkeeping is credited in closed
     // form after the join.
     const auto pack = channel_pack();

@@ -74,9 +74,9 @@ class ReliableConv2d {
   ///
   /// Dispatches once per call on the executor's scheme and injector
   /// state: the three library schemes run a devirtualized inner kernel
-  /// (with a raw-arithmetic fast path — SIMD pixel lanes where the
-  /// target supports them — when the executor is
-  /// guaranteed_fault_free()); custom executors fall back to
+  /// (with a raw-arithmetic fast path — channel or pixel lanes, picked
+  /// from the conv's shape, where the target has vectors — when the
+  /// executor is guaranteed_fault_free()); custom executors fall back to
   /// forward_generic(). Outputs, reports, executor stats and injector
   /// state are bit-identical across the paths — the contract
   /// tests/test_static_dispatch.cpp and tests/test_simd_dispatch.cpp
@@ -152,14 +152,17 @@ class ReliableConv2d {
 
   /// The channel-lane repacked weights for the fault-free fast path,
   /// built lazily (thread-safe) and cached until the weight generation
-  /// changes. Null on targets without vectors — only the SIMD channel
-  /// kernel consumes it. Engine-internal; exposed for the dispatch tests
-  /// and layer-granular wrappers.
+  /// changes. Null whenever the kernel rule does not pick channel lanes
+  /// for this conv (detail::channel_lanes_selected): stride-1 convs with
+  /// fewer maps than a vector, targets without vectors, and the closed
+  /// kill-switch; those calls take no lock. Engine-internal; exposed for
+  /// the dispatch tests and layer-granular wrappers.
   [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
       const;
 
-  /// Pre-builds the cached pack so batch/campaign paths pay the repack
-  /// once up front instead of contending on first concurrent use.
+  /// Pre-builds the cached pack (when the rule uses one) so batch and
+  /// campaign paths pay the repack once up front instead of contending on
+  /// first concurrent use.
   void prepare_fast_path() const { (void)channel_pack(); }
 
  private:

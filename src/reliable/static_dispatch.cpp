@@ -1,7 +1,6 @@
 #include "reliable/static_dispatch.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 namespace hybridcnn::reliable::detail {
 
@@ -19,39 +18,12 @@ bool& simd_flag() noexcept {
   return flag;
 }
 
-ConvKernel read_env_kernel_choice() {
-  // Unset or unrecognised values fall back to the heuristic; only the
-  // exact spellings force a kernel (mirrors the SIMD kill-switch's
-  // strictness so typos cannot silently pin a strategy).
-  return parse_reliable_kernel(std::getenv("HYBRIDCNN_RELIABLE_KERNEL"))
-      .value_or(ConvKernel::kAuto);
-}
-
-ConvKernel& kernel_flag() noexcept {
-  static ConvKernel choice = read_env_kernel_choice();
-  return choice;
-}
-
 }  // namespace
 
 bool reliable_simd_enabled() noexcept { return simd_flag(); }
 
 void set_reliable_simd_enabled(bool enabled) noexcept {
   simd_flag() = enabled;
-}
-
-ConvKernel reliable_kernel_choice() noexcept { return kernel_flag(); }
-
-void set_reliable_kernel_choice(ConvKernel choice) noexcept {
-  kernel_flag() = choice;
-}
-
-std::optional<ConvKernel> parse_reliable_kernel(const char* value) noexcept {
-  if (value == nullptr) return std::nullopt;
-  if (std::strcmp(value, "pixel") == 0) return ConvKernel::kPixel;
-  if (std::strcmp(value, "channel") == 0) return ConvKernel::kChannel;
-  if (std::strcmp(value, "auto") == 0) return ConvKernel::kAuto;
-  return std::nullopt;
 }
 
 }  // namespace hybridcnn::reliable::detail

@@ -26,10 +26,10 @@
 //     exist, both vectorizing across *independent outputs* — never the
 //     (c, ky, kx) reduction — so bit-identity with the scalar loop holds
 //     by construction:
-//       - pixel lanes (conv_simd_rows): kFloatLanes interior output
-//         pixels of one row per vector, weights re-broadcast per tap;
-//         border pixels and narrow interiors stay scalar.
-//       - channel lanes (conv_channel_blocks): kFloatLanes output
+//       - pixel lanes (conv_simd_rows): kFloatLanes adjacent interior
+//         output pixels of one row per vector on stride-1 convs, weights
+//         re-broadcast per tap; border pixels stay scalar.
+//       - channel lanes (conv_channel_pixels): kFloatLanes output
 //         channels per vector over a once-per-weight-generation
 //         repacked [ky][kx][c][o] WeightPack, so every tap is one
 //         contiguous weight vector load times a scalar input broadcast.
@@ -37,9 +37,8 @@
 //         ranges, so borders run through the same kernel — no
 //         interior/border split; the padded channel tail scatters only
 //         its valid lanes.
-//     HYBRIDCNN_RELIABLE_KERNEL=pixel|channel|auto (or
-//     set_reliable_kernel_choice) picks the strategy; auto prefers
-//     channel lanes whenever a pack exists and out_c fills a vector.
+//     A fixed rule over the conv's shape picks the strategy (see
+//     channel_lanes_selected); only the kill-switch below overrides it.
 //     The fault-free fast path additionally fans its disjoint output
 //     slices across the global runtime::ThreadPool (channel-block
 //     chunks, (channel x row-group) units, or whole channels for the
@@ -90,25 +89,6 @@ namespace hybridcnn::reliable::detail {
 /// HYBRIDCNN_ISA_SIMD the flag is ignored — only the scalar path exists.
 [[nodiscard]] bool reliable_simd_enabled() noexcept;
 void set_reliable_simd_enabled(bool enabled) noexcept;
-
-/// Fault-free conv fast-path vector strategy. kAuto picks per call:
-/// channel lanes whenever the caller supplies a WeightPack and out_c
-/// fills at least one vector, pixel lanes otherwise (which themselves
-/// fall back to scalar on ineligible geometries). Initialised once from
-/// HYBRIDCNN_RELIABLE_KERNEL=pixel|channel|auto — unset or unrecognised
-/// values mean kAuto — and overridable at runtime for A/B benching.
-/// Moot when SIMD is compiled out or the kill-switch is closed: only the
-/// scalar path exists then.
-enum class ConvKernel : std::uint8_t { kAuto, kPixel, kChannel };
-
-[[nodiscard]] ConvKernel reliable_kernel_choice() noexcept;
-void set_reliable_kernel_choice(ConvKernel choice) noexcept;
-
-/// Parses an HYBRIDCNN_RELIABLE_KERNEL value; nullopt for null or
-/// unrecognised strings (the env reader maps those to kAuto). Exposed so
-/// the override-handling tests can exercise the exact mapping.
-[[nodiscard]] std::optional<ConvKernel> parse_reliable_kernel(
-    const char* value) noexcept;
 
 /// Half-open interval of kernel-tap indices that land in-bounds.
 struct TapRange {
@@ -521,13 +501,6 @@ inline void conv_raw_compute_scalar(const ConvPlan& plan, const float* input,
 
 #ifdef HYBRIDCNN_ISA_SIMD
 
-/// Strided convs go through a row-deinterleave pack (see
-/// conv_simd_rows); the pack buffer lives on the stack, so cap the
-/// strides and kernel widths it serves. Anything wider stays scalar
-/// (no real CNN layer is near these bounds).
-inline constexpr std::size_t kMaxSimdStride = 8;
-inline constexpr std::size_t kMaxSimdKw = 32;
-
 /// Output rows with full vertical tap ranges are processed in groups of
 /// up to this many rows at once. Each row keeps its own accumulator (its
 /// own scalar-order chain — bit-identity is per lane per row), but the
@@ -536,91 +509,17 @@ inline constexpr std::size_t kMaxSimdKw = 32;
 /// is shared across the group.
 inline constexpr std::size_t kSimdRowUnroll = 4;
 
-#if defined(__GNUC__) && !defined(__clang__)
-/// GCC's __builtin_shuffle takes a runtime integer-vector mask, which
-/// lets the strided-pack deinterleave stay lane-count generic. Clang
-/// only has the constant-index variant; it keeps the scalar pack.
-#define HYBRIDCNN_RELIABLE_VEC_SHUFFLE 1
-typedef std::int32_t VecShufI __attribute__((
-    vector_size(sizeof(std::int32_t) * runtime::isa::kFloatLanes)));
-// __builtin_shuffle requires the mask vector to match the shuffled
-// vector's size and lane count exactly; a drifting VecShufI would be a
-// compile error on some targets and silent lane garbage on others.
-HYBRIDCNN_CONTRACT(sizeof(VecShufI) == sizeof(runtime::isa::VecF),
-                   "shuffle mask vector must match VecF lane-for-lane");
-#endif
-
-/// dst[i] = src[i * s] for i in [0, n): the strided-row deinterleave the
-/// SIMD conv kernel runs per (channel, kernel row). For the common conv
-/// strides 2 and 4 the gather is a register deinterleave: load the
-/// contiguous span and shuffle out every s-th lane. A full vector chunk
-/// reads s*lanes contiguous floats, which exceeds the strided extent
-/// (n-1)*s + 1 unless one more strided element follows the chunk, so
-/// chunks stop one element early (i + lanes < n) and the tail — and any
-/// other stride — goes element-wise. Shuffles only move values:
-/// bit-identity is untouched.
-HYBRIDCNN_RELIABLE_ALWAYS_INLINE void pack_strided(const float* src,
-                                                   float* dst, std::size_t n,
-                                                   std::size_t s) noexcept {
-  namespace isa = runtime::isa;
-  std::size_t i = 0;
-#ifdef HYBRIDCNN_RELIABLE_VEC_SHUFFLE
-  constexpr int kLc = static_cast<int>(isa::kFloatLanes);
-  if (s == 2) {
-    VecShufI m2;
-    for (int j = 0; j < kLc; ++j) m2[j] = 2 * j;
-    for (; i + isa::kFloatLanes < n; i += isa::kFloatLanes) {
-      const float* p = src + i * 2;
-      isa::storeu(dst + i,
-                  __builtin_shuffle(isa::loadu(p), isa::loadu(p + kLc), m2));
-    }
-  } else if (s == 4) {
-    // Two-stage stride-4 deinterleave: each pair of input vectors yields
-    // its every-4th lanes in its low half (mask indices wrap modulo the
-    // two-operand width, so the upper-half entries are don't-cares),
-    // then the halves concatenate.
-    VecShufI m4;
-    VecShufI mcat;
-    for (int j = 0; j < kLc; ++j) m4[j] = (4 * j) & (2 * kLc - 1);
-    for (int j = 0; j < kLc; ++j) {
-      mcat[j] = j < kLc / 2 ? j : kLc + (j - kLc / 2);
-    }
-    for (; i + isa::kFloatLanes < n; i += isa::kFloatLanes) {
-      const float* p = src + i * 4;
-      const isa::VecF a =
-          __builtin_shuffle(isa::loadu(p), isa::loadu(p + kLc), m4);
-      const isa::VecF b =
-          __builtin_shuffle(isa::loadu(p + 2 * kLc), isa::loadu(p + 3 * kLc),
-                            m4);
-      isa::storeu(dst + i, __builtin_shuffle(a, b, mcat));
-    }
-  }
-#endif
-  for (; i < n; ++i) dst[i] = src[i * s];
-}
-
 /// One lane-width block of interior output pixels for R adjacent output
-/// rows: lane l of acc[r] accumulates output pixel (oy0+r, ox0+l). The
-/// reduction runs in the scalar order — per (c, ky, kx) one weight
-/// broadcast and one per-lane mul-then-add — so every lane performs
-/// exactly the scalar pixel's operation sequence (vector mul/add are
-/// lane-wise IEEE ops and the reliable subsystem compiles with
-/// -ffp-contract=off, so no fusion can reassociate them). For R > 1 the
-/// caller guarantees all R rows share the full vertical tap range `ry`;
-/// R == 1 accepts any row's range.
-///
-/// kStride1 hoists the contiguous-load case: with stride 1 the lane
-/// inputs are adjacent and one unaligned vector load serves each tap.
-/// With stride s > 1 the lane inputs are s apart, but taps sharing a
-/// residue kx mod s read the same strided sequence shifted by whole
-/// lanes: tap kx = q*s + res needs in_row[base + res + (q+l)*s] for lane
-/// l. So each (c, ky) input row is deinterleaved once into s
-/// residue-packed buffers — buf_res[i] = in_row[base + res + i*s] — and
-/// every tap becomes one contiguous vector load at buf_res + q,
-/// replacing a per-tap per-lane gather with one pack amortized over the
-/// kw/s taps of each residue. Packing only moves values, and the kx loop
-/// still walks taps in scalar order, so bit-identity is untouched.
-template <bool kStride1, std::size_t R>
+/// rows of a stride-1 conv: lane l of acc[r] accumulates output pixel
+/// (oy0+r, ox0+l). The lane inputs are adjacent, so one unaligned vector
+/// load serves each tap. The reduction runs in the scalar order — per
+/// (c, ky, kx) one weight broadcast and one per-lane mul-then-add — so
+/// every lane performs exactly the scalar pixel's operation sequence
+/// (vector mul/add are lane-wise IEEE ops and the reliable subsystem
+/// compiles with -ffp-contract=off, so no fusion can reassociate them).
+/// For R > 1 the caller guarantees all R rows share the full vertical tap
+/// range `ry`; R == 1 accepts any row's range.
+template <std::size_t R>
 HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_simd_rows(
     const ConvPlan& plan, const float* input, const float* weights, float b,
     std::size_t o, std::size_t oy0, std::size_t ox0, const TapRange ry,
@@ -629,59 +528,19 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_simd_rows(
   static_assert(R >= 1 && R <= kSimdRowUnroll);
   isa::VecF acc[R];
   for (std::size_t r = 0; r < R; ++r) acc[r] = isa::splat(b);
-  const std::size_t s = plan.stride;
-  // Interior ox: ox*stride >= pad (tap 0 valid), so the unsigned
-  // subtraction cannot wrap, and tap kw-1 lands in-bounds for every
-  // lane.
-  const std::size_t base = ox0 * s - plan.pad;
-  // Per-residue buffer length: residue 0 has the most taps,
-  // (kw-1)/s + 1, and the load at its last tap reads lanes up to
-  // (kw-1)/s + kFloatLanes - 1.
-  [[maybe_unused]] const std::size_t len =
-      kStride1 ? 0 : isa::kFloatLanes + (plan.kw - 1) / s;
-  [[maybe_unused]] float
-      buf[kSimdRowUnroll * kMaxSimdStride * (isa::kFloatLanes + kMaxSimdKw)];
+  // Interior ox: ox >= pad (tap 0 valid), so the unsigned subtraction
+  // cannot wrap, and tap kw-1 lands in-bounds for every lane.
+  const std::size_t base = ox0 - plan.pad;
   for (std::size_t c = 0; c < plan.in_c; ++c) {
     for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-      const std::size_t iy0 = oy0 * s + ky - plan.pad;
-      const float* in_row = input + (c * plan.in_h + iy0) * plan.in_w;
-      // Adjacent output rows are `stride` input rows apart.
-      const std::size_t row_step = s * plan.in_w;
+      const std::size_t iy0 = oy0 + ky - plan.pad;
+      const float* in_row = input + (c * plan.in_h + iy0) * plan.in_w + base;
       const float* w_row =
           weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-      if constexpr (kStride1) {
-        for (std::size_t kx = 0; kx < plan.kw; ++kx) {
-          const isa::VecF wv = isa::splat(w_row[kx]);
-          for (std::size_t r = 0; r < R; ++r) {
-            acc[r] =
-                acc[r] + isa::loadu(in_row + r * row_step + base + kx) * wv;
-          }
-        }
-      } else {
+      for (std::size_t kx = 0; kx < plan.kw; ++kx) {
+        const isa::VecF wv = isa::splat(w_row[kx]);
         for (std::size_t r = 0; r < R; ++r) {
-          for (std::size_t res = 0; res < s && res < plan.kw; ++res) {
-            // Last element packed for a residue is exactly the last
-            // lane's last tap of that residue — in bounds by the
-            // interior guarantee.
-            const std::size_t n =
-                (plan.kw - 1 - res) / s + isa::kFloatLanes;
-            pack_strided(in_row + r * row_step + base + res,
-                         buf + (r * s + res) * len, n, s);
-          }
-        }
-        // Taps still accumulate in kx order (bit-identity); walk the
-        // (residue, shift) pair incrementally instead of dividing.
-        std::size_t res = 0;
-        std::size_t q = 0;
-        for (std::size_t kx = 0; kx < plan.kw; ++kx) {
-          const isa::VecF wv = isa::splat(w_row[kx]);
-          for (std::size_t r = 0; r < R; ++r) {
-            acc[r] = acc[r] + isa::loadu(buf + (r * s + res) * len + q) * wv;
-          }
-          if (++res == s) {
-            res = 0;
-            ++q;
-          }
+          acc[r] = acc[r] + isa::loadu(in_row + r * plan.in_w + kx) * wv;
         }
       }
     }
@@ -701,7 +560,7 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_simd_rows(
 /// row to the scalar loop. (Fast-path op counters are credited in closed
 /// form from the plan's MAC count, so recomputed lanes do not skew
 /// reports.)
-template <bool kStride1, std::size_t R>
+template <std::size_t R>
 inline void conv_simd_row_group(const ConvPlan& plan, const float* input,
                                 const float* weights, float b, std::size_t o,
                                 std::size_t oy0, const TapRange ry,
@@ -717,14 +576,12 @@ inline void conv_simd_row_group(const ConvPlan& plan, const float* input,
   std::size_t ox0 = plan.interior_x_begin;
   for (; ox0 + isa::kFloatLanes <= plan.interior_x_end;
        ox0 += isa::kFloatLanes) {
-    conv_simd_rows<kStride1, R>(plan, input, weights, b, o, oy0, ox0, ry,
-                                out);
+    conv_simd_rows<R>(plan, input, weights, b, o, oy0, ox0, ry, out);
   }
   if (ox0 < plan.interior_x_end &&
       plan.interior_x_end - plan.interior_x_begin >= isa::kFloatLanes) {
-    conv_simd_rows<kStride1, R>(plan, input, weights, b, o, oy0,
-                                plan.interior_x_end - isa::kFloatLanes, ry,
-                                out);
+    conv_simd_rows<R>(plan, input, weights, b, o, oy0,
+                      plan.interior_x_end - isa::kFloatLanes, ry, out);
     ox0 = plan.interior_x_end;
   }
   for (std::size_t r = 0; r < R; ++r) {
@@ -775,24 +632,14 @@ inline std::vector<std::pair<std::size_t, std::size_t>> pixel_row_groups(
 /// [oy0, oy0 + run) of channel o.
 inline void conv_pixel_unit(const ConvPlan& plan, const float* input,
                             const float* weights, float b, std::size_t o,
-                            std::size_t oy0, std::size_t run, bool stride1,
+                            std::size_t oy0, std::size_t run,
                             float* out) noexcept {
   if (run == kSimdRowUnroll) {
-    const TapRange full_ry{0, plan.kh};
-    if (stride1) {
-      conv_simd_row_group<true, kSimdRowUnroll>(plan, input, weights, b, o,
-                                                oy0, full_ry, out);
-    } else {
-      conv_simd_row_group<false, kSimdRowUnroll>(plan, input, weights, b, o,
-                                                 oy0, full_ry, out);
-    }
+    conv_simd_row_group<kSimdRowUnroll>(plan, input, weights, b, o, oy0,
+                                        TapRange{0, plan.kh}, out);
   } else {
-    const TapRange ry = plan.row_taps[oy0];
-    if (stride1) {
-      conv_simd_row_group<true, 1>(plan, input, weights, b, o, oy0, ry, out);
-    } else {
-      conv_simd_row_group<false, 1>(plan, input, weights, b, o, oy0, ry, out);
-    }
+    conv_simd_row_group<1>(plan, input, weights, b, o, oy0,
+                           plan.row_taps[oy0], out);
   }
 }
 
@@ -800,16 +647,16 @@ inline void conv_pixel_unit(const ConvPlan& plan, const float* input,
 /// pixels in lane-width blocks (interleaved across row groups,
 /// overlap-finished at the row tail), border pixels through the scalar
 /// pixel reduction. Bit-identical to conv_raw_compute_scalar by
-/// construction. Serial form, kept callable for A/B tests and benches.
+/// construction. Precondition: stride 1 (an interior narrower than a
+/// lane block simply stays scalar). Serial form, kept callable for A/B
+/// tests and benches.
 inline void conv_raw_compute_simd(const ConvPlan& plan, const float* input,
                                   const float* weights, const float* bias,
                                   float* out) {
-  const bool stride1 = plan.stride == 1;
   const auto groups = pixel_row_groups(plan);
   for (std::size_t o = 0; o < plan.out_c; ++o) {
     for (const auto& [oy0, run] : groups) {
-      conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, stride1,
-                      out);
+      conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, out);
     }
   }
 }
@@ -962,78 +809,90 @@ inline void conv_raw_compute_channel(const ConvPlan& plan,
 
 #endif  // HYBRIDCNN_ISA_SIMD
 
-/// True when the pixel-lane kernel can vectorize this geometry (interior
-/// wide enough for a lane block, pack-buffer-bounded strides).
-/// Independent of the runtime switches.
+/// The fault-free conv kernel rule picks the kernel from the layer's
+/// shape alone, never from a user setting:
+///   - channel lanes when stride > 1 or out_c fills a vector;
+///   - pixel lanes when stride == 1 and the interior spans a lane block;
+///   - scalar otherwise, on targets without vectors, and with the
+///     kill-switch closed.
+/// Pixel lanes win only on stride-1 convs with few maps (the qualifier's
+/// Sobel); every other shipped conv is faster on channel lanes. The
+/// measurements behind the rule are in src/reliable/README.md.
+///
+/// Whether the rule picks channel lanes. Owners fetch their WeightPack
+/// only when it does, so conv_raw_compute dispatches on whether it got a
+/// pack.
+inline bool channel_lanes_selected(std::size_t stride,
+                                   std::size_t out_c) noexcept {
+#ifdef HYBRIDCNN_ISA_SIMD
+  return reliable_simd_enabled() &&
+         (stride > 1 || out_c >= runtime::isa::kFloatLanes);
+#else
+  (void)stride;
+  (void)out_c;
+  return false;
+#endif
+}
+
+/// True when the pixel-lane kernel can vectorize this geometry: stride 1
+/// and an interior at least one lane block wide. Independent of the
+/// kill-switch.
 inline bool pixel_kernel_eligible(const ConvPlan& plan) noexcept {
 #ifdef HYBRIDCNN_ISA_SIMD
-  return plan.interior_x_end - plan.interior_x_begin >=
-             runtime::isa::kFloatLanes &&
-         (plan.stride == 1 ||
-          (plan.stride <= kMaxSimdStride && plan.kw <= kMaxSimdKw));
+  return plan.stride == 1 && plan.interior_x_end - plan.interior_x_begin >=
+                                 runtime::isa::kFloatLanes;
 #else
   (void)plan;
   return false;
 #endif
 }
 
-/// Fault-free convolution fast path. Picks the kernel — channel lanes
-/// over the repacked weights, pixel lanes, or scalar — from the target,
-/// the runtime switches and the auto heuristic, then fans the disjoint
-/// output slices across the global pool: channel-block chunks for the
-/// channel kernel, (channel x row-group) units for the pixel kernel,
-/// whole channels for the scalar loop. Every output element is computed
-/// by exactly one unit in the scalar per-pixel reduction order, and the
-/// elided qualified bookkeeping is credited in closed form by the caller
-/// after the join, so outputs and statistics are bit-identical at every
-/// thread count. Inside an outer parallel region (batched classify,
-/// campaign fan-out) the pool serialises the nested fan inline. `pack`
-/// may be null — the channel kernel is then unavailable and forced
-/// kChannel falls through like an ineligible pixel geometry.
+/// Fault-free convolution fast path. Runs channel lanes when the caller
+/// supplies a pack (see channel_lanes_selected), else pixel lanes where
+/// eligible and the kill-switch is open, else scalar; then fans the
+/// disjoint output slices across the global pool: (block group, row)
+/// units for the channel kernel, (channel x row-group) units for the
+/// pixel kernel, whole channels for the scalar loop. Every output element
+/// is computed by exactly one unit in the scalar per-pixel reduction
+/// order, and the elided qualified bookkeeping is credited in closed form
+/// by the caller after the join, so outputs and statistics are
+/// bit-identical at every thread count. Inside an outer parallel region
+/// (batched classify, campaign fan-out) the pool serialises the nested
+/// fan inline.
 inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
                              const float* input, const float* weights,
                              const float* bias, float* out) {
   runtime::ThreadPool& pool = runtime::ComputeContext::global().pool();
 #ifdef HYBRIDCNN_ISA_SIMD
-  if (reliable_simd_enabled()) {
-    ConvKernel kernel = reliable_kernel_choice();
-    if (kernel == ConvKernel::kAuto) {
-      kernel = pack != nullptr && plan.out_c >= runtime::isa::kFloatLanes
-                   ? ConvKernel::kChannel
-                   : ConvKernel::kPixel;
-    }
-    if (kernel == ConvKernel::kChannel && pack != nullptr) {
-      // Units are (block group, output row): the block grouping — and
-      // with it every kernel instantiation — is fixed by the pack alone,
-      // so chunk boundaries only decide which thread runs a unit, and
-      // rows give the fan enough units even when the channel extent is a
-      // single group.
-      const std::size_t groups = channel_group_count(*pack);
-      pool.parallel_for_chunks(
-          0, groups * plan.out_h, 1,
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t u = begin; u < end; ++u) {
-              conv_channel_unit(plan, *pack, input, u / plan.out_h,
-                                u % plan.out_h, out);
-            }
-          });
-      return;
-    }
-    if (kernel != ConvKernel::kChannel && pixel_kernel_eligible(plan)) {
-      const auto groups = pixel_row_groups(plan);
-      const bool stride1 = plan.stride == 1;
-      pool.parallel_for_chunks(
-          0, plan.out_c * groups.size(), 1,
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            for (std::size_t u = begin; u < end; ++u) {
-              const std::size_t o = u / groups.size();
-              const auto [oy0, run] = groups[u % groups.size()];
-              conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run,
-                              stride1, out);
-            }
-          });
-      return;
-    }
+  if (pack != nullptr) {
+    // Units are (block group, output row): the block grouping — and with
+    // it every kernel instantiation — is fixed by the pack alone, so
+    // chunk boundaries only decide which thread runs a unit, and rows
+    // give the fan enough units even when the channel extent is a single
+    // group.
+    const std::size_t groups = channel_group_count(*pack);
+    pool.parallel_for_chunks(
+        0, groups * plan.out_h, 1,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t u = begin; u < end; ++u) {
+            conv_channel_unit(plan, *pack, input, u / plan.out_h,
+                              u % plan.out_h, out);
+          }
+        });
+    return;
+  }
+  if (reliable_simd_enabled() && pixel_kernel_eligible(plan)) {
+    const auto groups = pixel_row_groups(plan);
+    pool.parallel_for_chunks(
+        0, plan.out_c * groups.size(), 1,
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+          for (std::size_t u = begin; u < end; ++u) {
+            const std::size_t o = u / groups.size();
+            const auto [oy0, run] = groups[u % groups.size()];
+            conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, out);
+          }
+        });
+    return;
   }
 #else
   (void)pack;
@@ -1162,43 +1021,10 @@ inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
   }
 }
 
-#ifdef HYBRIDCNN_ISA_SIMD
-
-/// Vectorized fault-free dense fast path, gather form: lanes are
-/// independent output neurons (lane l accumulates neuron o0+l over the
-/// full input in index order — the dense analogue of the conv pixel
-/// lanes), with one input broadcast and a per-lane weight gather
-/// (weights are [out, in], so one input column is strided by in_n). The
-/// neuron remainder runs scalar. Kept callable for the A/B micro-bench
-/// against the packed form and as the pack-less fallback.
-inline void linear_raw_compute_simd(std::size_t out_n, std::size_t in_n,
-                                    const float* input, const float* weights,
-                                    const float* bias, float* out) noexcept {
-  namespace isa = runtime::isa;
-  std::size_t o = 0;
-  for (; o + isa::kFloatLanes <= out_n; o += isa::kFloatLanes) {
-    isa::VecF acc = isa::loadu(bias + o);
-    const float* w0 = weights + o * in_n;
-    for (std::size_t i = 0; i < in_n; ++i) {
-      const isa::VecF xv = isa::splat(input[i]);
-      isa::VecF wv;
-      for (std::size_t l = 0; l < isa::kFloatLanes; ++l) {
-        wv[l] = w0[l * in_n + i];
-      }
-      acc = acc + xv * wv;
-    }
-    isa::storeu(out + o, acc);
-  }
-  linear_raw_compute_scalar(out_n - o, in_n, input, weights + o * in_n,
-                            bias + o, out + o);
-}
-
-#endif  // HYBRIDCNN_ISA_SIMD
-
 /// Neuron-lane weight layout for the dense fast path: [out, in] weights
 /// transposed into [in][padded_out] rows so each input step issues
-/// contiguous weight-vector loads across adjacent output neurons instead
-/// of the gather kernel's lane-by-lane strided reads. Same lifetime rule
+/// contiguous weight-vector loads across adjacent output neurons. Same
+/// lifetime rule
 /// as the conv WeightPack: cached by the owner, keyed on `generation`.
 struct LinearWeightPack {
   std::vector<float> weights;  ///< [in][padded_out]
@@ -1292,22 +1118,15 @@ inline void linear_raw_compute_packed(const LinearWeightPack& pack,
 #endif  // HYBRIDCNN_ISA_SIMD
 
 /// Fault-free dense fast path: the packed neuron-lane kernel when a pack
-/// is supplied, the gather kernel when not (and a full lane block of
-/// neurons exists), scalar otherwise.
+/// is supplied and the kill-switch is open, scalar otherwise.
 inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
                                const LinearWeightPack* pack,
                                const float* input, const float* weights,
                                const float* bias, float* out) noexcept {
 #ifdef HYBRIDCNN_ISA_SIMD
-  if (reliable_simd_enabled()) {
-    if (pack != nullptr) {
-      linear_raw_compute_packed(*pack, input, out);
-      return;
-    }
-    if (out_n >= runtime::isa::kFloatLanes) {
-      linear_raw_compute_simd(out_n, in_n, input, weights, bias, out);
-      return;
-    }
+  if (reliable_simd_enabled() && pack != nullptr) {
+    linear_raw_compute_packed(*pack, input, out);
+    return;
   }
 #else
   (void)pack;

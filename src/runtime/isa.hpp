@@ -10,9 +10,9 @@
 //     tile from kFloatLanes (the accumulator block must fill but not
 //     spill the vector register file);
 //   * reliable/static_dispatch.hpp — the fault-free qualified kernels
-//     vectorize across independent output pixels in kFloatLanes-wide
-//     blocks (pixel-axis lanes, never the reduction axis, so every
-//     lane reproduces the scalar operation order bit for bit).
+//     vectorize across independent output channels or pixels in
+//     kFloatLanes-wide blocks (never the reduction axis, so every lane
+//     reproduces the scalar operation order bit for bit).
 //
 // When HYBRIDCNN_ISA_SIMD is not defined (non-GNU compilers), VecF and
 // the load/store helpers do not exist; consumers must provide a scalar

@@ -26,7 +26,6 @@ using core::HybridClassification;
 using core::HybridConfig;
 using core::HybridNetwork;
 using core::QualifierSource;
-using core::RemainderMode;
 using runtime::ComputeContext;
 using tensor::Tensor;
 
@@ -177,45 +176,6 @@ TEST_P(BatchInferenceThreads, RepeatMatchesLoopedClassifyOnOneImage) {
   for (std::size_t r = 0; r < kRuns; ++r) {
     expect_identical(got[r], expect[r], "classify_repeat");
   }
-}
-
-TEST_P(BatchInferenceThreads, RepeatAndCampaignHonourRemainderMode) {
-  // The remainder-mode knob rides in BatchOptions, so the repeat and
-  // campaign conveniences can choose the serial shape too — results must
-  // not depend on the choice.
-  const Tensor image = data::render_stop_sign(96, 4.0);
-  HybridNetwork net(make_testnet(41), 0,
-                    faulty_config(QualifierSource::kFullResolution, 2e-5));
-
-  constexpr std::size_t kRuns = 4;
-  FaultSeedStream fanned_seeds = net.seed_stream();
-  const std::vector<HybridClassification> fanned = net.classify_repeat(
-      image, kRuns, fanned_seeds, BatchOptions{RemainderMode::kFanned});
-  FaultSeedStream serial_seeds = net.seed_stream();
-  const std::vector<HybridClassification> serial = net.classify_repeat(
-      image, kRuns, serial_seeds, BatchOptions{RemainderMode::kSerial});
-  ASSERT_EQ(fanned.size(), serial.size());
-  for (std::size_t r = 0; r < kRuns; ++r) {
-    expect_identical(fanned[r], serial[r], "repeat remainder mode");
-  }
-
-  // classify_campaign: same judge stream over both remainder shapes.
-  const auto judge = [](std::size_t, const HybridClassification& r) {
-    const bool aborted = !r.conv1_report.ok || !r.qualifier.report.ok;
-    const bool faults = aborted || r.conv1_report.detected_errors > 0;
-    return faultsim::classify(faults, aborted, !aborted);
-  };
-  FaultSeedStream a = net.seed_stream();
-  FaultSeedStream b = net.seed_stream();
-  const faultsim::CampaignSummary sa = net.classify_campaign(
-      image, kRuns, judge, a, BatchOptions{RemainderMode::kFanned});
-  const faultsim::CampaignSummary sb = net.classify_campaign(
-      image, kRuns, judge, b, BatchOptions{RemainderMode::kSerial});
-  EXPECT_EQ(sa.runs, sb.runs);
-  EXPECT_EQ(sa.correct, sb.correct);
-  EXPECT_EQ(sa.corrected, sb.corrected);
-  EXPECT_EQ(sa.detected_abort, sb.detected_abort);
-  EXPECT_EQ(sa.silent_corruption, sb.silent_corruption);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, BatchInferenceThreads,

@@ -1,16 +1,19 @@
-// SIMD fast-path bit-identity contract: the pixel-lane vectorized
-// fault-free kernels (reliable/static_dispatch.hpp over runtime/isa.hpp)
-// must produce the same output bits, reports and executor/injector state
-// as the scalar fast path (kill-switch closed) and the generic
-// virtual-dispatch oracle — across schemes, interior/border/lane-remainder
-// geometries, stride variants and thread counts. Armed injectors must
+// SIMD fast-path bit-identity contract: the vectorized fault-free conv
+// kernels (channel lanes and pixel lanes, reliable/static_dispatch.hpp
+// over runtime/isa.hpp) must produce the same output bits, reports and
+// executor/injector state as the scalar fast path (kill-switch closed)
+// and the generic virtual-dispatch oracle — across schemes, geometries
+// and thread counts. The conv's shape picks the kernel, so each kernel is
+// reached through geometry: channel lanes through strided convs (and
+// wide ones), pixel lanes through stride-1 convs with few maps, scalar
+// through narrow interiors and the kill-switch. Armed injectors must
 // bypass the vector path entirely (it exists only where no fault can be
 // injected), which the faulty cases here pin down.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -36,11 +39,9 @@ using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
-using hybridcnn::reliable::detail::ConvKernel;
-using hybridcnn::reliable::detail::parse_reliable_kernel;
-using hybridcnn::reliable::detail::reliable_kernel_choice;
+using hybridcnn::reliable::detail::ConvPlan;
+using hybridcnn::reliable::detail::pixel_kernel_eligible;
 using hybridcnn::reliable::detail::reliable_simd_enabled;
-using hybridcnn::reliable::detail::set_reliable_kernel_choice;
 using hybridcnn::reliable::detail::set_reliable_simd_enabled;
 using hybridcnn::runtime::ComputeContext;
 using hybridcnn::runtime::isa::kFloatLanes;
@@ -59,35 +60,26 @@ class SimdGuard {
   bool saved_;
 };
 
-/// Same for the kernel-strategy override: tests that pin a kernel must
-/// not leak the forced choice (or clobber an HYBRIDCNN_RELIABLE_KERNEL
-/// override the whole suite is running under) into other tests.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(reliable_kernel_choice()) {}
-  ~KernelGuard() { set_reliable_kernel_choice(saved_); }
-
- private:
-  ConvKernel saved_;
-};
-
 struct Geometry {
   std::size_t out_c, in_c, k, stride, pad, h, w;
+  const char* kernel;  ///< the kernel the rule picks on any SIMD target
 };
 
-// Wide outputs on purpose: every geometry except the last has an interior
-// ox span of at least 16 (one full AVX-512 lane block, several at
-// narrower ISAs) plus a lane remainder; pad variants put border pixels on
-// both sides of the vector blocks, and stride 2 exercises the gathered
-// (non-contiguous) lane loads. The last geometry's interior is narrower
-// than a 16-wide block, covering the scalar fallback on wide ISAs.
+// Every expected kernel holds at every vector width (4, 8 or 16 lanes):
+// the "few maps" geometries have out_c <= 3, below any lane count, so the
+// strided ones reach channel lanes with a masked tail store and the
+// stride-1 ones reach pixel lanes. Pad variants put border pixels on both
+// sides of the pixel-lane blocks; interior widths leave lane remainders.
 const std::vector<Geometry> kGeometries = {
-    {4, 3, 3, 1, 1, 24, 40},  // stride 1, borders + 38-wide interior
-    {3, 2, 5, 2, 2, 30, 50},  // stride 2: gathered lanes, 22-wide interior
-    {2, 1, 3, 1, 0, 20, 36},  // valid conv: interior-only rows
-    {2, 2, 1, 1, 0, 6, 21},   // 1x1 kernel, odd width lane remainder
-    {1, 1, 5, 1, 4, 12, 28},  // heavy pad: 4-wide borders both sides
-    {2, 2, 3, 1, 1, 5, 9},    // interior (7) below a 16-lane block
+    {3, 2, 5, 2, 2, 30, 50, "channel"},  // stride 2, padded, tail lanes
+    {2, 3, 7, 2, 0, 40, 48, "channel"},  // sign96-conv1-like valid conv
+    {1, 3, 5, 4, 1, 25, 45, "channel"},  // stride 4, one map
+    {20, 2, 3, 1, 1, 10, 18, "channel"},  // stride 1, wide: blocks + tail
+    {3, 3, 3, 1, 1, 24, 40, "pixel"},     // borders + 38-wide interior
+    {2, 1, 3, 1, 0, 20, 36, "pixel"},     // valid conv: interior-only rows
+    {2, 2, 1, 1, 0, 6, 21, "pixel"},      // 1x1 kernel, odd lane remainder
+    {1, 1, 5, 1, 4, 12, 28, "pixel"},     // heavy pad: 4-wide borders
+    {2, 2, 3, 1, 1, 5, 5, "scalar"},      // interior (3) below any block
 };
 
 ReliableConv2d make_conv(const Geometry& g, std::uint64_t seed = 11) {
@@ -117,70 +109,86 @@ void expect_bits_equal(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(hybridcnn::tensor::bit_identical(a, b));
 }
 
-// ----------------------------------------------------------- geometry
+ConvPlan make_plan(const ReliableConv2d& conv, const Shape& in) {
+  return {conv.output_shape(in), in, conv.weights().shape(),
+          conv.spec().stride, conv.spec().pad};
+}
 
-TEST(SimdDispatchGeometry, InteriorSpansCoverBlocksAndRemainders) {
-  // The sweep below only proves something if the vector kernel actually
-  // runs: the wide geometries must hold at least one full lane block.
-  using hybridcnn::reliable::detail::ConvPlan;
-  for (std::size_t gi = 0; gi + 1 < kGeometries.size(); ++gi) {
+/// The kernel conv_raw_compute runs for `conv` on an input of shape `in`:
+/// channel lanes when the owner hands it a pack, else pixel lanes where
+/// eligible with the kill-switch open, else scalar.
+std::string kernel_of(const ReliableConv2d& conv, const Shape& in) {
+  if (conv.channel_pack() != nullptr) return "channel";
+  if (reliable_simd_enabled() && pixel_kernel_eligible(make_plan(conv, in))) {
+    return "pixel";
+  }
+  return "scalar";
+}
+
+// ------------------------------------------------------- kernel rule
+
+TEST(SimdDispatchRule, ShippedGeometriesTakeTheMeasuredKernel) {
+  // The rule's measured cases: every shipped strided or many-map conv
+  // runs on channel lanes; the qualifier's stride-1 two-map Sobel runs on
+  // pixel lanes, where they are several times faster.
+  struct Shipped {
+    const char* name;
+    Geometry g;
+  };
+  const Shipped shipped[] = {
+      {"AlexNet conv1", {96, 3, 11, 4, 0, 227, 227, "channel"}},
+      {"sign96 conv1", {8, 3, 7, 2, 0, 96, 96, "channel"}},
+      {"MiniCNN conv1", {16, 3, 5, 1, 2, 32, 32, "channel"}},
+      {"qualifier Sobel 96", {2, 1, 3, 1, 1, 96, 96, "pixel"}},
+      {"qualifier Sobel 227", {2, 1, 3, 1, 1, 227, 227, "pixel"}},
+  };
+  const SimdGuard guard;
+  for (const Shipped& s : shipped) {
+    SCOPED_TRACE(s.name);
+    const ReliableConv2d conv = make_conv(s.g);
+    const Shape in{s.g.in_c, s.g.h, s.g.w};
+    set_reliable_simd_enabled(true);
+#ifdef HYBRIDCNN_ISA_SIMD
+    EXPECT_EQ(kernel_of(conv, in), s.g.kernel);
+#else
+    EXPECT_EQ(kernel_of(conv, in), "scalar");
+#endif
+    // The kill-switch sends every conv to scalar, pack-free.
+    set_reliable_simd_enabled(false);
+    EXPECT_EQ(conv.channel_pack(), nullptr);
+    EXPECT_EQ(kernel_of(conv, in), "scalar");
+  }
+}
+
+TEST(SimdDispatchRule, TestGeometriesReachEveryKernel) {
+  // The matrix below only proves something if each kernel actually runs,
+  // and the tails only if some geometry leaves a partial lane block.
+#ifndef HYBRIDCNN_ISA_SIMD
+  GTEST_SKIP() << "only the scalar fast path exists without vectors";
+#else
+  const SimdGuard guard;
+  set_reliable_simd_enabled(true);
+  bool channel_tail = false;
+  bool pixel_remainder = false;
+  for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
     const Geometry& g = kGeometries[gi];
     const ReliableConv2d conv = make_conv(g);
     const Shape in{g.in_c, g.h, g.w};
-    const ConvPlan plan(conv.output_shape(in), in,
-                        Shape{g.out_c, g.in_c, g.k, g.k}, g.stride, g.pad);
-    EXPECT_GE(plan.interior_x_end - plan.interior_x_begin, kFloatLanes)
-        << "geometry " << gi << " has no full lane block";
+    EXPECT_EQ(kernel_of(conv, in), g.kernel) << "geometry " << gi;
+    const ConvPlan plan = make_plan(conv, in);
+    if (std::string(g.kernel) == "channel") {
+      channel_tail |= g.out_c % kFloatLanes != 0;
+    } else if (std::string(g.kernel) == "pixel") {
+      pixel_remainder |=
+          (plan.interior_x_end - plan.interior_x_begin) % kFloatLanes != 0;
+    }
   }
-  // And at least one wide geometry must leave a lane remainder, so the
-  // scalar tail after the vector blocks is exercised too.
-  bool any_remainder = false;
-  for (std::size_t gi = 0; gi + 1 < kGeometries.size(); ++gi) {
-    const Geometry& g = kGeometries[gi];
-    const ReliableConv2d conv = make_conv(g);
-    const Shape in{g.in_c, g.h, g.w};
-    const ConvPlan plan(conv.output_shape(in), in,
-                        Shape{g.out_c, g.in_c, g.k, g.k}, g.stride, g.pad);
-    any_remainder |=
-        (plan.interior_x_end - plan.interior_x_begin) % kFloatLanes != 0;
-  }
-  EXPECT_TRUE(any_remainder);
+  EXPECT_TRUE(channel_tail);
+  EXPECT_TRUE(pixel_remainder);
+#endif
 }
 
 // ------------------------------------------------- conv fault-free path
-
-TEST(SimdDispatchConv, VectorScalarAndGenericAgreeBitForBit) {
-  const SimdGuard guard;
-  for (const char* scheme : {"simplex", "dmr", "tmr"}) {
-    for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
-      SCOPED_TRACE(std::string(scheme) + " geometry " + std::to_string(gi));
-      const Geometry& g = kGeometries[gi];
-      const ReliableConv2d conv = make_conv(g);
-      const Tensor input = make_input(g);
-
-      set_reliable_simd_enabled(true);
-      const auto simd_exec = make_executor(scheme, nullptr);
-      const ReliableResult simd = conv.forward(input, *simd_exec);
-
-      set_reliable_simd_enabled(false);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = conv.forward(input, *scalar_exec);
-
-      const auto oracle_exec = make_executor(scheme, nullptr);
-      const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
-
-      ASSERT_TRUE(simd.report.ok);
-      expect_bits_equal(simd.output, scalar.output);
-      expect_bits_equal(simd.output, oracle.output);
-      EXPECT_TRUE(simd.report == scalar.report);
-      EXPECT_TRUE(simd.report == oracle.report);
-      EXPECT_EQ(simd_exec->stats().logical_ops,
-                oracle_exec->stats().logical_ops);
-      EXPECT_EQ(simd_exec->stats().executions,
-                oracle_exec->stats().executions);
-    }
-  }
-}
 
 TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
   // A kNone injector keeps the fast path eligible but makes the PE
@@ -192,23 +200,25 @@ TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
   cfg.kind = FaultKind::kNone;
   cfg.num_pes = 7;
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
-    SCOPED_TRACE(scheme);
-    const Geometry& g = kGeometries[0];
-    const ReliableConv2d conv = make_conv(g);
-    const Tensor input = make_input(g);
-    const auto simd_exec =
-        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
-    const auto oracle_exec =
-        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
-    const ReliableResult simd = conv.forward(input, *simd_exec);
-    const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
-    ASSERT_GT(simd_exec->injector()->stats().executions, 0u);
-    expect_bits_equal(simd.output, oracle.output);
-    EXPECT_TRUE(simd.report == oracle.report);
-    EXPECT_EQ(simd_exec->injector()->stats().executions,
-              oracle_exec->injector()->stats().executions);
-    EXPECT_EQ(simd_exec->injector()->next_pe(),
-              oracle_exec->injector()->next_pe());
+    for (const std::size_t gi : {0u, 4u}) {  // channel lanes, pixel lanes
+      SCOPED_TRACE(std::string(scheme) + " geometry " + std::to_string(gi));
+      const Geometry& g = kGeometries[gi];
+      const ReliableConv2d conv = make_conv(g);
+      const Tensor input = make_input(g);
+      const auto simd_exec =
+          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
+      const auto oracle_exec =
+          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 3));
+      const ReliableResult simd = conv.forward(input, *simd_exec);
+      const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
+      ASSERT_GT(simd_exec->injector()->stats().executions, 0u);
+      expect_bits_equal(simd.output, oracle.output);
+      EXPECT_TRUE(simd.report == oracle.report);
+      EXPECT_EQ(simd_exec->injector()->stats().executions,
+                oracle_exec->injector()->stats().executions);
+      EXPECT_EQ(simd_exec->injector()->next_pe(),
+                oracle_exec->injector()->next_pe());
+    }
   }
 }
 
@@ -340,19 +350,15 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdDispatchThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
-// ------------------------------------------- kernel-strategy four-way
+// ------------------------------------------------ four-way matrix
 
 /// Channel-lane vs pixel-lane vs scalar vs generic, across every scheme
-/// and geometry, at each pool width. The channel kernel is forced even
-/// where the auto heuristic would not pick it (out_c below a lane block)
-/// so its masked tail-store path is exercised hard; the pixel kernel is
-/// forced even where it is ineligible (narrow interior), which must fall
-/// back to the scalar loop — also bit-identical.
+/// and geometry, at each pool width. The geometry picks the vector
+/// kernel; the kill-switch reaches scalar.
 class SimdKernelThreads : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
   const SimdGuard guard;
-  const KernelGuard kernel_guard;
   ComputeContext::set_global_threads(GetParam());
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
@@ -365,15 +371,8 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
 
-      set_reliable_simd_enabled(false);
-      set_reliable_kernel_choice(ConvKernel::kAuto);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = conv.forward(input, *scalar_exec);
-
-      set_reliable_simd_enabled(true);
-      for (const ConvKernel kernel :
-           {ConvKernel::kPixel, ConvKernel::kChannel, ConvKernel::kAuto}) {
-        set_reliable_kernel_choice(kernel);
+      for (const bool simd_on : {true, false}) {
+        set_reliable_simd_enabled(simd_on);
         const auto exec = make_executor(scheme, nullptr);
         const ReliableResult fast = conv.forward(input, *exec);
         ASSERT_TRUE(fast.report.ok);
@@ -382,8 +381,6 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
         EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
         EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
       }
-      expect_bits_equal(scalar.output, oracle.output);
-      EXPECT_TRUE(scalar.report == oracle.report);
     }
   }
   ComputeContext::set_global_threads(1);
@@ -392,21 +389,55 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdKernelThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
+#ifdef HYBRIDCNN_ISA_SIMD
+TEST(SimdDispatchConv, BothVectorKernelsAgreeOnStrideOneGeometries) {
+  // The rule never runs both vector kernels on one conv, so the serial
+  // forms are called directly to cross-check them on the same stride-1
+  // geometries, few-map and wide.
+  for (const std::size_t gi : {3u, 4u, 7u}) {
+    SCOPED_TRACE("geometry " + std::to_string(gi));
+    const Geometry& g = kGeometries[gi];
+    ASSERT_EQ(g.stride, 1u);
+    const ReliableConv2d conv = make_conv(g);
+    const Tensor input = make_input(g);
+    const ConvPlan plan = make_plan(conv, input.shape());
+    const auto pack = hybridcnn::reliable::detail::build_weight_pack(
+        g.out_c, g.in_c, g.k, g.k, conv.weights().data().data(),
+        conv.bias().data().data(), conv.weight_generation());
+    const Shape out_shape = conv.output_shape(input.shape());
+    Tensor pixel(out_shape);
+    Tensor channel(out_shape);
+    Tensor scalar(out_shape);
+    hybridcnn::reliable::detail::conv_raw_compute_simd(
+        plan, input.data().data(), conv.weights().data().data(),
+        conv.bias().data().data(), pixel.data().data());
+    hybridcnn::reliable::detail::conv_raw_compute_channel(
+        plan, pack, input.data().data(), channel.data().data());
+    hybridcnn::reliable::detail::conv_raw_compute_scalar(
+        plan, input.data().data(), conv.weights().data().data(),
+        conv.bias().data().data(), scalar.data().data());
+    expect_bits_equal(pixel, scalar);
+    expect_bits_equal(channel, scalar);
+  }
+}
+#endif
+
 // --------------------------------------------- weight-repack staleness
 
 TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
   const SimdGuard guard;
-  const KernelGuard kernel_guard;
   set_reliable_simd_enabled(true);
-  set_reliable_kernel_choice(ConvKernel::kChannel);
 
-  const Geometry& g = kGeometries[0];
+  const Geometry& g = kGeometries[0];  // strided: the rule takes a pack
   ReliableConv2d conv = make_conv(g);
   const Tensor input = make_input(g);
 
   conv.prepare_fast_path();
   const auto pack_before = conv.channel_pack();
   const std::uint64_t gen_before = conv.weight_generation();
+#ifdef HYBRIDCNN_ISA_SIMD
+  ASSERT_NE(pack_before, nullptr);
+#endif
   if (pack_before != nullptr) {  // nullptr on non-SIMD targets
     EXPECT_EQ(pack_before->generation, gen_before);
   }
@@ -485,31 +516,6 @@ TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
 
   Tensor bad(Shape{out_n, in_n + 1});
   EXPECT_THROW(linear.set_weights(bad), std::invalid_argument);
-}
-
-// ------------------------------------------------- override handling
-
-TEST(KernelChoice, ParseAcceptsExactSpellingsOnly) {
-  EXPECT_EQ(parse_reliable_kernel(nullptr), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("pixel"), ConvKernel::kPixel);
-  EXPECT_EQ(parse_reliable_kernel("channel"), ConvKernel::kChannel);
-  EXPECT_EQ(parse_reliable_kernel("auto"), ConvKernel::kAuto);
-  // Typos and near-misses must not silently pin a strategy.
-  EXPECT_EQ(parse_reliable_kernel(""), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("Pixel"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("CHANNEL"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("pixel "), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("channels"), std::nullopt);
-  EXPECT_EQ(parse_reliable_kernel("0"), std::nullopt);
-}
-
-TEST(KernelChoice, SetAndRestoreRoundTrips) {
-  const KernelGuard kernel_guard;
-  for (const ConvKernel kernel :
-       {ConvKernel::kPixel, ConvKernel::kChannel, ConvKernel::kAuto}) {
-    set_reliable_kernel_choice(kernel);
-    EXPECT_EQ(reliable_kernel_choice(), kernel);
-  }
 }
 
 }  // namespace

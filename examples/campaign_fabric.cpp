@@ -124,8 +124,7 @@ int main(int argc, char** argv) {
   cfg.workers = workers;
   cfg.checkpoint_path = checkpoint;
   if (shard_ms > 0) {
-    cfg.attempt_hook = [shard_ms](const fabric::ShardDescriptor&,
-                                  std::size_t) {
+    cfg.attempt_hook = [shard_ms](const fabric::ShardDescriptor&) {
       std::this_thread::sleep_for(std::chrono::milliseconds(shard_ms));
     };
   }
@@ -137,11 +136,9 @@ int main(int argc, char** argv) {
       fabric::run_classify_campaign(net, image, runs, seed_base, judge, cfg);
 
   std::printf("resumed shards: %zu\n", result.stats.shards_resumed);
-  std::printf("executed shards: %zu (of %zu), attempts=%zu retries=%zu "
-              "reassigned=%zu deduped=%zu\n",
+  std::printf("executed shards: %zu (of %zu), attempts=%zu\n",
               result.stats.shards_executed, result.stats.shards_total,
-              result.stats.attempts, result.stats.retries,
-              result.stats.reassignments, result.stats.shards_deduped);
+              result.stats.attempts);
   print_summary("fabric summary", result.summary);
   if (!result.complete) {
     std::fprintf(stderr, "fabric run incomplete\n");

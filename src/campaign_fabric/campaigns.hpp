@@ -3,8 +3,8 @@
 // Each wrapper binds a campaign's shard entry point
 // (HybridNetwork::classify_campaign_range /
 // MemoryFaultCampaign::run_range) to run_fabric, so callers get the
-// full coordinator — durable checkpoints, retry, reassignment — with
-// one call. Both entry points take GLOBAL run indices and the campaign
+// full coordinator — sharded dispatch, durable checkpoints, resume —
+// with one call. Both entry points take GLOBAL run indices and the campaign
 // seed base, which is exactly what a ShardDescriptor carries; the
 // merged summary is bit-identical to the monolithic
 // classify_campaign / run() call with the same (runs, seed_base).

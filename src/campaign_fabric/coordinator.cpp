@@ -1,9 +1,9 @@
 #include "campaign_fabric/coordinator.hpp"
 
 #include <algorithm>
-#include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 namespace hybridcnn::fabric {
@@ -11,135 +11,61 @@ namespace detail {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-// Clocks here steer only *scheduling* (retry backoff, straggler
-// reassignment). They cannot reach the merged summary: every shard is a
-// pure function of its descriptor, duplicate completions are dropped by
-// shard id, and the merge order is fixed by the plan — so a run under
-// any timing produces the same bits.
-struct ShardState {
-  bool done = false;
-  std::vector<std::uint8_t> payload;
-  std::size_t attempts_started = 0;
-  std::size_t attempts_failed = 0;
-  std::size_t running = 0;  ///< attempts currently executing
-  Clock::time_point not_before{};  ///< earliest next attempt (backoff)
-  Clock::time_point deadline{};    ///< reassignment point when in flight
-  std::string last_error;
-};
-
+// Workers claim shards in index order and never release a claim, so one
+// cursor over the plan is the whole dispatch queue. Every shard is a
+// pure function of its descriptor and the merge order is fixed by the
+// plan, so which worker ran which shard cannot reach the merged summary.
 struct Scheduler {
   const FabricConfig& config;
   const ShardPlan& plan;
+  const ShardRunner& runner;
 
   std::mutex mu;
-  std::condition_variable cv;
-  std::vector<ShardState> shards;
-  FabricStats stats;
+  /// Payload of every durable shard (resumed or completed this run).
+  std::vector<std::optional<std::vector<std::uint8_t>>> payloads;
+  std::size_t next = 0;     ///< lowest shard not yet claimed
   std::size_t durable = 0;  ///< resumed + completed (halt counter)
   bool halted = false;
+  std::size_t failed = 0;   ///< lowest shard that threw (size() = none)
+  std::string failed_error;
+  std::exception_ptr persist_error;  ///< checkpoint write failure
+  FabricStats stats;
 
-  explicit Scheduler(const FabricConfig& cfg, const ShardPlan& p)
-      : config(cfg), plan(p), shards(p.shards.size()) {}
+  Scheduler(const FabricConfig& cfg, const ShardPlan& p, const ShardRunner& r)
+      : config(cfg), plan(p), runner(r), payloads(p.shards.size()),
+        failed(p.shards.size()) {}
 
-  [[nodiscard]] bool settled(const ShardState& s) const {
-    return s.done ||
-           (s.attempts_started >= config.max_attempts && s.running == 0);
-  }
-
-  [[nodiscard]] bool all_settled() const {
-    return std::all_of(shards.begin(), shards.end(),
-                       [this](const ShardState& s) { return settled(s); });
-  }
-
-  /// Persist every completed shard, in shard-index order. Called with
-  /// `mu` held — the lock serialises checkpoint writers, and the atomic
-  /// rename means a crash at any point leaves the previous file intact.
-  void persist_locked() {
-    if (config.checkpoint_path.empty()) return;
-    std::vector<ShardRecord> records;
-    records.reserve(durable);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      if (!shards[i].done) continue;
-      ShardRecord r;
-      r.shard_index = static_cast<std::uint32_t>(i);
-      r.payload = shards[i].payload;
-      records.push_back(std::move(r));
+  /// Completed shards as checkpoint records, in shard-index order.
+  [[nodiscard]] std::vector<ShardRecord> records() const {
+    std::vector<ShardRecord> out;
+    out.reserve(durable);
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      if (payloads[i]) {
+        out.push_back({static_cast<std::uint32_t>(i), *payloads[i]});
+      }
     }
-    save_checkpoint(config.checkpoint_path, plan.campaign_fingerprint,
-                    static_cast<std::uint32_t>(plan.shards.size()), records);
+    return out;
   }
 
-  /// One worker thread: claim the lowest-index runnable shard, execute
-  /// it outside the lock, record the outcome, repeat.
+  /// One worker thread: claim the lowest pending shard, execute it once
+  /// outside the lock, record the outcome, repeat. `mu` serialises
+  /// checkpoint writers, and the atomic rename means a crash at any
+  /// point leaves the previous file intact.
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu);
-    while (true) {
-      if (halted || all_settled()) return;
-
-      const Clock::time_point now = Clock::now();
-      std::size_t claim = shards.size();
-      bool claim_is_reassignment = false;
-      bool have_wake = false;
-      Clock::time_point wake{};
-      for (std::size_t i = 0; i < shards.size(); ++i) {
-        ShardState& s = shards[i];
-        if (s.done || s.attempts_started >= config.max_attempts) continue;
-        if (s.running == 0) {
-          if (now >= s.not_before) {
-            claim = i;
-            claim_is_reassignment = false;
-            break;
-          }
-          if (!have_wake || s.not_before < wake) {
-            have_wake = true;
-            wake = s.not_before;
-          }
-        } else if (config.shard_timeout.count() > 0) {
-          if (now >= s.deadline) {
-            claim = i;
-            claim_is_reassignment = true;
-            break;
-          }
-          if (!have_wake || s.deadline < wake) {
-            have_wake = true;
-            wake = s.deadline;
-          }
-        }
-      }
-
-      if (claim == shards.size()) {
-        // Nothing runnable yet: sleep until the earliest backoff or
-        // reassignment point, or until a completion wakes us.
-        if (have_wake) {
-          cv.wait_until(lock, wake);
-        } else {
-          cv.wait(lock);
-        }
-        continue;
-      }
-
-      ShardState& s = shards[claim];
-      const std::size_t attempt = ++s.attempts_started;
-      ++s.running;
-      s.deadline = now + config.shard_timeout;
+    while (!halted && !persist_error) {
+      while (next < payloads.size() && payloads[next]) ++next;
+      if (next == payloads.size()) return;
+      const std::size_t index = next++;
       ++stats.attempts;
-      if (claim_is_reassignment) {
-        ++stats.reassignments;
-      } else if (s.attempts_failed > 0) {
-        ++stats.retries;
-      }
-      const ShardDescriptor descriptor = plan.shards[claim];
+      const ShardDescriptor descriptor = plan.shards[index];
 
       lock.unlock();
       std::vector<std::uint8_t> payload;
-      bool ok = false;
-      std::string error;
+      std::optional<std::string> error;
       try {
-        if (config.attempt_hook) config.attempt_hook(descriptor, attempt);
-        payload = run_attempt(descriptor);
-        ok = true;
+        if (config.attempt_hook) config.attempt_hook(descriptor);
+        payload = runner(descriptor);
       } catch (const std::exception& e) {
         error = e.what();
       } catch (...) {
@@ -147,40 +73,31 @@ struct Scheduler {
       }
       lock.lock();
 
-      --s.running;
-      if (ok) {
-        if (s.done) {
-          // A reassigned twin finished first; drop this duplicate.
-          ++stats.shards_deduped;
-        } else if (halted) {
-          // Completed after the simulated crash point: never durable.
-        } else {
-          s.done = true;
-          s.payload = std::move(payload);
-          ++stats.shards_executed;
-          ++durable;
-          persist_locked();
-          if (durable >= config.halt_after_shards) halted = true;
+      if (error) {
+        if (index < failed) {
+          failed = index;
+          failed_error = std::move(*error);
         }
-      } else {
-        ++s.attempts_failed;
-        ++stats.failures;
-        s.last_error = std::move(error);
-        // Exponential backoff: base << (failures - 1), measured from
-        // the failure, not the claim.
-        const auto delay = config.retry_backoff * (1u << std::min<std::size_t>(
-                               s.attempts_failed - 1, 20));
-        s.not_before = Clock::now() + delay;
+        continue;
       }
-      cv.notify_all();
+      // Completed after the simulated crash point or a failed write:
+      // never durable.
+      if (halted || persist_error) return;
+      payloads[index] = std::move(payload);
+      ++stats.shards_executed;
+      ++durable;
+      try {
+        if (!config.checkpoint_path.empty()) {
+          save_checkpoint(config.checkpoint_path, plan.campaign_fingerprint,
+                          static_cast<std::uint32_t>(payloads.size()),
+                          records());
+        }
+      } catch (...) {
+        persist_error = std::current_exception();
+        return;
+      }
+      if (durable >= config.halt_after_shards) halted = true;
     }
-  }
-
-  const ShardRunner* runner = nullptr;
-
-  [[nodiscard]] std::vector<std::uint8_t> run_attempt(
-      const ShardDescriptor& descriptor) const {
-    return (*runner)(descriptor);
   }
 };
 
@@ -190,12 +107,7 @@ RunOutcome run_shards(
     const FabricConfig& config, const ShardPlan& plan,
     const ShardRunner& runner,
     const std::function<bool(const ShardRecord&)>& payload_valid) {
-  if (config.max_attempts == 0) {
-    throw std::invalid_argument("fabric: max_attempts must be >= 1");
-  }
-
-  Scheduler sched(config, plan);
-  sched.runner = &runner;
+  Scheduler sched(config, plan, runner);
   sched.stats.shards_total = plan.shards.size();
 
   // Resume: adopt every durable record that passes the campaign
@@ -207,16 +119,14 @@ RunOutcome run_shards(
                         static_cast<std::uint32_t>(plan.shards.size()));
     for (const ShardRecord& record : loaded.records) {
       if (!payload_valid(record)) continue;
-      ShardState& s = sched.shards[record.shard_index];
-      s.done = true;
-      s.payload = record.payload;
+      sched.payloads[record.shard_index] = record.payload;
       ++sched.stats.shards_resumed;
       ++sched.durable;
     }
   }
   if (sched.durable >= config.halt_after_shards) sched.halted = true;
 
-  if (!sched.halted && !sched.all_settled()) {
+  if (!sched.halted && sched.durable < sched.payloads.size()) {
     const std::size_t workers = std::max<std::size_t>(1, config.workers);
     std::vector<std::thread> threads;
     threads.reserve(workers);
@@ -225,39 +135,18 @@ RunOutcome run_shards(
     }
     for (std::thread& t : threads) t.join();
   }
+  if (sched.persist_error) std::rethrow_exception(sched.persist_error);
+  if (!sched.halted && sched.failed < sched.payloads.size()) {
+    throw FabricError(static_cast<std::uint32_t>(sched.failed),
+                      "fabric: shard " + std::to_string(sched.failed) +
+                          " failed: " + sched.failed_error);
+  }
 
   RunOutcome outcome;
+  outcome.records = sched.records();
   outcome.stats = sched.stats;
   outcome.stats.halted = sched.halted;
-
-  if (!sched.halted) {
-    // Workers only exit un-halted when every shard settled; a settled
-    // shard that is not done exhausted its attempts.
-    for (std::size_t i = 0; i < sched.shards.size(); ++i) {
-      const ShardState& s = sched.shards[i];
-      if (s.done) continue;
-      throw FabricError(
-          static_cast<std::uint32_t>(i),
-          "fabric: shard " + std::to_string(i) + " failed after " +
-              std::to_string(s.attempts_started) + " attempts: " +
-              (s.last_error.empty() ? "no error recorded" : s.last_error));
-    }
-  }
-
-  outcome.records.reserve(sched.durable);
-  bool complete = true;
-  for (std::size_t i = 0; i < sched.shards.size(); ++i) {
-    ShardState& s = sched.shards[i];
-    if (!s.done) {
-      complete = false;
-      continue;
-    }
-    ShardRecord r;
-    r.shard_index = static_cast<std::uint32_t>(i);
-    r.payload = std::move(s.payload);
-    outcome.records.push_back(std::move(r));
-  }
-  outcome.complete = complete;
+  outcome.complete = sched.durable == sched.payloads.size();
   return outcome;
 }
 

@@ -1,30 +1,26 @@
-// The campaign-fabric coordinator: shard dispatch, retry, durability.
+// The campaign-fabric coordinator: shard dispatch, durability, merge.
 //
 // `run_fabric<Summary>` partitions a campaign into ShardDescriptors,
 // dispatches them to N in-process workers, and merges the partial
 // summaries in shard-index order — bit-identical to a single-machine,
 // single-thread run of the same campaign (see shard.hpp for why the
 // seed contract makes that possible, and README.md for the full
-// crash-recovery matrix). Robustness machinery:
+// crash-recovery matrix). Each shard runs exactly once per coordinator
+// run: a shard runner is a pure function of its descriptor, so running
+// it again would repeat the same computation and the same error.
 //
 //   * durable checkpoints — with a checkpoint_path, every completed
 //     shard is persisted via atomic write-fsync-rename before it counts;
 //     a coordinator restarted after SIGKILL resumes from the last
 //     durable shard and re-runs only the rest.
-//   * bounded retry with exponential backoff — a shard whose attempt
-//     throws is retried up to max_attempts times, waiting
-//     retry_backoff << (failures - 1) between attempts.
-//   * straggler reassignment — with a nonzero shard_timeout, a shard
-//     still in flight past its deadline is handed to another worker;
-//     the first completion wins and later duplicates are discarded by
-//     shard id, so reassignment can never double-count.
+//   * failure — a shard that throws is recorded; the remaining shards
+//     still run and persist, then FabricError reports the lowest failing
+//     shard. A restart after fixing the cause resumes from the rest.
 //
-// Scheduling is time-driven and therefore nondeterministic; the merged
-// summary is not, because every shard computes a pure function of its
-// descriptor and the merge order is fixed by the plan.
+// Which worker runs which shard is nondeterministic; the merged summary
+// is not, because the merge order is fixed by the plan.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -38,32 +34,26 @@
 
 namespace hybridcnn::fabric {
 
-/// Coordinator knobs. Defaults give a durable-less, single-worker,
-/// retry-3 fabric; every knob is independent.
+/// Coordinator knobs. Defaults give a durable-less, single-worker
+/// fabric; every knob is independent.
 struct FabricConfig {
   /// Runs per shard (the last shard takes the remainder).
   std::uint64_t shard_size = 1024;
   /// In-process worker threads executing shards.
   std::size_t workers = 1;
-  /// Total attempts allowed per shard (first try + retries).
-  std::size_t max_attempts = 3;
-  /// In-flight time after which a shard may be reassigned to another
-  /// worker. Zero disables reassignment (attempts run to completion).
-  std::chrono::milliseconds shard_timeout{0};
-  /// Base retry delay; doubles with every failed attempt of that shard.
-  std::chrono::milliseconds retry_backoff{10};
   /// Durable checkpoint file. Empty disables durability (pure in-memory
-  /// run). The file's parent directory must exist.
+  /// run). The file's parent directory must exist; a failed checkpoint
+  /// write stops the run and rethrows in the caller's thread.
   std::string checkpoint_path;
   /// Crash simulation: stop dispatching once this many shards are
   /// durable (resumed + newly completed) and discard any later
   /// completions — exactly what a kill at that shard boundary leaves
   /// on disk. Default: never halt.
   std::size_t halt_after_shards = std::numeric_limits<std::size_t>::max();
-  /// Test hook, called before each shard attempt (1-based attempt
-  /// number). Throwing simulates a worker crash mid-shard; sleeping
-  /// simulates a straggler. Must be thread-safe.
-  std::function<void(const ShardDescriptor&, std::size_t attempt)> attempt_hook;
+  /// Test hook, called before each shard runs. Throwing simulates a
+  /// worker crash mid-shard; sleeping simulates a slow shard. Must be
+  /// thread-safe.
+  std::function<void(const ShardDescriptor&)> attempt_hook;
 };
 
 /// Observability counters for one coordinator run.
@@ -71,15 +61,11 @@ struct FabricStats {
   std::size_t shards_total = 0;     ///< shards in the plan
   std::size_t shards_resumed = 0;   ///< recovered from the checkpoint
   std::size_t shards_executed = 0;  ///< completed by a worker this run
-  std::size_t shards_deduped = 0;   ///< duplicate completions discarded
-  std::size_t attempts = 0;         ///< shard attempts started
-  std::size_t retries = 0;          ///< attempts after a failure
-  std::size_t reassignments = 0;    ///< attempts after a timeout
-  std::size_t failures = 0;         ///< attempts that threw
+  std::size_t attempts = 0;         ///< shards started this run
   bool halted = false;              ///< stopped by halt_after_shards
 };
 
-/// A shard exhausted max_attempts; carries the lowest failing index.
+/// A shard threw; carries the lowest failing index.
 class FabricError : public std::runtime_error {
  public:
   FabricError(std::uint32_t shard_index, const std::string& message)
@@ -111,10 +97,10 @@ struct RunOutcome {
   bool complete = false;
 };
 
-/// The scheduling core (coordinator.cpp): resume, dispatch, retry,
-/// reassign, persist. `payload_valid` vets resumed checkpoint payloads
-/// (records failing it are re-run, not merged). Throws FabricError when
-/// a shard permanently fails; a halt returns normally with
+/// The scheduling core (coordinator.cpp): resume, dispatch, persist.
+/// `payload_valid` vets resumed checkpoint payloads (records failing it
+/// are re-run, not merged). Throws FabricError when a shard fails and
+/// rethrows a checkpoint write failure; a halt returns normally with
 /// `complete == false`.
 RunOutcome run_shards(const FabricConfig& config, const ShardPlan& plan,
                       const ShardRunner& runner,

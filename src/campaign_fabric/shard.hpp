@@ -22,8 +22,8 @@
 namespace hybridcnn::fabric {
 
 /// One shard: a contiguous global run range plus everything needed to
-/// execute it anywhere. Plain value, trivially copyable — the future
-/// multi-process transport serialises it as bytes.
+/// execute it anywhere. Plain value, trivially copyable: a worker needs
+/// nothing but the descriptor to run the shard.
 struct ShardDescriptor {
   std::uint64_t campaign_fingerprint = 0;  ///< binds shard to its campaign
   std::uint32_t shard_index = 0;           ///< position in the plan
@@ -39,8 +39,8 @@ struct ShardDescriptor {
                          const ShardDescriptor&) noexcept = default;
 };
 
-// Descriptors travel by value into worker closures today and over a
-// byte transport tomorrow; both assume no hidden state.
+// Descriptors travel by value into worker closures, which assumes no
+// hidden state.
 HYBRIDCNN_CONTRACT_TRIVIAL_PAYLOAD(ShardDescriptor);
 
 /// The full fixed-size partition of a campaign.

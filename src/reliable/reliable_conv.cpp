@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "reliable/checkpoint.hpp"
-#include "reliable/kernel_campaign.hpp"
 #include "reliable/static_dispatch.hpp"
 
 namespace hybridcnn::reliable {
@@ -281,8 +280,17 @@ faultsim::CampaignSummary ReliableConv2d::forward_campaign(
     const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
                                           Executor&)>& classify,
     ReportMode mode, runtime::ComputeContext& ctx) const {
-  return detail::kernel_campaign(*this, input, runs, make_exec, classify,
-                                 mode, ctx);
+  // Fault-free runs hit the packed fast path from every worker at once;
+  // build the cached pack serially up front instead.
+  prepare_fast_path();
+  return faultsim::run_campaign(
+      runs,
+      [&](std::size_t run) {
+        const auto exec = make_exec(run);
+        const ReliableResult result = forward(input, *exec, mode);
+        return classify(run, result, *exec);
+      },
+      ctx);
 }
 
 tensor::Tensor ReliableConv2d::reference_forward(

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "reliable/checkpoint.hpp"
-#include "reliable/kernel_campaign.hpp"
 #include "reliable/static_dispatch.hpp"
 
 namespace hybridcnn::reliable {
@@ -174,16 +173,6 @@ ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
   report.bucket_peak = bucket.peak();
   report.bucket_exhausted = bucket.exhausted();
   return result;
-}
-
-faultsim::CampaignSummary ReliableLinear::forward_campaign(
-    const tensor::Tensor& input, std::size_t runs,
-    const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-    const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
-                                          Executor&)>& classify,
-    ReportMode mode, runtime::ComputeContext& ctx) const {
-  return detail::kernel_campaign(*this, input, runs, make_exec, classify,
-                                 mode, ctx);
 }
 
 tensor::Tensor ReliableLinear::reference_forward(

@@ -50,18 +50,6 @@ class ReliableLinear {
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
 
-  /// Parallel fault-injection campaign; same contract as
-  /// ReliableConv2d::forward_campaign.
-  [[nodiscard]] faultsim::CampaignSummary forward_campaign(
-      const tensor::Tensor& input, std::size_t runs,
-      const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-      const std::function<faultsim::Outcome(std::size_t,
-                                            const ReliableResult&, Executor&)>&
-          classify,
-      ReportMode mode = ReportMode::kFull,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
-
   [[nodiscard]] const tensor::Tensor& weights() const noexcept {
     return weights_;
   }

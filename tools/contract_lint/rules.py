@@ -37,13 +37,6 @@ RULES = [
             # seeds come from the session's FaultSeedStream, never time.
             "src/serve/inference_service.hpp",
             "src/serve/inference_service.cpp",
-            # The fabric coordinator reads steady_clock for retry backoff
-            # and straggler reassignment — scheduling only. Timing can
-            # never reach the merged summary: every shard is a pure
-            # function of its descriptor, duplicate completions are
-            # dropped by shard id, and the merge order is fixed by the
-            # plan (tests lock fabric-vs-monolithic bit-identity).
-            "src/campaign_fabric/coordinator.cpp",
         ],
         "patterns": [
             (r"std::random_device", "std::random_device is nondeterministic"),
@@ -54,7 +47,10 @@ RULES = [
             (r"\bgettimeofday\s*\(", "gettimeofday() is a wall-clock source"),
             (r"\bgetpid\s*\(", "pid-derived values differ across runs"),
             (
-                r"(?:system_clock|steady_clock|high_resolution_clock)::now",
+                # The type names, not `::now`: a clock read through an
+                # alias (`using Clock = std::chrono::steady_clock;`) must
+                # trip the rule too.
+                r"\b(?:system_clock|steady_clock|high_resolution_clock)\b",
                 "clock reads in library code make results time-dependent",
             ),
             (

@@ -36,6 +36,7 @@ FINDING_RE = re.compile(r"^(?P<path>[^:]+):(?P<line>\d+): \[(?P<rule>[\w-]+)\]")
 # fixture path (relative to fixtures/) -> the one rule it must trip.
 VIOLATIONS = {
     "src/demo/nondet_source_violation.cpp": "nondet-source",
+    "src/demo/nondet_source_clock_alias.cpp": "nondet-source",
     "src/demo/rng_seed_provenance_violation.cpp": "rng-seed-provenance",
     "src/demo/unordered_iter_violation.cpp": "unordered-iter",
     "src/demo/parallel_accum_violation.cpp": "parallel-accum",

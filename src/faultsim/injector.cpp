@@ -1,7 +1,6 @@
 #include "faultsim/injector.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "faultsim/bitflip.hpp"
 
@@ -26,12 +25,39 @@ bool FaultInjector::next_is_faulty() const noexcept {
   return false;  // stochastic kinds are not predictable
 }
 
-void FaultInjector::advance_clean(std::uint64_t n) noexcept {
-  assert(guaranteed_fault_free());
+bool FaultInjector::window_hits(const std::vector<std::uint8_t>& pe_flags,
+                                std::uint64_t n) const noexcept {
+  const std::uint64_t pes = pe_flags.size();
+  const auto cursor = static_cast<std::uint64_t>(next_pe_);
+  for (std::uint64_t k = 0; k < std::min(n, pes); ++k) {
+    if (pe_flags[(cursor + k) % pes] != 0) return true;
+  }
+  return false;
+}
+
+bool FaultInjector::try_take_clean(std::uint64_t n) noexcept {
+  switch (config_.kind) {
+    case FaultKind::kNone:
+      break;
+    case FaultKind::kIntermittent:
+      // Burst flags change only on faulty calls, so the window's PEs can
+      // be checked up front; then the same Bernoulli test as transient.
+      if (window_hits(pe_burst_active_, n)) return false;
+      [[fallthrough]];
+    case FaultKind::kTransient:
+      if (!rng_.try_take_bernoulli_misses(config_.probability, n)) {
+        return false;
+      }
+      break;
+    case FaultKind::kPermanent:
+      if (window_hits(pe_permanently_faulty_, n)) return false;
+      break;
+  }
   stats_.executions += n;
   const auto pes = static_cast<std::uint64_t>(pe_permanently_faulty_.size());
   next_pe_ = static_cast<int>(
       (static_cast<std::uint64_t>(next_pe_) + n % pes) % pes);
+  return true;
 }
 
 int FaultInjector::permanent_faulty_pes() const noexcept {

@@ -46,23 +46,17 @@ class FaultInjector {
   /// meaningful for deterministic test scenarios (kPermanent).
   [[nodiscard]] bool next_is_faulty() const noexcept;
 
-  /// True iff this injector can never corrupt a value: FaultKind::kNone.
-  /// Hoistable: the answer is fixed at construction, so reliable kernels
-  /// query it once per forward and select a fault-free fast path that
-  /// skips filter() entirely, replaying the bookkeeping in bulk with
-  /// advance_clean(). Stochastic kinds return false even at probability 0
-  /// — they still consume RNG draws per call, which bulk replay cannot
-  /// reproduce.
-  [[nodiscard]] bool guaranteed_fault_free() const noexcept {
-    return config_.kind == FaultKind::kNone;
-  }
-
-  /// Replays `n` filter() calls in bulk for a guaranteed_fault_free()
-  /// injector: advances the execution count and the round-robin PE cursor
-  /// exactly as `n` individual kNone filter() calls would, leaving stats()
-  /// and next_pe() bit-identical to the per-op path. Precondition:
-  /// guaranteed_fault_free() (asserted in debug builds).
-  void advance_clean(std::uint64_t n) noexcept;
+  /// Grants the next `n` filter() calls as one clean window, all or
+  /// nothing. If none of them would corrupt its value, consumes them
+  /// exactly as `n` filter() calls would (RNG draws, stats().executions,
+  /// the PE cursor) and returns true; otherwise leaves the injector
+  /// untouched and returns false. Clean calls never touch burst state.
+  /// The cost does not grow with `n` for kNone, for permanent faults (a
+  /// scan of at most num_pes flags) and for stochastic kinds at
+  /// probability <= 0 (bernoulli makes no draw there); otherwise it is one
+  /// fused RNG step per call. See src/faultsim/README.md for the per-kind
+  /// rules.
+  [[nodiscard]] bool try_take_clean(std::uint64_t n) noexcept;
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
   [[nodiscard]] const InjectorStats& stats() const noexcept { return stats_; }
@@ -75,6 +69,10 @@ class FaultInjector {
   [[nodiscard]] int permanent_faulty_pes() const noexcept;
 
  private:
+  /// True if a flag is set on any PE the next `n` calls land on.
+  [[nodiscard]] bool window_hits(const std::vector<std::uint8_t>& pe_flags,
+                                 std::uint64_t n) const noexcept;
+
   FaultConfig config_;
   util::Rng rng_;
   InjectorStats stats_;

@@ -72,6 +72,18 @@ inline bool same_bits(float x, float y) noexcept {
   return faultsim::float_bits(x) == faultsim::float_bits(y);
 }
 
+/// One physical op's result with the NaN choice pinned. IEEE 754 leaves
+/// open which of two NaN operands a result carries, and x86 returns the
+/// first *instruction* operand, an order the compiler picks freely for a
+/// commutative op: two inlinings of one expression (the generic oracle's
+/// and a devirtualized kernel's) could disagree once faults feed NaNs into
+/// both operands. A NaN `a` therefore always wins, quieted as the hardware
+/// would; otherwise at most one operand is a NaN and `result` is exact.
+inline float pin_nan(float a, float result) noexcept {
+  return a != a ? faultsim::bits_float(faultsim::float_bits(a) | 0x00400000u)
+                : result;
+}
+
 /// Majority vote over three results. Returns the agreed value and whether
 /// a majority exists.
 inline Qualified<float> vote(float r1, float r2, float r3) noexcept {
@@ -119,27 +131,22 @@ class Executor {
     return injector_.get();
   }
 
-  /// True iff no physical execution through this executor can ever be
-  /// corrupted: no injector, or an injector whose fault kind is kNone.
-  /// Hoistable — reliable kernels query it once per forward to select the
-  /// fault-free fast path.
-  [[nodiscard]] bool guaranteed_fault_free() const noexcept {
-    return injector_ == nullptr || injector_->guaranteed_fault_free();
-  }
-
-  /// Bulk accounting on behalf of an inlined fault-free kernel that
-  /// computed `logical` qualified operations as raw arithmetic: credits
-  /// logical_ops and the scheme's physical executions, and replays the
-  /// elided filter() calls on the injector (execution count + PE cursor)
-  /// via advance_clean(). Leaves stats() and injector state bit-identical
-  /// to `logical` per-op mul/add calls on fault-free hardware.
-  /// Precondition: guaranteed_fault_free().
-  void credit_fault_free_ops(std::uint64_t logical) noexcept {
-    stats_.logical_ops += logical;
+  /// The one execution gate of the qualified kernels: grants the next
+  /// `logical` qualified operations as a clean window when none of their
+  /// physical executions would be corrupted (always, without an
+  /// injector). On a grant, credits logical_ops and the scheme's physical
+  /// executions here and consumes the matching filter() calls on the
+  /// injector (FaultInjector::try_take_clean), leaving stats() and the
+  /// injector exactly as `logical` per-op mul/add calls would; the caller
+  /// computes the values as raw arithmetic. On a refusal nothing changes,
+  /// and the caller runs those operations one by one.
+  [[nodiscard]] bool try_take_clean(std::uint64_t logical) noexcept {
     const std::uint64_t physical =
         logical * static_cast<std::uint64_t>(redundancy());
+    if (injector_ && !injector_->try_take_clean(physical)) return false;
+    stats_.logical_ops += logical;
     stats_.executions += physical;
-    if (injector_) injector_->advance_clean(physical);
+    return true;
   }
 
  protected:
@@ -154,15 +161,15 @@ class Executor {
       switch (injector_->config().target) {
         case faultsim::FaultTarget::kOperandA:
           av = injector_->filter(av);
-          return av * bv;
+          break;
         case faultsim::FaultTarget::kOperandB:
           bv = injector_->filter(bv);
-          return av * bv;
+          break;
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(av * bv);
+          return injector_->filter(detail::pin_nan(av, av * bv));
       }
     }
-    return av * bv;
+    return detail::pin_nan(av, av * bv);
   }
 
   /// One physical add on the (possibly faulty) compute unit.
@@ -174,15 +181,15 @@ class Executor {
       switch (injector_->config().target) {
         case faultsim::FaultTarget::kOperandA:
           av = injector_->filter(av);
-          return av + bv;
+          break;
         case faultsim::FaultTarget::kOperandB:
           bv = injector_->filter(bv);
-          return av + bv;
+          break;
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(av + bv);
+          return injector_->filter(detail::pin_nan(av, av + bv));
       }
     }
-    return av + bv;
+    return detail::pin_nan(av, av + bv);
   }
 
   ExecutorStats stats_;
@@ -304,10 +311,10 @@ class TmrExecutor final : public Executor {
 
 // Executor-layer contracts. The statically dispatched qualified kernels
 // (static_dispatch.hpp) fold mul_inline/add_inline straight into the
-// convolution inner loop and credit fault-free ops in closed form from
-// kRedundancy — both are sound only while the concrete schemes stay
-// final, their class constants agree with the virtual interface's
-// answers, and the stats payloads stay memcpy-able.
+// convolution inner loop, and try_take_clean credits granted windows in
+// closed form from redundancy() — both are sound only while the concrete
+// schemes stay final, their class constants agree with the virtual
+// interface's answers, and the stats payloads stay memcpy-able.
 HYBRIDCNN_CONTRACT_FINAL(SimplexExecutor);
 HYBRIDCNN_CONTRACT_FINAL(DmrExecutor);
 HYBRIDCNN_CONTRACT_FINAL(TmrExecutor);

@@ -32,6 +32,11 @@ void LeakyBucket::record_success() noexcept {
   if (level_ > 0) --level_;
 }
 
+void LeakyBucket::record_successes(std::uint64_t n) noexcept {
+  successes_ += n;
+  level_ = n >= level_ ? 0 : level_ - static_cast<std::uint32_t>(n);
+}
+
 void LeakyBucket::reset() noexcept {
   level_ = 0;
   peak_ = 0;

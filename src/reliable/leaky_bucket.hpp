@@ -31,6 +31,11 @@ class LeakyBucket {
   /// Records a correct operation: level -= 1, floor 0.
   void record_success() noexcept;
 
+  /// Records `n` correct operations at once, exactly as `n`
+  /// record_success() calls: level = max(0, level - n). The peak and the
+  /// exhaustion latch never change on successes.
+  void record_successes(std::uint64_t n) noexcept;
+
   /// True once level has reached the ceiling; latched until reset().
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
 

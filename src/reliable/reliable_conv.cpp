@@ -121,31 +121,34 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   const float* wgt = weights_.data().data();
   const float* b = bias_.data().data();
 
-  if (exec.guaranteed_fault_free()) {
-    // Golden fast path: no operation can fail, so the qualified schedule
-    // collapses to raw arithmetic in the identical order (vectorized
-    // across output channels or pixels as the conv's shape picks, fanned
-    // across the pool); the per-op bookkeeping is credited in closed
-    // form after the join.
-    const auto pack = channel_pack();
+  // One gate: when the executor grants the whole forward as a clean
+  // window (no injector, kNone, p <= 0, no faulty PE, or simply no fault
+  // landing), the qualified schedule collapses to raw arithmetic in the
+  // identical order, vectorized and fanned across the pool as the conv's
+  // shape picks. Otherwise the qualified kernel asks again pixel by pixel.
+  // An input holding a NaN takes no window (detail::holds_nan).
+  const auto pack = channel_pack();
+  const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
+  const bool windows = !detail::holds_nan(in, input.count());
+  if (windows && exec.try_take_clean(ops)) {
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
-    const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
     if (mode == ReportMode::kFull) {
       result.report.logical_ops = ops;
       result.report.commits = ops;
     }
-    exec.credit_fault_free_ops(ops);
     return result;
   }
 
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
     if (mode == ReportMode::kFull) {
-      detail::conv_forward_qualified<true>(plan, in, wgt, b, policy_,
-                                           concrete, result);
+      detail::conv_forward_qualified<true>(plan, pack.get(), in, wgt, b,
+                                           policy_, windows, concrete,
+                                           result);
     } else {
-      detail::conv_forward_qualified<false>(plan, in, wgt, b, policy_,
-                                            concrete, result);
+      detail::conv_forward_qualified<false>(plan, pack.get(), in, wgt, b,
+                                            policy_, windows, concrete,
+                                            result);
     }
   });
   return result;
@@ -280,7 +283,7 @@ faultsim::CampaignSummary ReliableConv2d::forward_campaign(
     const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
                                           Executor&)>& classify,
     ReportMode mode, runtime::ComputeContext& ctx) const {
-  // Fault-free runs hit the packed fast path from every worker at once;
+  // Clean windows hit the packed raw kernel from every worker at once;
   // build the cached pack serially up front instead.
   prepare_fast_path();
   return faultsim::run_campaign(
@@ -350,19 +353,6 @@ void unqualified_forward_generic(const detail::ConvPlan& plan,
   }
 }
 
-/// One unqualified pass through the statically dispatched inline kernel
-/// for the three library schemes.
-void unqualified_forward_inline(const detail::ConvPlan& plan,
-                                const float* input, const float* weights,
-                                const float* bias, Executor& exec,
-                                Scheme scheme, ExecutionReport& report,
-                                float* out) {
-  detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    detail::conv_unqualified_inline(plan, input, weights, bias, concrete,
-                                    report, out);
-  });
-}
-
 /// Shared layer-DMR control loop: `pass(buffer, report)` executes one
 /// unqualified layer attempt into the buffer, accounting into the
 /// result's report. Attempt buffers are allocated once and reused; the
@@ -423,33 +413,31 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
   const float* wgt = inner_.weights().data().data();
   const float* b = inner_.bias().data().data();
 
-  if (exec.guaranteed_fault_free()) {
-    // Both attempts are raw arithmetic on fault-free hardware: they agree
-    // by construction, so one computation serves as the committed layer
-    // and the second pass's bookkeeping is credited in closed form.
+  const auto pack = inner_.channel_pack();
+  const bool windows = !detail::holds_nan(in, input.count());
+  if (windows &&
+      exec.try_take_clean(2 * (2 * plan.macs()))) {  // two layer passes
+    // Both attempts are granted clean windows: they agree by
+    // construction, so one raw computation serves as the committed layer.
     ReliableResult result{tensor::Tensor(out_shape), {}};
     ExecutionReport& report = result.report;
     report.stage = "layer_dmr_conv2d";
     report.scheme = "layer-dmr(" + exec.name() + ")";
-    LeakyBucket bucket(inner_.policy().bucket_factor,
-                       inner_.policy().bucket_ceiling);
-    const auto pack = inner_.channel_pack();
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
-    const std::uint64_t ops = 2 * (2 * plan.macs());  // two layer passes
-    report.logical_ops = ops;
-    exec.credit_fault_free_ops(ops);
-    bucket.record_success();
+    report.logical_ops = 2 * (2 * plan.macs());
     ++report.commits;
-    report.bucket_peak = bucket.peak();
     return result;
   }
 
   return layer_dmr_loop(
       inner_, out_shape, "layer-dmr(" + exec.name() + ")",
       [&](tensor::Tensor& buffer, ExecutionReport& report) {
-        unqualified_forward_inline(plan, in, wgt, b, exec, scheme, report,
-                                   buffer.data().data());
+        detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
+          detail::conv_unqualified_inline(plan, pack.get(), in, wgt, b,
+                                          windows, concrete, report,
+                                          buffer.data().data());
+        });
       });
 }
 

@@ -72,13 +72,15 @@ class ReliableConv2d {
   /// whatever had been committed up to the failed operation (explicitly
   /// bounded error propagation).
   ///
-  /// Dispatches once per call on the executor's scheme and injector
-  /// state: the three library schemes run a devirtualized inner kernel
-  /// (with a raw-arithmetic fast path — channel or pixel lanes, picked
-  /// from the conv's shape, where the target has vectors — when the
-  /// executor is guaranteed_fault_free()); custom executors fall back to
-  /// forward_generic(). Outputs, reports, executor stats and injector
-  /// state are bit-identical across the paths — the contract
+  /// Dispatches once per call on the executor's scheme; custom executors
+  /// fall back to forward_generic(). The three library schemes pass one
+  /// clean-window gate (Executor::try_take_clean): a forward granted as a
+  /// whole runs as raw arithmetic (channel or pixel lanes, picked from
+  /// the conv's shape, where the target has vectors); otherwise a
+  /// devirtualized kernel walks the output pixels, computes granted ones
+  /// the same way and runs the per-op envelope only on refused ones.
+  /// Outputs, reports, executor stats and injector state are
+  /// bit-identical across the paths — the contract
   /// tests/test_static_dispatch.cpp and tests/test_simd_dispatch.cpp
   /// enforce.
   ///

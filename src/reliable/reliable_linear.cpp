@@ -76,26 +76,31 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   const float* wgt = weights_.data().data();
   const float* b = bias_.data().data();
 
-  if (exec.guaranteed_fault_free()) {
-    const auto pack = neuron_pack();
+  // One gate, as in ReliableConv2d::forward: the whole forward as one
+  // clean window, else one window per output neuron; none for an input
+  // holding a NaN.
+  const auto pack = neuron_pack();
+  const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
+  const bool windows = !detail::holds_nan(in, input.count());
+  if (windows && exec.try_take_clean(ops)) {
     detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
                                result.output.data().data());
-    const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
     if (mode == ReportMode::kFull) {
       result.report.logical_ops = ops;
       result.report.commits = ops;
     }
-    exec.credit_fault_free_ops(ops);
     return result;
   }
 
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
     if (mode == ReportMode::kFull) {
-      detail::linear_forward_qualified<true>(out_n, in_n, in, wgt, b,
-                                             policy_, concrete, result);
+      detail::linear_forward_qualified<true>(out_n, in_n, pack.get(), in, wgt,
+                                             b, policy_, windows, concrete,
+                                             result);
     } else {
-      detail::linear_forward_qualified<false>(out_n, in_n, in, wgt, b,
-                                              policy_, concrete, result);
+      detail::linear_forward_qualified<false>(out_n, in_n, pack.get(), in,
+                                              wgt, b, policy_, windows,
+                                              concrete, result);
     }
   });
   return result;

@@ -34,8 +34,9 @@ class ReliableLinear {
 
   /// Input must be rank-1 of length `in`. Same contract as
   /// ReliableConv2d::forward, including the once-per-call scheme dispatch
-  /// onto devirtualized kernels, the guaranteed-fault-free fast path
-  /// (vectorized across output neurons where the target allows) and the
+  /// onto devirtualized kernels, the clean-window gate (one window per
+  /// output neuron when the whole forward is refused; granted neurons are
+  /// vectorized across output neurons where the target allows) and the
   /// ReportMode::kStatsOnly variant.
   [[nodiscard]] ReliableResult forward(
       const tensor::Tensor& input, Executor& exec,

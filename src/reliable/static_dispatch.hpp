@@ -18,14 +18,19 @@
 //     conv_unqualified_inline — inner kernels templated over the concrete
 //     executor type (Simplex/Dmr/Tmr are final), so mul/add fold into the
 //     loop with no virtual calls or per-op lambdas surviving to codegen.
-//   * conv_raw_compute / linear_raw_compute — the fault-free fast path:
-//     raw arithmetic in the identical operation order, used when the
-//     executor is guaranteed_fault_free(); callers then credit the
-//     elided bookkeeping in closed form (credit_fault_free_ops). On
-//     SIMD-capable targets (runtime/isa.hpp) two vector strategies
-//     exist, both vectorizing across *independent outputs* — never the
-//     (c, ky, kx) reduction — so bit-identity with the scalar loop holds
-//     by construction:
+//     They walk the outputs in the generic loop order and ask the one
+//     execution gate, Executor::try_take_clean, for each output's ops as
+//     one clean window. A granted output is credited in closed form and
+//     computed by the raw kernels below; only refused outputs run op by
+//     op. The public forward() entry points first ask for the whole
+//     forward's ops, which is answered in O(1) when no fault can land.
+//     An input holding a NaN takes no window at all (holds_nan).
+//   * conv_raw_compute / linear_raw_compute — raw arithmetic in the
+//     identical operation order for granted windows, whose values never
+//     depend on the fault stream. On SIMD-capable targets
+//     (runtime/isa.hpp) two vector strategies exist, both vectorizing
+//     across *independent outputs* — never the (c, ky, kx) reduction — so
+//     bit-identity with the scalar loop holds by construction:
 //       - pixel lanes (conv_simd_rows): kFloatLanes adjacent interior
 //         output pixels of one row per vector on stride-1 convs, weights
 //         re-broadcast per tap; border pixels stay scalar.
@@ -39,14 +44,14 @@
 //         its valid lanes.
 //     A fixed rule over the conv's shape picks the strategy (see
 //     channel_lanes_selected); only the kill-switch below overrides it.
-//     The fault-free fast path additionally fans its disjoint output
-//     slices across the global runtime::ThreadPool (channel-block
-//     chunks, (channel x row-group) units, or whole channels for the
-//     scalar loop); the elided bookkeeping is credited in closed form
-//     after the join, so outputs and statistics are bit-identical at
-//     every thread count. The runtime kill-switch
-//     HYBRIDCNN_RELIABLE_SIMD=0 (or set_reliable_simd_enabled(false))
-//     forces the scalar fast path for debugging and A/B benching.
+//     The raw compute additionally fans its disjoint output slices across
+//     the global runtime::ThreadPool (channel-block chunks, (channel x
+//     row-group) units, or whole channels for the scalar loop), while the
+//     window walk that owns the fault stream stays serial, so outputs and
+//     statistics are bit-identical at every thread count. The runtime
+//     kill-switch HYBRIDCNN_RELIABLE_SIMD=0 (or
+//     set_reliable_simd_enabled(false)) forces the scalar raw kernel for
+//     debugging and A/B benching.
 //
 // The qualified kernels are additionally templated on a WithReport flag:
 // ReportMode::kStatsOnly instantiations skip every per-op
@@ -82,7 +87,7 @@
 
 namespace hybridcnn::reliable::detail {
 
-/// Whether the fault-free fast path may use the vectorized kernels.
+/// Whether the raw (clean-window) kernels may use the vectorized forms.
 /// Initialised once from the environment (HYBRIDCNN_RELIABLE_SIMD=0
 /// disables; anything else — including unset — enables); tests and
 /// benches flip it at runtime for A/B comparisons. On targets without
@@ -161,12 +166,15 @@ void with_concrete_executor(Scheme scheme, Executor& exec, Fn&& fn) {
   assert(false && "with_concrete_executor: custom scheme has no concrete type");
 }
 
-/// Algorithm 3's per-operation envelope, split so the fault-free common
-/// case stays on a straight-line inlined path. run() evaluates the op
-/// once; qualified success commits and returns immediately. The first
-/// failure drops to the cold slow path, which replicates the generic
-/// retry loop exactly: rollback, leaky-bucket escalation, per-op retry
-/// cap, re-execution.
+/// Algorithm 3's per-operation envelope for one qualified kernel run, split
+/// so the common success case stays on a straight-line inlined path. It
+/// owns the run's leaky bucket and the flat op index failed_op_index
+/// reports. run() evaluates one op; qualified success commits and returns
+/// immediately. The first failure drops to the cold slow path, which
+/// replicates the generic retry loop exactly: rollback, leaky-bucket
+/// escalation, per-op retry cap, re-execution. try_take_clean() instead
+/// grants a whole window of ops that cannot fault and credits it in
+/// closed form, exactly as that many first-attempt successes would be.
 ///
 /// WithReport=false (ReportMode::kStatsOnly) compiles out every report
 /// counter update; control flow, checkpoint traffic and executor calls
@@ -176,12 +184,35 @@ template <typename Exec, bool WithReport = true>
 struct QualifiedOpRunner {
   Exec& exec;
   ExecutionReport& report;
-  LeakyBucket& bucket;
+  LeakyBucket bucket;
   std::uint32_t max_retries_per_op;
+  std::int64_t op_index = 0;  ///< flat index of the next op
+
+  QualifiedOpRunner(Exec& e, ExecutionReport& r,
+                    const ReliabilityPolicy& policy)
+      : exec(e),
+        report(r),
+        bucket(policy.bucket_factor, policy.bucket_ceiling),
+        max_retries_per_op(policy.max_retries_per_op) {}
+
+  /// Grants the next `ops` ops as one clean window
+  /// (Executor::try_take_clean) and credits the bucket, the op index and
+  /// the report for them. False leaves everything untouched.
+  HYBRIDCNN_RELIABLE_ALWAYS_INLINE bool try_take_clean(std::uint64_t ops) {
+    if (!exec.try_take_clean(ops)) return false;
+    bucket.record_successes(ops);
+    op_index += static_cast<std::int64_t>(ops);
+    if constexpr (WithReport) {
+      report.logical_ops += ops;
+      report.commits += ops;
+    }
+    return true;
+  }
 
   template <typename Op>
   HYBRIDCNN_RELIABLE_ALWAYS_INLINE std::optional<float> run(
       Op op, ScalarCheckpoint& cp) {
+    ++op_index;
     if constexpr (WithReport) ++report.logical_ops;
     const Qualified<float> q = op(exec);
     if (q.ok) [[likely]] {
@@ -224,7 +255,52 @@ struct QualifiedOpRunner {
       }
     }
   }
+
+  /// Ends the run. On abort (the last run() op failed persistently) the
+  /// report is marked failed at that op; either way it records the
+  /// bucket's final state. Under kStatsOnly only `ok` is kept.
+  void finish(bool aborted) {
+    if (aborted) report.ok = false;
+    if constexpr (WithReport) {
+      if (aborted) report.failed_op_index = op_index - 1;
+      report.bucket_peak = bucket.peak();
+      report.bucket_exhausted = bucket.exhausted();
+    }
+  }
 };
+
+/// An output the per-op path produced, by flat index; the windowed
+/// kernels patch these over the raw-arithmetic outputs.
+struct PerOpOutput {
+  std::size_t index;
+  float value;
+};
+
+/// Output assembly of a windowed kernel. Outputs [0, end) hold values —
+/// all of them, or up to and including an aborted one — and `per_op`
+/// lists those the per-op path produced. The rest were granted clean
+/// windows and come from `raw(out)`, which computes every output as raw
+/// arithmetic, whose values never depend on the fault stream. Outputs
+/// from `end` on stay 0, as the per-op path leaves them after an abort.
+template <typename Raw>
+void assemble_windowed(float* out, std::size_t count, std::size_t end,
+                       const std::vector<PerOpOutput>& per_op, Raw&& raw) {
+  if (per_op.size() < end) raw(out);  // some output was granted
+  for (const PerOpOutput& o : per_op) out[o.index] = o.value;
+  std::fill(out + end, out + count, 0.0f);
+}
+
+/// True if any of the `n` values is a NaN. The raw kernels do not pin NaN
+/// payloads (detail::pin_nan), so a receptive field holding two different
+/// NaNs could leave them with another payload than the per-op path: a
+/// forward over such an input takes no clean window. Branch-free with an
+/// int accumulator (a bool one does not vectorize), so the one pass per
+/// forward runs at vector width.
+inline bool holds_nan(const float* v, std::size_t n) noexcept {
+  int nan = 0;
+  for (std::size_t i = 0; i < n; ++i) nan |= v[i] != v[i];
+  return nan != 0;
+}
 
 /// Flat dimensions of a CHW-in / OIHW-weights convolution, plus the
 /// hoisted valid-tap intervals.
@@ -352,101 +428,6 @@ inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
     }
   }
   return pack;
-}
-
-/// Qualified convolution inner kernel over a concrete executor type.
-/// Loop nest order (o, oy, ox, c, ky, kx), committed outputs, op_index
-/// accounting and abort semantics are exactly those of the generic path.
-/// WithReport=false elides all report counters (ok is still latched on
-/// abort); see QualifiedOpRunner.
-template <bool WithReport = true, typename Exec>
-void conv_forward_qualified(const ConvPlan& plan, const float* input,
-                            const float* weights, const float* bias,
-                            const ReliabilityPolicy& policy, Exec& exec,
-                            ReliableResult& result) {
-  ExecutionReport& report = result.report;
-  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec, WithReport> runner{exec, report, bucket,
-                                             policy.max_retries_per_op};
-  float* out = result.output.data().data();
-
-  std::int64_t op_index = 0;
-  const auto abort_with = [&](std::int64_t failed_at) {
-    report.ok = false;
-    if constexpr (WithReport) {
-      report.failed_op_index = failed_at;
-      report.bucket_peak = bucket.peak();
-      report.bucket_exhausted = bucket.exhausted();
-    } else {
-      (void)failed_at;
-    }
-  };
-
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    const float b = bias[o];
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      const TapRange ry = plan.row_taps[oy];
-      for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-        const TapRange rx = plan.col_taps[ox];
-        // The accumulator starts from the bias, loaded from (assumed
-        // ECC-protected) parameter memory; all arithmetic on it is
-        // qualified.
-        ScalarCheckpoint acc(b);
-        bool aborted = false;
-        for (std::size_t c = 0; c < plan.in_c && !aborted; ++c) {
-          for (std::size_t ky = ry.begin; ky < ry.end && !aborted; ++ky) {
-            // iy/ix are non-negative by construction of the tap ranges:
-            // ky >= pad - oy*stride, so the unsigned arithmetic is safe.
-            const std::size_t iy = oy * plan.stride + ky - plan.pad;
-            const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-            const float* w_row =
-                weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-            for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-              const std::size_t ix = ox * plan.stride + kx - plan.pad;
-              const float x = input[in_base + ix];
-              const float w = w_row[kx];
-
-              // Qualified multiply, checkpointed into a product cell.
-              ScalarCheckpoint prod(0.0f);
-              const auto p = runner.run(
-                  [x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-              ++op_index;
-              if (!p) {
-                abort_with(op_index - 1);
-                aborted = true;
-                break;
-              }
-
-              // Qualified accumulate onto the committed accumulator.
-              const float before = acc.value();
-              const float pv = *p;
-              const auto s = runner.run(
-                  [before, pv](Exec& e) { return e.add_inline(before, pv); },
-                  acc);
-              ++op_index;
-              if (!s) {
-                abort_with(op_index - 1);
-                aborted = true;
-                break;
-              }
-            }
-          }
-        }
-        out[(o * plan.out_h + oy) * plan.out_w + ox] = acc.value();
-        if (aborted) {
-          // Error propagation stops here: committed prefix is returned,
-          // the failure is reported, nothing downstream consumes
-          // unqualified values.
-          return;
-        }
-      }
-    }
-  }
-
-  if constexpr (WithReport) {
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-  }
 }
 
 /// One fault-free output pixel: the scalar reduction every path — scalar
@@ -905,104 +886,144 @@ inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
       });
 }
 
-/// Unqualified (raw-arithmetic) convolution pass through a concrete
-/// executor — the execution style layer-granular redundancy wraps.
-/// Writes into a caller-owned output buffer so retry attempts reuse
-/// their two comparison buffers instead of reallocating.
-template <typename Exec>
-void conv_unqualified_inline(const ConvPlan& plan, const float* input,
-                             const float* weights, const float* bias,
-                             Exec& exec, ExecutionReport& report,
-                             float* out) {
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    const float b = bias[o];
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      const TapRange ry = plan.row_taps[oy];
-      for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-        const TapRange rx = plan.col_taps[ox];
-        float acc = b;
-        for (std::size_t c = 0; c < plan.in_c; ++c) {
-          for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-            const std::size_t iy = oy * plan.stride + ky - plan.pad;
-            const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-            const float* w_row =
-                weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-            for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-              const std::size_t ix = ox * plan.stride + kx - plan.pad;
-              const float p =
-                  exec.mul_inline(input[in_base + ix], w_row[kx]).value;
-              acc = exec.add_inline(acc, p).value;
-              report.logical_ops += 2;
-            }
-          }
-        }
-        out[(o * plan.out_h + oy) * plan.out_w + ox] = acc;
-      }
-    }
-  }
+/// Logical ops of one output pixel: a mul and an accumulate per valid tap.
+inline std::uint64_t conv_pixel_ops(const ConvPlan& plan, std::size_t oy,
+                                    std::size_t ox) noexcept {
+  return 2 * static_cast<std::uint64_t>(plan.in_c) *
+         plan.row_taps[oy].count() * plan.col_taps[ox].count();
 }
 
-/// Qualified dense inner kernel over a concrete executor type; the linear
-/// analogue of conv_forward_qualified.
+/// One output pixel through the per-op envelope, in the qualified order
+/// (c, ky, kx): a mul into a product cell, then an accumulate onto `acc`.
+/// Returns false on a persistent error, leaving the committed prefix in
+/// `acc`.
+template <bool WithReport, typename Exec>
+bool conv_pixel_qualified(const ConvPlan& plan, const float* input,
+                          const float* weights, std::size_t o,
+                          std::size_t oy, std::size_t ox,
+                          QualifiedOpRunner<Exec, WithReport>& runner,
+                          ScalarCheckpoint& acc) {
+  const TapRange ry = plan.row_taps[oy];
+  const TapRange rx = plan.col_taps[ox];
+  for (std::size_t c = 0; c < plan.in_c; ++c) {
+    for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
+      // iy/ix are non-negative by construction of the tap ranges:
+      // ky >= pad - oy*stride, so the unsigned arithmetic is safe.
+      const std::size_t iy = oy * plan.stride + ky - plan.pad;
+      const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
+      const float* w_row =
+          weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
+      for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
+        const std::size_t ix = ox * plan.stride + kx - plan.pad;
+        const float x = input[in_base + ix];
+        const float w = w_row[kx];
+        ScalarCheckpoint prod(0.0f);
+        const auto p =
+            runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
+        if (!p) return false;
+        const float before = acc.value();
+        const float pv = *p;
+        if (!runner.run(
+                [before, pv](Exec& e) { return e.add_inline(before, pv); },
+                acc)) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+/// Qualified convolution over a concrete executor type, walked in the
+/// generic path's pixel order (o, oy, ox) with one clean window per
+/// pixel: a pixel whose ops the executor grants is credited in closed
+/// form and computed later by the fault-free kernel, and only refused
+/// pixels run the per-op envelope. The walk is serial because it owns the
+/// fault stream; only the raw compute fans out over the pool. Output
+/// bits, the report (failed_op_index and an aborted pixel's committed
+/// prefix included) and executor/injector state equal the per-op path's.
+/// With `windows` false every pixel runs the envelope.
 template <bool WithReport = true, typename Exec>
-void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
-                              const float* input, const float* weights,
-                              const float* bias,
-                              const ReliabilityPolicy& policy, Exec& exec,
-                              ReliableResult& result) {
-  ExecutionReport& report = result.report;
-  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
-  QualifiedOpRunner<Exec, WithReport> runner{exec, report, bucket,
-                                             policy.max_retries_per_op};
-  float* out = result.output.data().data();
-
-  std::int64_t op_index = 0;
-  const auto abort_with = [&](std::size_t o, std::int64_t failed_at,
-                              float committed) {
-    report.ok = false;
-    if constexpr (WithReport) {
-      report.failed_op_index = failed_at;
-      report.bucket_peak = bucket.peak();
-      report.bucket_exhausted = bucket.exhausted();
-    } else {
-      (void)failed_at;
+void conv_forward_qualified(const ConvPlan& plan, const WeightPack* pack,
+                            const float* input, const float* weights,
+                            const float* bias,
+                            const ReliabilityPolicy& policy, bool windows,
+                            Exec& exec, ReliableResult& result) {
+  QualifiedOpRunner<Exec, WithReport> runner(exec, result.report, policy);
+  const std::size_t count = plan.out_c * plan.out_h * plan.out_w;
+  std::vector<PerOpOutput> per_op;
+  std::size_t end = count;
+  bool aborted = false;
+  for (std::size_t i = 0; i < count && !aborted; ++i) {
+    const std::size_t ox = i % plan.out_w;
+    const std::size_t oy = i / plan.out_w % plan.out_h;
+    if (windows && runner.try_take_clean(conv_pixel_ops(plan, oy, ox))) {
+      continue;
     }
-    out[o] = committed;
-  };
-
-  for (std::size_t o = 0; o < out_n; ++o) {
+    const std::size_t o = i / (plan.out_w * plan.out_h);
+    // The accumulator starts from the bias, loaded from (assumed
+    // ECC-protected) parameter memory; all arithmetic on it is qualified.
     ScalarCheckpoint acc(bias[o]);
-    const float* w_row = weights + o * in_n;
-    for (std::size_t i = 0; i < in_n; ++i) {
-      const float x = input[i];
-      const float w = w_row[i];
+    if (!conv_pixel_qualified(plan, input, weights, o, oy, ox, runner,
+                              acc)) {
+      // Error propagation stops here: the committed prefix is returned,
+      // the failure is reported, nothing downstream consumes unqualified
+      // values.
+      aborted = true;
+      end = i + 1;
+    }
+    per_op.push_back({i, acc.value()});
+  }
+  runner.finish(aborted);
+  assemble_windowed(result.output.data().data(), count, end, per_op,
+                    [&](float* out) {
+                      conv_raw_compute(plan, pack, input, weights, bias, out);
+                    });
+}
 
-      ScalarCheckpoint prod(0.0f);
-      const auto p =
-          runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-      ++op_index;
-      if (!p) {
-        abort_with(o, op_index - 1, acc.value());
-        return;
-      }
-
-      const float before = acc.value();
-      const float pv = *p;
-      const auto s = runner.run(
-          [before, pv](Exec& e) { return e.add_inline(before, pv); }, acc);
-      ++op_index;
-      if (!s) {
-        abort_with(o, op_index - 1, acc.value());
-        return;
+/// Unqualified (raw-arithmetic) convolution pass through a concrete
+/// executor — the execution style layer-granular redundancy wraps — with
+/// one clean window per pixel: granted pixels come from the fault-free
+/// kernel, refused ones run op by op through the (possibly faulty)
+/// executor; with `windows` false every pixel does. Writes into a
+/// caller-owned output buffer so retry attempts reuse their two
+/// comparison buffers instead of reallocating.
+template <typename Exec>
+void conv_unqualified_inline(const ConvPlan& plan, const WeightPack* pack,
+                             const float* input, const float* weights,
+                             const float* bias, bool windows, Exec& exec,
+                             ExecutionReport& report, float* out) {
+  const std::size_t count = plan.out_c * plan.out_h * plan.out_w;
+  std::vector<PerOpOutput> per_op;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t ox = i % plan.out_w;
+    const std::size_t oy = i / plan.out_w % plan.out_h;
+    const std::uint64_t ops = conv_pixel_ops(plan, oy, ox);
+    report.logical_ops += ops;
+    if (windows && exec.try_take_clean(ops)) continue;
+    const std::size_t o = i / (plan.out_w * plan.out_h);
+    const TapRange ry = plan.row_taps[oy];
+    const TapRange rx = plan.col_taps[ox];
+    float acc = bias[o];
+    for (std::size_t c = 0; c < plan.in_c; ++c) {
+      for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
+        const std::size_t iy = oy * plan.stride + ky - plan.pad;
+        const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
+        const float* w_row =
+            weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
+        for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
+          const std::size_t ix = ox * plan.stride + kx - plan.pad;
+          const float p =
+              exec.mul_inline(input[in_base + ix], w_row[kx]).value;
+          acc = exec.add_inline(acc, p).value;
+        }
       }
     }
-    out[o] = acc.value();
+    per_op.push_back({i, acc});
   }
-
-  if constexpr (WithReport) {
-    report.bucket_peak = bucket.peak();
-    report.bucket_exhausted = bucket.exhausted();
-  }
+  assemble_windowed(out, count, count, per_op, [&](float* raw_out) {
+    conv_raw_compute(plan, pack, input, weights, bias, raw_out);
+  });
 }
 
 /// Fault-free dense fast path, scalar form: same operation order as the
@@ -1132,6 +1153,58 @@ inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
   (void)pack;
 #endif
   linear_raw_compute_scalar(out_n, in_n, input, weights, bias, out);
+}
+
+/// Qualified dense kernel over a concrete executor type: the linear
+/// analogue of conv_forward_qualified, with one clean window per output
+/// neuron (its 2 * in_n ops).
+template <bool WithReport = true, typename Exec>
+void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
+                              const LinearWeightPack* pack,
+                              const float* input, const float* weights,
+                              const float* bias,
+                              const ReliabilityPolicy& policy, bool windows,
+                              Exec& exec, ReliableResult& result) {
+  QualifiedOpRunner<Exec, WithReport> runner(exec, result.report, policy);
+  std::vector<PerOpOutput> per_op;
+  std::size_t end = out_n;
+  bool aborted = false;
+  for (std::size_t o = 0; o < out_n && !aborted; ++o) {
+    if (windows &&
+        runner.try_take_clean(2 * static_cast<std::uint64_t>(in_n))) {
+      continue;
+    }
+    ScalarCheckpoint acc(bias[o]);
+    const float* w_row = weights + o * in_n;
+    for (std::size_t i = 0; i < in_n; ++i) {
+      const float x = input[i];
+      const float w = w_row[i];
+      ScalarCheckpoint prod(0.0f);
+      const auto p =
+          runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
+      if (!p) {
+        aborted = true;
+        end = o + 1;
+        break;
+      }
+      const float before = acc.value();
+      const float pv = *p;
+      if (!runner.run(
+              [before, pv](Exec& e) { return e.add_inline(before, pv); },
+              acc)) {
+        aborted = true;
+        end = o + 1;
+        break;
+      }
+    }
+    per_op.push_back({o, acc.value()});
+  }
+  runner.finish(aborted);
+  assemble_windowed(result.output.data().data(), out_n, end, per_op,
+                    [&](float* out) {
+                      linear_raw_compute(out_n, in_n, pack, input, weights,
+                                         bias, out);
+                    });
 }
 
 }  // namespace hybridcnn::reliable::detail

@@ -13,23 +13,6 @@ Rng::Rng(std::uint64_t seed, std::uint64_t stream) noexcept
   (*this)();
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t old = state_;
-  state_ = old * 6364136223846793005ULL + inc_;
-  const auto xorshifted =
-      static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-  const auto rot = static_cast<std::uint32_t>(old >> 59u);
-  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-}
-
-double Rng::uniform() noexcept {
-  // 53-bit mantissa from two draws for a dense [0,1) double.
-  const std::uint64_t hi = (*this)();
-  const std::uint64_t lo = (*this)();
-  const std::uint64_t bits53 = ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
-  return static_cast<double>(bits53) * (1.0 / 9007199254740992.0);
-}
-
 double Rng::uniform(double lo, double hi) noexcept {
   return lo + (hi - lo) * uniform();
 }
@@ -63,10 +46,31 @@ double Rng::normal(double mean, double stddev) noexcept {
   return mean + stddev * normal();
 }
 
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform() < p;
+bool Rng::try_take_bernoulli_misses(double p, std::uint64_t n) noexcept {
+  if (p <= 0.0) return true;
+  if (p >= 1.0) return n == 0;
+  // uniform() < p  <=>  bits53 < p * 2^53  <=>  bits53 < T with
+  // T = ceil(p * 2^53): ldexp is exact and bits53 is an integer. A NaN p
+  // never succeeds in bernoulli() yet draws, which T = 0 reproduces.
+  const double t = std::ceil(std::ldexp(p, 53));
+  const std::uint64_t threshold = t > 0.0 ? static_cast<std::uint64_t>(t) : 0;
+  // bits53 >> 32 == hi >> 11, so a high draw above this bound settles the
+  // trial without computing the low draw.
+  const std::uint64_t hi_bound = threshold >> 32;
+  // Two PCG steps fused: s * A^2 + (A * inc + inc).
+  const std::uint64_t mul2 = kMultiplier * kMultiplier;
+  const std::uint64_t inc2 = kMultiplier * inc_ + inc_;
+  std::uint64_t s = state_;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::uint32_t hi = output(s);
+    if ((hi >> 11) <= hi_bound &&
+        bits53(hi, output(s * kMultiplier + inc_)) < threshold) {
+      return false;
+    }
+    s = s * mul2 + inc2;
+  }
+  state_ = s;
+  return true;
 }
 
 Rng Rng::fork() noexcept {

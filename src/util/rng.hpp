@@ -40,12 +40,25 @@ class Rng {
   }
 
   /// Next 32 random bits.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t old = state_;
+    state_ = old * kMultiplier + inc_;
+    return output(old);
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): `bits53 * 2^-53`, where bits53 is built
+  /// from two draws (see bits53()).
+  double uniform() noexcept {
+    const std::uint32_t hi = (*this)();
+    const std::uint32_t lo = (*this)();
+    return static_cast<double>(bits53(hi, lo)) * (1.0 / 9007199254740992.0);
+  }
 
-  /// Uniform double in [lo, hi).
+  /// Uniform double in [lo, hi). Stays out of line, like normal(): the
+  /// library builds some directories with FP contraction off and others
+  /// with it on, so an inlined `lo + (hi - lo) * u` could fuse into an FMA
+  /// in some callers, changing rendered images and initial weights. The
+  /// inline draws above hold no multiply-add and are exact anywhere.
   double uniform(double lo, double hi) noexcept;
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
@@ -57,14 +70,42 @@ class Rng {
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev) noexcept;
 
-  /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept;
+  /// Bernoulli trial with success probability p (clamped to [0,1]). Makes
+  /// no draw when p <= 0 or p >= 1, and two (one uniform()) otherwise.
+  bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform() < p;
+  }
+
+  /// All-or-nothing run of failed Bernoulli trials: if the next `n`
+  /// bernoulli(p) calls would all return false, makes exactly their draws
+  /// and returns true; otherwise leaves the generator untouched and
+  /// returns false. Bit-exact with the per-call loop, in O(1) for p <= 0
+  /// or p >= 1 and one fused state step per trial otherwise.
+  [[nodiscard]] bool try_take_bernoulli_misses(double p,
+                                               std::uint64_t n) noexcept;
 
   /// Forks an independent child generator; deterministic function of the
   /// current state. Used to hand each layer / fault site its own stream.
   Rng fork() noexcept;
 
  private:
+  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
+
+  /// PCG32 XSH-RR output permutation of a pre-step state.
+  static std::uint32_t output(std::uint64_t old) noexcept {
+    const auto xorshifted =
+        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+    const auto rot = static_cast<std::uint32_t>(old >> 59u);
+    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+  }
+
+  /// The 53 mantissa bits uniform() scales: bits 32..52 are `hi >> 11`.
+  static std::uint64_t bits53(std::uint64_t hi, std::uint64_t lo) noexcept {
+    return ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
+  }
+
   std::uint64_t state_;
   std::uint64_t inc_;
   double spare_normal_ = 0.0;

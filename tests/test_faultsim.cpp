@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "faultsim/bitflip.hpp"
 #include "faultsim/campaign.hpp"
@@ -172,6 +174,69 @@ TEST(FaultInjector, ResetStatsClears) {
   inj.reset_stats();
   EXPECT_EQ(inj.stats().executions, 0u);
   EXPECT_EQ(inj.stats().faults, 0u);
+}
+
+// ------------------------------------------------- clean-window grants
+
+/// Same observable injector state: stats, PE cursor and the next 64
+/// filter() results.
+void expect_same_injector(const FaultInjector& a, const FaultInjector& b) {
+  EXPECT_EQ(a.stats().executions, b.stats().executions);
+  EXPECT_EQ(a.stats().faults, b.stats().faults);
+  EXPECT_EQ(a.next_pe(), b.next_pe());
+  FaultInjector fa = a;
+  FaultInjector fb = b;
+  int filter_mismatches = 0;
+  for (int i = 0; i < 64; ++i) {
+    const float v = 1.0f + static_cast<float>(i);
+    filter_mismatches +=
+        float_bits(fa.filter(v)) != float_bits(fb.filter(v)) ? 1 : 0;
+  }
+  EXPECT_EQ(filter_mismatches, 0);
+}
+
+TEST(FaultInjector, TryTakeCleanMatchesPerCallFilter) {
+  // A grant must leave exactly the state of n per-call filter()s; a
+  // refusal (some call would fault) must leave the injector untouched.
+  // The walk starts each trial where the per-call oracle ended, faults,
+  // bursts and all, so grants are tried from every kind of state.
+  std::uint64_t grants = 0;
+  std::uint64_t refusals = 0;
+  for (const FaultKind kind :
+       {FaultKind::kNone, FaultKind::kTransient, FaultKind::kIntermittent,
+        FaultKind::kPermanent}) {
+    for (const double p : {0.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
+      for (const int pes : {1, 7, 128}) {
+        for (const int bit : {-1, 9}) {
+          SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                       " p " + std::to_string(p) + " pes " +
+                       std::to_string(pes) + " bit " + std::to_string(bit));
+          FaultConfig cfg;
+          cfg.kind = kind;
+          cfg.probability = p;
+          cfg.num_pes = pes;
+          cfg.bit = bit;
+          cfg.burst_continue = 0.9;
+          FaultInjector inj(cfg, 4242);
+          for (const std::uint64_t n :
+               {0ULL, 1ULL, 2ULL, 6ULL, 147ULL, 588ULL, 1ULL, 3000ULL, 5ULL,
+                129ULL, 40ULL, 1200ULL}) {
+            FaultInjector oracle = inj;
+            const std::uint64_t faults_before = oracle.stats().faults;
+            for (std::uint64_t i = 0; i < n; ++i) (void)oracle.filter(0.5f);
+            const bool clean = oracle.stats().faults == faults_before;
+            FaultInjector windowed = inj;
+            ASSERT_EQ(windowed.try_take_clean(n), clean) << "n " << n;
+            expect_same_injector(windowed, clean ? oracle : inj);
+            (clean ? grants : refusals) += 1;
+            inj = oracle;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(grants, 0u);
+  EXPECT_GT(refusals, 0u);
 }
 
 // ----------------------------------------------------------- memory SEUs

@@ -3,6 +3,9 @@
 // errors."
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "reliable/leaky_bucket.hpp"
 
 namespace {
@@ -121,6 +124,49 @@ TEST(LeakyBucket, FactorLargerThanCeilingTripsImmediately) {
   LeakyBucket b(10, 4);
   EXPECT_TRUE(b.record_error());
   EXPECT_TRUE(b.exhausted());
+}
+
+TEST(LeakyBucket, RecordSuccessesMatchesSingleSuccesses) {
+  // Reaches every level 0..ceiling with factor-1 errors (ceiling latches
+  // exhaustion), plus latched buckets drained back below the ceiling.
+  constexpr std::uint32_t kCeiling = 6;
+  struct Start {
+    std::uint32_t errors;
+    std::uint32_t drained;
+  };
+  std::vector<Start> starts;
+  for (std::uint32_t level = 0; level <= kCeiling; ++level) {
+    starts.push_back({level, 0});
+  }
+  for (std::uint32_t drained = 1; drained <= kCeiling; ++drained) {
+    starts.push_back({kCeiling, drained});
+  }
+  for (const Start& start : starts) {
+    for (const std::uint64_t n :
+         {0ULL, 1ULL, 2ULL, 3ULL, 5ULL, 6ULL, 7ULL, 100ULL}) {
+      SCOPED_TRACE("errors " + std::to_string(start.errors) + " drained " +
+                   std::to_string(start.drained) + " n " + std::to_string(n));
+      LeakyBucket bulk(1, kCeiling);
+      for (std::uint32_t i = 0; i < start.errors; ++i) bulk.record_error();
+      for (std::uint32_t i = 0; i < start.drained; ++i) bulk.record_success();
+      LeakyBucket single = bulk;
+      bulk.record_successes(n);
+      for (std::uint64_t i = 0; i < n; ++i) single.record_success();
+      EXPECT_EQ(bulk.level(), single.level());
+      EXPECT_EQ(bulk.peak(), single.peak());
+      EXPECT_EQ(bulk.exhausted(), single.exhausted());
+      EXPECT_EQ(bulk.errors(), single.errors());
+      EXPECT_EQ(bulk.successes(), single.successes());
+      EXPECT_EQ(bulk.exhausted(), start.errors >= kCeiling);
+    }
+  }
+  // A window wider than 32 bits drains to zero instead of wrapping.
+  LeakyBucket wide(1, kCeiling);
+  for (int i = 0; i < 3; ++i) wide.record_error();
+  wide.record_successes((1ULL << 32) + 1);
+  EXPECT_EQ(wide.level(), 0u);
+  EXPECT_EQ(wide.successes(), (1ULL << 32) + 1);
+  EXPECT_EQ(wide.peak(), 3u);
 }
 
 // Parameterised: for every (factor, ceiling) with factor < ceiling <=

@@ -3,11 +3,17 @@
 // produce the same output bits, the same ExecutionReport fields, the same
 // ExecutorStats/InjectorStats and the same injector cursor as the
 // retained generic virtual-dispatch path (forward_generic) — including
-// the fault-free fast path's closed-form bookkeeping and the abort
-// machinery under persistent faults, at every thread count.
+// the closed-form bookkeeping of granted clean windows, whole-forward or
+// per output, and the abort machinery under persistent faults, at every
+// thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -29,6 +35,7 @@ using hybridcnn::faultsim::FaultTarget;
 using hybridcnn::reliable::ConvSpec;
 using hybridcnn::reliable::ExecutionReport;
 using hybridcnn::reliable::Executor;
+using hybridcnn::reliable::ExecutorStats;
 using hybridcnn::reliable::LayerDmrConv2d;
 using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::Qualified;
@@ -135,16 +142,38 @@ void expect_reports_equal(const ExecutionReport& a,
   EXPECT_TRUE(a == b) << "ExecutionReport field not covered above differs";
 }
 
-void expect_executors_equal(Executor& a, Executor& b) {
-  EXPECT_EQ(a.stats().logical_ops, b.stats().logical_ops);
+void expect_stats_equal(const ExecutorStats& a, const ExecutorStats& b) {
+  EXPECT_EQ(a.logical_ops, b.logical_ops);
+  EXPECT_EQ(a.executions, b.executions);
+  EXPECT_EQ(a.disagreements, b.disagreements);
+}
+
+void expect_injectors_equal(const FaultInjector& a, const FaultInjector& b) {
   EXPECT_EQ(a.stats().executions, b.stats().executions);
-  EXPECT_EQ(a.stats().disagreements, b.stats().disagreements);
+  EXPECT_EQ(a.stats().faults, b.stats().faults);
+  EXPECT_EQ(a.next_pe(), b.next_pe());
+  // Same stream position, not just the same call count: a path that
+  // consumed the right number of calls with the wrong draws differs in
+  // the next filter() results. Both run on copies, so the injectors under
+  // test stay untouched.
+  FaultInjector fa = a;
+  FaultInjector fb = b;
+  int filter_mismatches = 0;
+  for (int i = 0; i < 64; ++i) {
+    const float v = 0.25f * static_cast<float>(i + 1);
+    filter_mismatches += hybridcnn::faultsim::float_bits(fa.filter(v)) !=
+                                 hybridcnn::faultsim::float_bits(fb.filter(v))
+                             ? 1
+                             : 0;
+  }
+  EXPECT_EQ(filter_mismatches, 0) << "next filter() results differ";
+}
+
+void expect_executors_equal(Executor& a, Executor& b) {
+  expect_stats_equal(a.stats(), b.stats());
   ASSERT_EQ(a.injector() != nullptr, b.injector() != nullptr);
   if (a.injector() != nullptr) {
-    EXPECT_EQ(a.injector()->stats().executions,
-              b.injector()->stats().executions);
-    EXPECT_EQ(a.injector()->stats().faults, b.injector()->stats().faults);
-    EXPECT_EQ(a.injector()->next_pe(), b.injector()->next_pe());
+    expect_injectors_equal(*a.injector(), *b.injector());
   }
 }
 
@@ -221,7 +250,7 @@ TEST(StaticDispatchConv, FaultFreeFastPathWithNullInjector) {
 TEST(StaticDispatchConv, FaultFreeFastPathReplaysInjectorCursor) {
   // A non-null injector of kind kNone still counts executions and
   // advances the round-robin PE cursor on every filter() call; the fast
-  // path must replay both in bulk (advance_clean) bit-identically.
+  // path's clean-window grant must consume both in bulk bit-identically.
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     SCOPED_TRACE(scheme);
     const Geometry& g = kGeometries[2];
@@ -561,6 +590,335 @@ TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {
       EXPECT_EQ(summaries[0].detected_abort, summaries[i].detected_abort);
       EXPECT_EQ(summaries[0].silent_corruption,
                 summaries[i].silent_corruption);
+    }
+  }
+}
+
+// ------------------------------- windowed path: bit-identity matrix
+
+// Layers of the matrix: the conv geometries above plus sign96 conv1
+// (3->8, 7x7, s2) on a small input, the qualifier's Sobel (1->2, 3x3,
+// s1, p1) and a single-output conv (1x1 output, one map), linear layers
+// with ten outputs and with one, and layer-granular DMR. The `nan`
+// layers feed inputs with two different NaN payloads in one receptive
+// field. `fast` is the dispatched forward (with its report mode),
+// `oracle` the per-op generic path, and `unit_starts` the flat op index
+// each output's ops start at, to tell an abort in the middle of an
+// output from one at its first op, and one in the last output.
+struct WindowedLayer {
+  std::string name;
+  std::function<ReliableResult(Executor&, ReportMode)> fast;
+  std::function<ReliableResult(Executor&)> oracle;
+  bool has_report_mode = true;
+  std::vector<std::int64_t> unit_starts;
+};
+
+std::vector<std::int64_t> conv_unit_starts(const ReliableConv2d& conv,
+                                           const Shape& in) {
+  const Shape out = conv.output_shape(in);
+  const std::size_t k = conv.weights().shape()[2];
+  const std::size_t stride = conv.spec().stride;
+  const std::size_t pad = conv.spec().pad;
+  const auto valid = [&](std::size_t o, std::size_t n) {
+    std::int64_t count = 0;
+    for (std::size_t t = 0; t < k; ++t) {
+      const auto i = static_cast<std::int64_t>(o * stride + t) -
+                     static_cast<std::int64_t>(pad);
+      if (i >= 0 && i < static_cast<std::int64_t>(n)) ++count;
+    }
+    return count;
+  };
+  std::vector<std::int64_t> starts;
+  std::int64_t at = 0;
+  for (std::size_t o = 0; o < out[0]; ++o) {
+    for (std::size_t oy = 0; oy < out[1]; ++oy) {
+      for (std::size_t ox = 0; ox < out[2]; ++ox) {
+        starts.push_back(at);
+        at += 2 * static_cast<std::int64_t>(in[0]) * valid(oy, in[1]) *
+              valid(ox, in[2]);
+      }
+    }
+  }
+  return starts;
+}
+
+/// Writes two different quiet-NaN payloads, one of them negative, into
+/// adjacent elements from `at` on, so one receptive field holds both.
+void plant_nans(Tensor& t, std::size_t at) {
+  t[at] = hybridcnn::faultsim::bits_float(0x7FC00001u);
+  t[at + 1] = hybridcnn::faultsim::bits_float(0xFFC0BEEFu);
+}
+
+WindowedLayer conv_layer(const std::string& name, const Geometry& g,
+                         bool nan) {
+  const ReliableConv2d made = make_conv(g);
+  auto conv = std::make_shared<ReliableConv2d>(made.weights(), made.bias(),
+                                               made.spec(), made.policy());
+  auto input = std::make_shared<Tensor>(make_input(g));
+  if (nan) plant_nans(*input, (g.h / 2) * g.w + g.w / 2);
+  return {name,
+          [conv, input](Executor& e, ReportMode m) {
+            return conv->forward(*input, e, m);
+          },
+          [conv, input](Executor& e) {
+            return conv->forward_generic(*input, e);
+          },
+          true, conv_unit_starts(*conv, input->shape())};
+}
+
+WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
+                           bool nan) {
+  constexpr std::size_t kIn = 37;
+  Rng rng(5);
+  Tensor weights(Shape{out_n, kIn});
+  weights.fill_normal(rng, 0.0f, 0.4f);
+  Tensor bias(Shape{out_n});
+  bias.fill_normal(rng, 0.0f, 0.1f);
+  auto linear = std::make_shared<ReliableLinear>(weights, bias);
+  auto vec = std::make_shared<Tensor>(Shape{kIn});
+  vec->fill_normal(rng, 0.0f, 1.0f);
+  if (nan) plant_nans(*vec, 11);
+  std::vector<std::int64_t> neuron_starts;
+  for (std::size_t o = 0; o < out_n; ++o) {
+    neuron_starts.push_back(static_cast<std::int64_t>(2 * kIn * o));
+  }
+  return {name,
+          [linear, vec](Executor& e, ReportMode m) {
+            return linear->forward(*vec, e, m);
+          },
+          [linear, vec](Executor& e) {
+            return linear->forward_generic(*vec, e);
+          },
+          true, neuron_starts};
+}
+
+std::vector<WindowedLayer> windowed_layers() {
+  const Geometry sign96_conv1{8, 3, 7, 2, 0, 19, 19};
+  const Geometry sobel{2, 1, 3, 1, 1, 16, 16};
+  std::vector<WindowedLayer> layers;
+  std::vector<Geometry> convs = kGeometries;
+  convs.push_back(sign96_conv1);
+  convs.push_back(sobel);
+  convs.push_back({1, 3, 3, 1, 0, 3, 3});  // one output pixel
+  for (std::size_t gi = 0; gi < convs.size(); ++gi) {
+    layers.push_back(conv_layer("conv" + std::to_string(gi), convs[gi], false));
+  }
+  layers.push_back(conv_layer("sign96_conv1_nan", sign96_conv1, true));
+  layers.push_back(conv_layer("sobel_nan", sobel, true));
+  layers.push_back(linear_layer("linear", 10, false));
+  layers.push_back(linear_layer("linear_out1", 1, false));
+  layers.push_back(linear_layer("linear_nan", 10, true));
+
+  // A loose bucket lets whole-layer retries run up to the retry cap.
+  ReliabilityPolicy loose;
+  loose.max_retries_per_op = 6;
+  loose.bucket_ceiling = 200;
+  for (const auto& [g, policy] :
+       {std::pair{kGeometries[0], loose},
+        std::pair{Geometry{8, 3, 7, 2, 0, 13, 13}, ReliabilityPolicy{}}}) {
+    const ReliableConv2d ref = make_conv(g);
+    auto layer = std::make_shared<LayerDmrConv2d>(ref.weights(), ref.bias(),
+                                                  ref.spec(), policy);
+    auto input = std::make_shared<Tensor>(make_input(g));
+    layers.push_back({"layer_dmr" + std::to_string(g.out_c),
+                      [layer, input](Executor& e, ReportMode) {
+                        return layer->forward(*input, e);
+                      },
+                      [layer, input](Executor& e) {
+                        return layer->forward_generic(*input, e);
+                      },
+                      false, {}});
+  }
+  return layers;
+}
+
+struct MatrixFault {
+  FaultKind kind;
+  FaultTarget target;
+  double probability;
+  int bit;
+};
+
+std::vector<MatrixFault> matrix_faults() {
+  std::vector<MatrixFault> faults;
+  for (const FaultKind kind :
+       {FaultKind::kNone, FaultKind::kTransient, FaultKind::kIntermittent,
+        FaultKind::kPermanent}) {
+    for (const FaultTarget target : {FaultTarget::kResult,
+                                     FaultTarget::kOperandA,
+                                     FaultTarget::kOperandB}) {
+      for (const double p : {0.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
+        for (const int bit : {-1, 22}) {
+          faults.push_back({kind, target, p, bit});
+        }
+      }
+    }
+  }
+  return faults;
+}
+
+std::shared_ptr<FaultInjector> matrix_injector(const MatrixFault& f,
+                                               std::uint64_t seed) {
+  FaultConfig cfg;
+  cfg.kind = f.kind;
+  cfg.target = f.target;
+  cfg.probability = f.probability;
+  cfg.bit = f.bit;
+  cfg.num_pes = 16;
+  cfg.burst_continue = 0.6;
+  return std::make_shared<FaultInjector>(cfg, seed);
+}
+
+std::string fault_label(const MatrixFault& f) {
+  return "kind " + std::to_string(static_cast<int>(f.kind)) + " target " +
+         std::to_string(static_cast<int>(f.target)) + " p " +
+         std::to_string(f.probability) + " bit " + std::to_string(f.bit);
+}
+
+TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
+  const std::vector<WindowedLayer> layers = windowed_layers();
+  const std::vector<MatrixFault> faults = matrix_faults();
+  const std::vector<const char*> schemes = {"simplex", "dmr", "tmr"};
+  // The oracle does not depend on the thread count: run it once per cell.
+  struct OracleCell {
+    ReliableResult result;
+    std::unique_ptr<Executor> exec;
+  };
+  std::vector<OracleCell> oracles;
+  std::uint64_t mid_unit_aborts = 0;
+  std::uint64_t last_unit_aborts = 0;
+  std::uint64_t faulted_but_ok = 0;
+  for (const char* scheme : schemes) {
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      for (const WindowedLayer& layer : layers) {
+        auto exec = make_executor(scheme, matrix_injector(faults[fi], fi));
+        ReliableResult result = layer.oracle(*exec);
+        if (!result.report.ok && !layer.unit_starts.empty() &&
+            !std::binary_search(layer.unit_starts.begin(),
+                                layer.unit_starts.end(),
+                                result.report.failed_op_index)) {
+          ++mid_unit_aborts;
+        }
+        if (!result.report.ok && !layer.unit_starts.empty() &&
+            result.report.failed_op_index >= layer.unit_starts.back()) {
+          ++last_unit_aborts;
+        }
+        if (result.report.ok && exec->injector()->stats().faults > 0) {
+          ++faulted_but_ok;
+        }
+        oracles.push_back({std::move(result), std::move(exec)});
+      }
+    }
+  }
+  // The matrix must reach the paths it claims to cover.
+  EXPECT_GT(mid_unit_aborts, 0u);
+  EXPECT_GT(last_unit_aborts, 0u);
+  EXPECT_GT(faulted_but_ok, 0u);
+
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ComputeContext::set_global_threads(threads);
+    std::size_t cell = 0;
+    for (const char* scheme : schemes) {
+      for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+        for (const WindowedLayer& layer : layers) {
+          const OracleCell& oracle = oracles[cell++];
+          SCOPED_TRACE(std::string(scheme) + " " + fault_label(faults[fi]) +
+                       " " + layer.name + " threads " +
+                       std::to_string(threads));
+          for (const ReportMode mode :
+               {ReportMode::kFull, ReportMode::kStatsOnly}) {
+            if (!layer.has_report_mode && mode == ReportMode::kStatsOnly) {
+              continue;
+            }
+            SCOPED_TRACE(mode == ReportMode::kFull ? "full" : "stats-only");
+            const auto exec =
+                make_executor(scheme, matrix_injector(faults[fi], fi));
+            const ReliableResult fast = layer.fast(*exec, mode);
+            expect_outputs_bit_identical(fast.output, oracle.result.output);
+            if (mode == ReportMode::kFull) {
+              expect_reports_equal(fast.report, oracle.result.report);
+            } else {
+              expect_stats_only_report(fast.report, oracle.result.report);
+            }
+            expect_executors_equal(*exec, *oracle.exec);
+            if (HasFailure()) {
+              ComputeContext::set_global_threads(1);
+              return;  // one diagnosed cell beats thousands of repeats
+            }
+          }
+        }
+      }
+    }
+  }
+  ComputeContext::set_global_threads(1);
+}
+
+TEST(WindowedPath, CampaignMatchesPerOpOracleAtEveryThreadCount) {
+  // forward_campaign runs the windowed forward from pool workers; every
+  // run must equal the serial per-op oracle for the same seed.
+  std::vector<Geometry> convs = {kGeometries[0], {8, 3, 7, 2, 0, 19, 19},
+                                 {2, 1, 3, 1, 1, 16, 16}};
+  constexpr std::size_t kRuns = 6;
+  for (const Geometry& g : convs) {
+    const ReliableConv2d conv = make_conv(g);
+    const Tensor input = make_input(g);
+    for (const char* scheme : {"simplex", "dmr", "tmr"}) {
+      for (const FaultKind kind :
+           {FaultKind::kNone, FaultKind::kTransient, FaultKind::kIntermittent,
+            FaultKind::kPermanent}) {
+        for (const double p : {0.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
+          const MatrixFault f{kind, FaultTarget::kResult, p, -1};
+          SCOPED_TRACE(std::string(scheme) + " " + fault_label(f) +
+                       " out_c " + std::to_string(g.out_c));
+          std::vector<ReliableResult> oracle;
+          std::vector<std::unique_ptr<Executor>> oracle_execs;
+          for (std::size_t run = 0; run < kRuns; ++run) {
+            oracle_execs.push_back(
+                make_executor(scheme, matrix_injector(f, 500 + run)));
+            oracle.push_back(conv.forward_generic(input, *oracle_execs.back()));
+          }
+          for (const std::size_t threads : {1u, 2u, 8u}) {
+            for (const ReportMode mode :
+                 {ReportMode::kFull, ReportMode::kStatsOnly}) {
+              ComputeContext::set_global_threads(threads);
+              std::vector<ReliableResult> got(kRuns);
+              std::vector<ExecutorStats> stats(kRuns);
+              std::vector<std::optional<FaultInjector>> injectors(kRuns);
+              (void)conv.forward_campaign(
+                  input, kRuns,
+                  [&](std::size_t run) {
+                    return make_executor(scheme,
+                                         matrix_injector(f, 500 + run));
+                  },
+                  [&](std::size_t run, const ReliableResult& result,
+                      Executor& exec) {
+                    got[run] = result;
+                    stats[run] = exec.stats();
+                    injectors[run] = *exec.injector();
+                    return hybridcnn::faultsim::Outcome::kCorrect;
+                  },
+                  mode);
+              ComputeContext::set_global_threads(1);
+              for (std::size_t run = 0; run < kRuns; ++run) {
+                SCOPED_TRACE("threads " + std::to_string(threads) + " run " +
+                             std::to_string(run));
+                expect_outputs_bit_identical(got[run].output,
+                                             oracle[run].output);
+                if (mode == ReportMode::kFull) {
+                  expect_reports_equal(got[run].report, oracle[run].report);
+                } else {
+                  expect_stats_only_report(got[run].report,
+                                           oracle[run].report);
+                }
+                expect_stats_equal(stats[run], oracle_execs[run]->stats());
+                expect_injectors_equal(*injectors[run],
+                                       *oracle_execs[run]->injector());
+              }
+              if (HasFailure()) return;
+            }
+          }
+        }
+      }
     }
   }
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -118,6 +119,101 @@ TEST(Rng, BernoulliRateApproximatesP) {
     if (rng.bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
+}
+
+TEST(Rng, GoldenStreamIsPinned) {
+  // Values recorded before the draw methods moved inline into the header.
+  // The uniform(lo, hi) span is a power of two, so the product is exact
+  // and the pin holds whether or not the build contracts it into an FMA.
+  struct Golden {
+    std::uint64_t seed, stream;
+    std::uint32_t raw[6];
+    std::uint64_t uniform[3], uniform_lo_hi[3], normal[3];
+  };
+  const Golden goldens[] = {
+      {42,
+       0xFA17,  // the fault injector's stream
+       {0x053877A7U, 0xCA692C9DU, 0x20CDFF5CU, 0x5AD62BADU, 0x61656549U,
+        0x6590B612U},
+       {0x3FBAA52E1667DFB0ULL, 0x3FCA4EB102C83DC8ULL, 0x3FE308C992842B98ULL},
+       {0x40000DDEBD4FB8C7ULL, 0x3FF327874A521B92ULL, 0xBFED2F834F1A004CULL},
+       {0xBFE3B0FFF38B2838ULL, 0x3FE16EAA43F02AA6ULL,
+        0x3FC72352F9E399E1ULL}},
+      {0x853C49E6748FEA9BULL,
+       7,
+       {0xEE74B8C1U, 0xDE552CA3U, 0x470F5A56U, 0xCB74E3D4U, 0x7E6BBF45U,
+        0x6A384B6BU},
+       {0x3FB0A90FFB064C90ULL, 0x3FE522E1F04BEEDBULL, 0x3FB970EF003DCD50ULL},
+       {0x3FBA0932663DDA60ULL, 0xBFE1DC9DA8AADD24ULL, 0xBFE27D8A92AADDE0ULL},
+       {0x4000B67700056EF8ULL, 0x3FF17CA372ABF759ULL,
+        0x3FEE2508C27A00E4ULL}},
+  };
+  const auto bits = [](double d) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.stream);
+    Rng rng(g.seed, g.stream);
+    for (const std::uint32_t want : g.raw) EXPECT_EQ(rng(), want);
+    for (const std::uint64_t want : g.uniform) {
+      EXPECT_EQ(bits(rng.uniform()), want);
+    }
+    for (const std::uint64_t want : g.uniform_lo_hi) {
+      EXPECT_EQ(bits(rng.uniform(-1.5, 2.5)), want);
+    }
+    for (const std::uint64_t want : g.normal) {
+      EXPECT_EQ(bits(rng.normal()), want);
+    }
+  }
+}
+
+TEST(Rng, TryTakeBernoulliMissesMatchesPerCallLoop) {
+  // The all-or-nothing run must make exactly the per-call loop's draws
+  // when every trial misses, and no draw at all otherwise.
+  for (const double p : {0.0, -1.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0, 2.0}) {
+    for (const std::uint64_t n : {0ULL, 1ULL, 7ULL, 600ULL, 20000ULL}) {
+      SCOPED_TRACE(std::to_string(p) + " n " + std::to_string(n));
+      Rng rng(99, 0xFA17);
+      for (int trial = 0; trial < 40; ++trial) {
+        Rng oracle = rng;
+        bool all_miss = true;
+        for (std::uint64_t i = 0; i < n && all_miss; ++i) {
+          all_miss = !oracle.bernoulli(p);
+        }
+        const Rng before = rng;
+        ASSERT_EQ(rng.try_take_bernoulli_misses(p, n), all_miss);
+        Rng expect = all_miss ? oracle : before;
+        Rng got = rng;
+        for (int i = 0; i < 8; ++i) ASSERT_EQ(got(), expect());
+        // Move on, so later trials start from fresh stream positions.
+        (void)rng.bernoulli(0.5);
+      }
+    }
+  }
+}
+
+TEST(Rng, TryTakeBernoulliMissesDecidesOnTheLowDraw) {
+  // Probabilities placed exactly at the next trial's 53-bit draw, so the
+  // high draw alone cannot settle it: T = bits53 misses, T = bits53 + 1
+  // hits. Either shortcut on the high draw gets one of them wrong.
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed, 0xFA17);
+    Rng peek = rng;
+    const std::uint64_t hi = peek();
+    const std::uint64_t lo = peek();
+    const std::uint64_t bits53 = ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
+    if (bits53 == 0) continue;
+    const double miss_p = std::ldexp(static_cast<double>(bits53), -53);
+    const double hit_p = std::ldexp(static_cast<double>(bits53 + 1), -53);
+    Rng miss = rng;
+    Rng hit = rng;
+    EXPECT_FALSE(Rng(rng).bernoulli(miss_p));
+    EXPECT_TRUE(Rng(rng).bernoulli(hit_p));
+    EXPECT_TRUE(miss.try_take_bernoulli_misses(miss_p, 1));
+    EXPECT_FALSE(hit.try_take_bernoulli_misses(hit_p, 1));
+  }
 }
 
 TEST(Rng, ForkProducesIndependentStream) {

@@ -7,7 +7,12 @@
 namespace hybridcnn::faultsim {
 
 FaultInjector::FaultInjector(const FaultConfig& config, std::uint64_t seed)
-    : config_(config), rng_(seed, /*stream=*/0xFA17) {
+    : config_(config),
+      rng_(seed, /*stream=*/0xFA17),
+      draws_trials_((config.kind == FaultKind::kTransient ||
+                     config.kind == FaultKind::kIntermittent) &&
+                    !(config.probability <= 0.0)),
+      refills_(draws_trials_ && config.probability < kRefillBelow) {
   const int pes = std::max(1, config_.num_pes);
   pe_permanently_faulty_.assign(static_cast<std::size_t>(pes), 0);
   pe_burst_active_.assign(static_cast<std::size_t>(pes), 0);
@@ -45,9 +50,12 @@ bool FaultInjector::try_take_clean(std::uint64_t n) noexcept {
       if (window_hits(pe_burst_active_, n)) return false;
       [[fallthrough]];
     case FaultKind::kTransient:
-      if (!rng_.try_take_bernoulli_misses(config_.probability, n)) {
-        return false;
+      if (!draws_trials_) break;  // p <= 0: bernoulli() never draws
+      if (n > clean_ahead_ && !fault_after_) {
+        scan_ahead(std::max(n - clean_ahead_, kScanChunk));
       }
+      if (n > clean_ahead_) return false;
+      clean_ahead_ -= n;  // rng_ catches up when it is next read
       break;
     case FaultKind::kPermanent:
       if (window_hits(pe_permanently_faulty_, n)) return false;
@@ -60,15 +68,38 @@ bool FaultInjector::try_take_clean(std::uint64_t n) noexcept {
   return true;
 }
 
+void FaultInjector::scan_ahead(std::uint64_t want) noexcept {
+  // The cached run ends clean_run_ trials past rng_.
+  const std::uint64_t misses =
+      rng_.bernoulli_misses(config_.probability, want, clean_run_);
+  clean_ahead_ += misses;
+  clean_run_ += misses;
+  fault_after_ = misses < want;
+}
+
 int FaultInjector::permanent_faulty_pes() const noexcept {
   int n = 0;
   for (const auto flag : pe_permanently_faulty_) n += flag;
   return n;
 }
 
-float FaultInjector::filter(float clean) noexcept {
-  ++stats_.executions;
+float FaultInjector::filter_drawn(float clean) noexcept {
   const auto pe = static_cast<std::size_t>(next_pe_);
+  // A Bernoulli(p) trial with nothing known about the stream ahead: scan a
+  // chunk, so that this call and the clean ones after it take the inline
+  // branch.
+  if (refills_ && clean_ahead_ == 0 && !fault_after_ &&
+      pe_burst_active_[pe] == 0) {
+    scan_ahead(kScanChunk);
+    if (clean_ahead_ != 0) return filter(clean);
+  }
+  // Every draw below shifts the stream: bring rng_ up to it in one jump
+  // and drop the cache.
+  rng_.skip_uniforms(clean_run_ - clean_ahead_);
+  clean_ahead_ = 0;
+  clean_run_ = 0;
+  fault_after_ = false;
+  ++stats_.executions;
   next_pe_ = (next_pe_ + 1) % static_cast<int>(pe_permanently_faulty_.size());
 
   bool fault = false;

@@ -39,8 +39,23 @@ class FaultInjector {
 
   /// Filters one operand/result value for the next operation execution.
   /// Returns `clean` unchanged when no fault fires, otherwise the value
-  /// with one bit flipped per the fault model.
-  float filter(float clean) noexcept;
+  /// with one bit flipped per the fault model. A call known to be clean
+  /// (the cached run of missing Bernoulli trials is non-empty and its PE
+  /// has no active burst) takes the inline branch in O(1): it counts the
+  /// trial off the cache, leaving its two draws to one jump of the stream
+  /// before the next draw, with no RNG step, uniform() or double compare.
+  float filter(float clean) noexcept {
+    if (clean_ahead_ != 0 &&
+        pe_burst_active_[static_cast<std::size_t>(next_pe_)] == 0) {
+      --clean_ahead_;
+      ++stats_.executions;
+      if (++next_pe_ == static_cast<int>(pe_burst_active_.size())) {
+        next_pe_ = 0;
+      }
+      return clean;
+    }
+    return filter_drawn(clean);
+  }
 
   /// True if the *next* call to filter() will corrupt its value. Only
   /// meaningful for deterministic test scenarios (kPermanent).
@@ -49,13 +64,15 @@ class FaultInjector {
   /// Grants the next `n` filter() calls as one clean window, all or
   /// nothing. If none of them would corrupt its value, consumes them
   /// exactly as `n` filter() calls would (RNG draws, stats().executions,
-  /// the PE cursor) and returns true; otherwise leaves the injector
-  /// untouched and returns false. Clean calls never touch burst state.
-  /// The cost does not grow with `n` for kNone, for permanent faults (a
-  /// scan of at most num_pes flags) and for stochastic kinds at
-  /// probability <= 0 (bernoulli makes no draw there); otherwise it is one
-  /// fused RNG step per call. See src/faultsim/README.md for the per-kind
-  /// rules.
+  /// the PE cursor) and returns true; otherwise leaves the injector's
+  /// observable state untouched and returns false. Clean calls never touch
+  /// burst state. The cost does not grow with `n` for kNone, for permanent
+  /// faults (a scan of at most num_pes flags) and for stochastic kinds at
+  /// probability <= 0 (bernoulli makes no draw there). Otherwise it reads
+  /// the cached clean run, extends it with a vector scan of the stream
+  /// (Rng::bernoulli_misses) up to the first hit when `n` reaches past
+  /// it, and counts a grant off the run in O(1). See
+  /// src/faultsim/README.md for the per-kind rules.
   [[nodiscard]] bool try_take_clean(std::uint64_t n) noexcept;
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
@@ -69,6 +86,24 @@ class FaultInjector {
   [[nodiscard]] int permanent_faulty_pes() const noexcept;
 
  private:
+  /// Trials a cache refill scans at least, so that the scan's per-call
+  /// setup (the lane states and a jump to the end of the cached run)
+  /// spreads over many calls.
+  static constexpr std::uint64_t kScanChunk = 1024;
+  /// filter_drawn() refills an empty cache only below this probability:
+  /// a denser stream's clean runs average under the scan's scalar lead-in
+  /// (util::detail::kScanLeadIn), so a refill would only replay the
+  /// per-call draws at extra cost.
+  static constexpr double kRefillBelow = 1.0 / 16;
+
+  /// filter() for every call the inline branch does not settle; it makes
+  /// the draws itself, so it drops the cache first.
+  float filter_drawn(float clean) noexcept;
+
+  /// Scans up to `want` Bernoulli(p) trials past the cached clean run and
+  /// extends it by the leading misses; a hit sets fault_after_.
+  void scan_ahead(std::uint64_t want) noexcept;
+
   /// True if a flag is set on any PE the next `n` calls land on.
   [[nodiscard]] bool window_hits(const std::vector<std::uint8_t>& pe_flags,
                                  std::uint64_t n) const noexcept;
@@ -79,6 +114,19 @@ class FaultInjector {
   int next_pe_ = 0;
   std::vector<std::uint8_t> pe_permanently_faulty_;
   std::vector<std::uint8_t> pe_burst_active_;
+  /// Transient or intermittent at a probability whose bernoulli() draws.
+  bool draws_trials_ = false;
+  /// draws_trials_ at a probability below kRefillBelow.
+  bool refills_ = false;
+  /// Cache over the stream ahead: the next clean_ahead_ Bernoulli(p)
+  /// trials miss, and if fault_after_ the one after them hits. Any draw
+  /// other than these trials shifts the stream and drops it. rng_ stays
+  /// at the start of the cached run, clean_run_ trials long: the
+  /// `clean_run_ - clean_ahead_` trials counted off are skipped in one
+  /// jump just before the next draw.
+  std::uint64_t clean_ahead_ = 0;
+  std::uint64_t clean_run_ = 0;
+  bool fault_after_ = false;
 };
 
 }  // namespace hybridcnn::faultsim

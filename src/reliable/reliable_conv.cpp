@@ -35,6 +35,7 @@ ReliableConv2d::ReliableConv2d(tensor::Tensor weights, tensor::Tensor bias,
   if (spec_.stride == 0) {
     throw std::invalid_argument("ReliableConv2d: stride must be >= 1");
   }
+  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
 }
 
 tensor::Shape ReliableConv2d::output_shape(const tensor::Shape& in) const {
@@ -67,6 +68,7 @@ void ReliableConv2d::set_weights(tensor::Tensor weights) {
   }
   weights_ = std::move(weights);
   ++weight_generation_;
+  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
 }
 
 std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
@@ -126,10 +128,12 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   // landing), the qualified schedule collapses to raw arithmetic in the
   // identical order, vectorized and fanned across the pool as the conv's
   // shape picks. Otherwise the qualified kernel asks again pixel by pixel.
-  // An input holding a NaN takes no window (detail::holds_nan).
+  // An input, weight or bias holding a NaN takes no window
+  // (detail::holds_nan).
   const auto pack = channel_pack();
   const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
-  const bool windows = !detail::holds_nan(in, input.count());
+  const bool windows =
+      !params_hold_nan_ && !detail::holds_nan(in, input.count());
   if (windows && exec.try_take_clean(ops)) {
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
@@ -414,7 +418,8 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
   const float* b = inner_.bias().data().data();
 
   const auto pack = inner_.channel_pack();
-  const bool windows = !detail::holds_nan(in, input.count());
+  const bool windows =
+      !inner_.params_hold_nan() && !detail::holds_nan(in, input.count());
   if (windows &&
       exec.try_take_clean(2 * (2 * plan.macs()))) {  // two layer passes
     // Both attempts are granted clean windows: they agree by

@@ -152,6 +152,14 @@ class ReliableConv2d {
     return weight_generation_;
   }
 
+  /// True if the current weights or the bias hold a NaN, recorded once
+  /// per weight generation. Such a layer's forwards take no clean window:
+  /// every output runs the per-op path, whose NaN payloads the raw
+  /// kernels do not reproduce.
+  [[nodiscard]] bool params_hold_nan() const noexcept {
+    return params_hold_nan_;
+  }
+
   /// The channel-lane repacked weights for the fault-free fast path,
   /// built lazily (thread-safe) and cached until the weight generation
   /// changes. Null whenever the kernel rule does not pick channel lanes
@@ -173,6 +181,7 @@ class ReliableConv2d {
   ConvSpec spec_;
   ReliabilityPolicy policy_;
   std::uint64_t weight_generation_ = 0;
+  bool params_hold_nan_ = false;
   mutable std::mutex pack_mutex_;
   mutable std::shared_ptr<const detail::WeightPack> pack_;
 };

@@ -30,6 +30,7 @@ ReliableLinear::ReliableLinear(tensor::Tensor weights, tensor::Tensor bias,
   if (bias_.shape().rank() != 1 || bias_.shape()[0] != weights_.shape()[0]) {
     throw std::invalid_argument("ReliableLinear: bias must be [out]");
   }
+  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
 }
 
 void ReliableLinear::set_weights(tensor::Tensor weights) {
@@ -40,6 +41,7 @@ void ReliableLinear::set_weights(tensor::Tensor weights) {
   }
   weights_ = std::move(weights);
   ++weight_generation_;
+  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
 }
 
 std::shared_ptr<const detail::LinearWeightPack> ReliableLinear::neuron_pack()
@@ -77,11 +79,12 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   const float* b = bias_.data().data();
 
   // One gate, as in ReliableConv2d::forward: the whole forward as one
-  // clean window, else one window per output neuron; none for an input
-  // holding a NaN.
+  // clean window, else one window per output neuron; none when the input,
+  // weights or bias hold a NaN.
   const auto pack = neuron_pack();
   const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
-  const bool windows = !detail::holds_nan(in, input.count());
+  const bool windows =
+      !params_hold_nan_ && !detail::holds_nan(in, input.count());
   if (windows && exec.try_take_clean(ops)) {
     detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
                                result.output.data().data());

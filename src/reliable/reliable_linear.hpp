@@ -65,6 +65,12 @@ class ReliableLinear {
     return weight_generation_;
   }
 
+  /// True if the current weights or the bias hold a NaN; see
+  /// ReliableConv2d::params_hold_nan().
+  [[nodiscard]] bool params_hold_nan() const noexcept {
+    return params_hold_nan_;
+  }
+
   /// Neuron-lane repacked weights for the fault-free fast path; same
   /// lifetime/caching contract as ReliableConv2d::channel_pack(). Null
   /// on targets without vectors.
@@ -79,6 +85,7 @@ class ReliableLinear {
   tensor::Tensor bias_;     // [out]
   ReliabilityPolicy policy_;
   std::uint64_t weight_generation_ = 0;
+  bool params_hold_nan_ = false;
   mutable std::mutex pack_mutex_;
   mutable std::shared_ptr<const detail::LinearWeightPack> pack_;
 };

@@ -24,7 +24,8 @@
 //     computed by the raw kernels below; only refused outputs run op by
 //     op. The public forward() entry points first ask for the whole
 //     forward's ops, which is answered in O(1) when no fault can land.
-//     An input holding a NaN takes no window at all (holds_nan).
+//     A forward whose input, weights or bias hold a NaN takes no window
+//     at all (holds_nan, params_hold_nan).
 //   * conv_raw_compute / linear_raw_compute — raw arithmetic in the
 //     identical operation order for granted windows, whose values never
 //     depend on the fault stream. On SIMD-capable targets
@@ -293,13 +294,21 @@ void assemble_windowed(float* out, std::size_t count, std::size_t end,
 /// True if any of the `n` values is a NaN. The raw kernels do not pin NaN
 /// payloads (detail::pin_nan), so a receptive field holding two different
 /// NaNs could leave them with another payload than the per-op path: a
-/// forward over such an input takes no clean window. Branch-free with an
-/// int accumulator (a bool one does not vectorize), so the one pass per
-/// forward runs at vector width.
+/// forward over such an input, or with such weights or bias, takes no
+/// clean window. Branch-free with an int accumulator (a bool one does not
+/// vectorize), so the one pass per forward runs at vector width.
 inline bool holds_nan(const float* v, std::size_t n) noexcept {
   int nan = 0;
   for (std::size_t i = 0; i < n; ++i) nan |= v[i] != v[i];
   return nan != 0;
+}
+
+/// holds_nan over a layer's weights and bias, checked once per weight
+/// generation (construction and set_weights).
+inline bool params_hold_nan(const tensor::Tensor& weights,
+                            const tensor::Tensor& bias) noexcept {
+  return holds_nan(weights.data().data(), weights.count()) ||
+         holds_nan(bias.data().data(), bias.count());
 }
 
 /// Flat dimensions of a CHW-in / OIHW-weights convolution, plus the

@@ -4,8 +4,11 @@
 // Rng so that a campaign re-run with the same seed is bit-identical.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+
+#include "runtime/isa.hpp"
 
 namespace hybridcnn::util {
 
@@ -19,6 +22,49 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
 }
+
+class Rng;
+
+namespace detail {
+
+/// PCG32's LCG multiplier: a draw steps the state as `s * A + inc`.
+inline constexpr std::uint64_t kPcgMultiplier = 6364136223846793005ULL;
+
+/// PCG32 XSH-RR output permutation of a pre-step state.
+constexpr std::uint32_t pcg_output(std::uint64_t old) noexcept {
+  const auto xorshifted =
+      static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
+  const auto rot = static_cast<std::uint32_t>(old >> 59u);
+  return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
+}
+
+/// The 53 mantissa bits Rng::uniform() scales: bits 32..52 are `hi >> 11`.
+constexpr std::uint64_t bits53(std::uint64_t hi, std::uint64_t lo) noexcept {
+  return ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
+}
+
+/// Trials one step of the vector scan in Rng::bernoulli_misses() covers:
+/// eight independent vectors of 64-bit lanes, so that their multiplies
+/// overlap and hide the latency of the 64-bit vector multiply, and one
+/// any-lane test serves them all.
+#ifdef HYBRIDCNN_ISA_SIMD
+inline constexpr std::size_t kScanVecs = 8;
+inline constexpr std::size_t kScanLanes = kScanVecs * runtime::isa::kU64Lanes;
+#else
+inline constexpr std::size_t kScanLanes = 1;
+#endif
+/// Trials the scan tests one at a time before it sets up its lanes, so
+/// that a hit close by (high p, or a fault right after the last one)
+/// costs no vector setup.
+inline constexpr std::size_t kScanLeadIn = 16;
+
+/// Rng::bernoulli_misses() computed one trial at a time, without vectors:
+/// the fallback on compilers without vector extensions, and the reference
+/// the tests hold the vector scan to.
+[[nodiscard]] std::uint64_t scalar_bernoulli_misses(const Rng& rng, double p,
+                                                    std::uint64_t cap) noexcept;
+
+}  // namespace detail
 
 /// PCG32 (O'Neill, "PCG: A Family of Simple Fast Space-Efficient
 /// Statistically Good Algorithms for Random Number Generation").
@@ -42,17 +88,21 @@ class Rng {
   /// Next 32 random bits.
   result_type operator()() noexcept {
     const std::uint64_t old = state_;
-    state_ = old * kMultiplier + inc_;
-    return output(old);
+    state_ = old * detail::kPcgMultiplier + inc_;
+    return detail::pcg_output(old);
   }
 
   /// Uniform double in [0, 1): `bits53 * 2^-53`, where bits53 is built
-  /// from two draws (see bits53()).
+  /// from two draws (see detail::bits53()).
   double uniform() noexcept {
     const std::uint32_t hi = (*this)();
     const std::uint32_t lo = (*this)();
-    return static_cast<double>(bits53(hi, lo)) * (1.0 / 9007199254740992.0);
+    return static_cast<double>(detail::bits53(hi, lo)) *
+           (1.0 / 9007199254740992.0);
   }
+
+  /// Makes the draws of `k` uniform() calls in O(log k) (LCG jump-ahead).
+  void skip_uniforms(std::uint64_t k) noexcept;
 
   /// Uniform double in [lo, hi). Stays out of line, like normal(): the
   /// library builds some directories with FP contraction off and others
@@ -78,33 +128,26 @@ class Rng {
     return uniform() < p;
   }
 
-  /// All-or-nothing run of failed Bernoulli trials: if the next `n`
-  /// bernoulli(p) calls would all return false, makes exactly their draws
-  /// and returns true; otherwise leaves the generator untouched and
-  /// returns false. Bit-exact with the per-call loop, in O(1) for p <= 0
-  /// or p >= 1 and one fused state step per trial otherwise.
-  [[nodiscard]] bool try_take_bernoulli_misses(double p,
-                                               std::uint64_t n) noexcept;
+  /// How many of the next `cap` bernoulli(p) calls would return false
+  /// before the first true one (`cap` if none does), counting from `skip`
+  /// uniform() calls ahead. Makes no draws: the caller consumes the
+  /// misses with skip_uniforms() (bernoulli draws only when 0 < p < 1 or
+  /// p is NaN). Bit-exact with the per-call loop:
+  /// a trial hits iff `bits53 < T = ceil(p * 2^53)`, decided on the high
+  /// draw alone unless `(hi >> 11) <= (T >> 32)`. Where the target has
+  /// vectors, lane i of the scan holds the stream 2i draws ahead and
+  /// every step advances all lanes by one multiply-add; O(1) for p <= 0,
+  /// p >= 1 and NaN.
+  [[nodiscard]] std::uint64_t bernoulli_misses(
+      double p, std::uint64_t cap, std::uint64_t skip = 0) const noexcept;
 
   /// Forks an independent child generator; deterministic function of the
   /// current state. Used to hand each layer / fault site its own stream.
   Rng fork() noexcept;
 
  private:
-  static constexpr std::uint64_t kMultiplier = 6364136223846793005ULL;
-
-  /// PCG32 XSH-RR output permutation of a pre-step state.
-  static std::uint32_t output(std::uint64_t old) noexcept {
-    const auto xorshifted =
-        static_cast<std::uint32_t>(((old >> 18u) ^ old) >> 27u);
-    const auto rot = static_cast<std::uint32_t>(old >> 59u);
-    return (xorshifted >> rot) | (xorshifted << ((32u - rot) & 31u));
-  }
-
-  /// The 53 mantissa bits uniform() scales: bits 32..52 are `hi >> 11`.
-  static std::uint64_t bits53(std::uint64_t hi, std::uint64_t lo) noexcept {
-    return ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
-  }
+  friend std::uint64_t detail::scalar_bernoulli_misses(
+      const Rng& rng, double p, std::uint64_t cap) noexcept;
 
   std::uint64_t state_;
   std::uint64_t inc_;

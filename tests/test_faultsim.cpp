@@ -2,9 +2,11 @@
 // faults and campaign outcome classification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "faultsim/bitflip.hpp"
 #include "faultsim/campaign.hpp"
@@ -237,6 +239,153 @@ TEST(FaultInjector, TryTakeCleanMatchesPerCallFilter) {
   }
   EXPECT_GT(grants, 0u);
   EXPECT_GT(refusals, 0u);
+}
+
+/// A per-call model of FaultInjector that shares none of its code: it is
+/// built only from Rng::bernoulli/uniform_int, the PE round robin and the
+/// burst flags, and grants a window by running it call by call.
+class ReferenceInjector {
+ public:
+  ReferenceInjector(const FaultConfig& config, std::uint64_t seed)
+      : config_(config), rng_(seed, 0xFA17) {
+    const auto pes = static_cast<std::size_t>(std::max(1, config.num_pes));
+    permanent_.assign(pes, false);
+    burst_.assign(pes, false);
+    if (config.kind == FaultKind::kPermanent) {
+      for (std::size_t pe = 0; pe < pes; ++pe) {
+        permanent_[pe] = rng_.bernoulli(config.probability);
+      }
+    }
+  }
+
+  float filter(float clean) {
+    ++executions_;
+    const std::size_t pe = pe_;
+    pe_ = (pe_ + 1) % permanent_.size();
+    bool fault = false;
+    switch (config_.kind) {
+      case FaultKind::kNone:
+        break;
+      case FaultKind::kTransient:
+        fault = rng_.bernoulli(config_.probability);
+        break;
+      case FaultKind::kIntermittent:
+        if (burst_[pe]) {
+          fault = true;
+          burst_[pe] = rng_.bernoulli(config_.burst_continue);
+        } else if (rng_.bernoulli(config_.probability)) {
+          fault = true;
+          burst_[pe] = rng_.bernoulli(config_.burst_continue);
+        }
+        break;
+      case FaultKind::kPermanent:
+        fault = permanent_[pe];
+        break;
+    }
+    if (!fault) return clean;
+    ++faults_;
+    const int bit = config_.bit >= 0
+                        ? config_.bit
+                        : static_cast<int>(rng_.uniform_int(0, 31));
+    return flip_bit(clean, bit);
+  }
+
+  bool try_take_clean(std::uint64_t n) {
+    ReferenceInjector run = *this;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)run.filter(0.5f);
+      if (run.faults_ != faults_) return false;
+    }
+    *this = run;
+    return true;
+  }
+
+  std::uint64_t executions() const { return executions_; }
+  std::uint64_t faults() const { return faults_; }
+  int next_pe() const { return static_cast<int>(pe_); }
+
+ private:
+  FaultConfig config_;
+  Rng rng_;
+  std::vector<bool> permanent_;
+  std::vector<bool> burst_;
+  std::size_t pe_ = 0;
+  std::uint64_t executions_ = 0;
+  std::uint64_t faults_ = 0;
+};
+
+/// Stats, PE cursor and the next 64 filter() results of both, on copies.
+void expect_matches_reference(const FaultInjector& inj,
+                              const ReferenceInjector& ref) {
+  ASSERT_EQ(inj.stats().executions, ref.executions());
+  ASSERT_EQ(inj.stats().faults, ref.faults());
+  ASSERT_EQ(inj.next_pe(), ref.next_pe());
+  FaultInjector a = inj;
+  ReferenceInjector b = ref;
+  for (int i = 0; i < 64; ++i) {
+    const float v = 1.0f + static_cast<float>(i);
+    ASSERT_EQ(float_bits(a.filter(v)), float_bits(b.filter(v))) << "call " << i;
+  }
+}
+
+TEST(FaultInjector, MatchesIndependentPerCallReference) {
+  // Long random mixes of filter() runs and try_take_clean(n) windows,
+  // compared call by call with the reference. Copies taken mid-stream
+  // (the clean-run cache filled by the last window) must carry on exactly
+  // like the reference copy.
+  const std::vector<std::uint64_t> windows = {0,   1,   2,    5,   31,
+                                              147, 588, 1200, 5000};
+  std::uint64_t grants = 0;
+  std::uint64_t refusals = 0;
+  std::uint64_t faults = 0;
+  for (const FaultKind kind : {FaultKind::kTransient, FaultKind::kIntermittent,
+                               FaultKind::kPermanent}) {
+    for (const double p : {1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
+      for (const int pes : {1, 7, 128}) {
+        for (const int bit : {-1, 9}) {
+          SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                       " p " + std::to_string(p) + " pes " +
+                       std::to_string(pes) + " bit " + std::to_string(bit));
+          FaultConfig cfg;
+          cfg.kind = kind;
+          cfg.probability = p;
+          cfg.num_pes = pes;
+          cfg.bit = bit;
+          cfg.burst_continue = 0.9;
+          const std::uint64_t seed = 17 + static_cast<std::uint64_t>(pes);
+          FaultInjector inj(cfg, seed);
+          ReferenceInjector ref(cfg, seed);
+          Rng mix(seed, 0x313);
+          for (int step = 0; step < 250; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            if (mix.bernoulli(0.5)) {
+              const auto calls = mix.uniform_int(1, 40);
+              for (std::int64_t c = 0; c < calls; ++c) {
+                const float v = 0.25f + static_cast<float>(c);
+                ASSERT_EQ(float_bits(inj.filter(v)), float_bits(ref.filter(v)));
+              }
+            } else {
+              const std::uint64_t n = windows[static_cast<std::size_t>(
+                  mix.uniform_int(0, static_cast<std::int64_t>(windows.size()) -
+                                         1))];
+              const bool granted = ref.try_take_clean(n);
+              ASSERT_EQ(inj.try_take_clean(n), granted) << "n " << n;
+              (granted ? grants : refusals) += 1;
+            }
+            ASSERT_EQ(inj.stats().executions, ref.executions());
+            ASSERT_EQ(inj.stats().faults, ref.faults());
+            ASSERT_EQ(inj.next_pe(), ref.next_pe());
+            if (step % 25 == 24) expect_matches_reference(inj, ref);
+          }
+          expect_matches_reference(inj, ref);
+          faults += ref.faults();
+        }
+      }
+    }
+  }
+  EXPECT_GT(grants, 0u);
+  EXPECT_GT(refusals, 0u);
+  EXPECT_GT(faults, 0u);
 }
 
 // ----------------------------------------------------------- memory SEUs

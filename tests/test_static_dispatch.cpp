@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -601,7 +602,7 @@ TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {
 // s1, p1) and a single-output conv (1x1 output, one map), linear layers
 // with ten outputs and with one, and layer-granular DMR. The `nan`
 // layers feed inputs with two different NaN payloads in one receptive
-// field. `fast` is the dispatched forward (with its report mode),
+// field, and the `nanw` layers hold them in their weights. `fast` is the dispatched forward (with its report mode),
 // `oracle` the per-op generic path, and `unit_starts` the flat op index
 // each output's ops start at, to tell an abort in the middle of an
 // output from one at its first op, and one in the last output.
@@ -649,13 +650,19 @@ void plant_nans(Tensor& t, std::size_t at) {
   t[at + 1] = hybridcnn::faultsim::bits_float(0xFFC0BEEFu);
 }
 
+/// Where a matrix layer holds its two NaN payloads, if anywhere.
+enum class NanSite { kNone, kInput, kWeights };
+
 WindowedLayer conv_layer(const std::string& name, const Geometry& g,
-                         bool nan) {
+                         NanSite nan) {
   const ReliableConv2d made = make_conv(g);
-  auto conv = std::make_shared<ReliableConv2d>(made.weights(), made.bias(),
+  Tensor weights = made.weights();
+  // Two adjacent taps of the first map's first row.
+  if (nan == NanSite::kWeights) plant_nans(weights, 0);
+  auto conv = std::make_shared<ReliableConv2d>(weights, made.bias(),
                                                made.spec(), made.policy());
   auto input = std::make_shared<Tensor>(make_input(g));
-  if (nan) plant_nans(*input, (g.h / 2) * g.w + g.w / 2);
+  if (nan == NanSite::kInput) plant_nans(*input, (g.h / 2) * g.w + g.w / 2);
   return {name,
           [conv, input](Executor& e, ReportMode m) {
             return conv->forward(*input, e, m);
@@ -667,17 +674,18 @@ WindowedLayer conv_layer(const std::string& name, const Geometry& g,
 }
 
 WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
-                           bool nan) {
+                           NanSite nan) {
   constexpr std::size_t kIn = 37;
   Rng rng(5);
   Tensor weights(Shape{out_n, kIn});
   weights.fill_normal(rng, 0.0f, 0.4f);
+  if (nan == NanSite::kWeights) plant_nans(weights, 11);
   Tensor bias(Shape{out_n});
   bias.fill_normal(rng, 0.0f, 0.1f);
   auto linear = std::make_shared<ReliableLinear>(weights, bias);
   auto vec = std::make_shared<Tensor>(Shape{kIn});
   vec->fill_normal(rng, 0.0f, 1.0f);
-  if (nan) plant_nans(*vec, 11);
+  if (nan == NanSite::kInput) plant_nans(*vec, 11);
   std::vector<std::int64_t> neuron_starts;
   for (std::size_t o = 0; o < out_n; ++o) {
     neuron_starts.push_back(static_cast<std::int64_t>(2 * kIn * o));
@@ -701,26 +709,36 @@ std::vector<WindowedLayer> windowed_layers() {
   convs.push_back(sobel);
   convs.push_back({1, 3, 3, 1, 0, 3, 3});  // one output pixel
   for (std::size_t gi = 0; gi < convs.size(); ++gi) {
-    layers.push_back(conv_layer("conv" + std::to_string(gi), convs[gi], false));
+    layers.push_back(
+        conv_layer("conv" + std::to_string(gi), convs[gi], NanSite::kNone));
   }
-  layers.push_back(conv_layer("sign96_conv1_nan", sign96_conv1, true));
-  layers.push_back(conv_layer("sobel_nan", sobel, true));
-  layers.push_back(linear_layer("linear", 10, false));
-  layers.push_back(linear_layer("linear_out1", 1, false));
-  layers.push_back(linear_layer("linear_nan", 10, true));
+  layers.push_back(
+      conv_layer("sign96_conv1_nan", sign96_conv1, NanSite::kInput));
+  layers.push_back(conv_layer("sobel_nan", sobel, NanSite::kInput));
+  const Geometry conv1_13{8, 3, 7, 2, 0, 13, 13};
+  layers.push_back(conv_layer("conv1_13_nanw", conv1_13, NanSite::kWeights));
+  layers.push_back(conv_layer("sobel_nanw", sobel, NanSite::kWeights));
+  layers.push_back(linear_layer("linear", 10, NanSite::kNone));
+  layers.push_back(linear_layer("linear_out1", 1, NanSite::kNone));
+  layers.push_back(linear_layer("linear_nan", 10, NanSite::kInput));
+  layers.push_back(linear_layer("linear_nanw", 10, NanSite::kWeights));
 
   // A loose bucket lets whole-layer retries run up to the retry cap.
   ReliabilityPolicy loose;
   loose.max_retries_per_op = 6;
   loose.bucket_ceiling = 200;
-  for (const auto& [g, policy] :
-       {std::pair{kGeometries[0], loose},
-        std::pair{Geometry{8, 3, 7, 2, 0, 13, 13}, ReliabilityPolicy{}}}) {
+  for (const auto& [g, policy, nan] :
+       {std::tuple{kGeometries[0], loose, NanSite::kNone},
+        std::tuple{conv1_13, ReliabilityPolicy{}, NanSite::kNone},
+        std::tuple{kGeometries[0], ReliabilityPolicy{}, NanSite::kWeights}}) {
     const ReliableConv2d ref = make_conv(g);
-    auto layer = std::make_shared<LayerDmrConv2d>(ref.weights(), ref.bias(),
+    Tensor weights = ref.weights();
+    if (nan == NanSite::kWeights) plant_nans(weights, 0);
+    auto layer = std::make_shared<LayerDmrConv2d>(weights, ref.bias(),
                                                   ref.spec(), policy);
     auto input = std::make_shared<Tensor>(make_input(g));
-    layers.push_back({"layer_dmr" + std::to_string(g.out_c),
+    layers.push_back({"layer_dmr" + std::to_string(g.out_c) +
+                          (nan == NanSite::kWeights ? "_nanw" : ""),
                       [layer, input](Executor& e, ReportMode) {
                         return layer->forward(*input, e);
                       },
@@ -851,6 +869,36 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
     }
   }
   ComputeContext::set_global_threads(1);
+}
+
+TEST(WindowedPath, NanWeightFlagFollowsSetWeights) {
+  // The NaN-weight flag is recorded per weight generation: set_weights
+  // raises and clears it, and a flagged fault-free forward equals the
+  // per-op oracle bit for bit.
+  const Geometry sobel{2, 1, 3, 1, 1, 16, 16};
+  ReliableConv2d conv = make_conv(sobel);
+  const Tensor clean = conv.weights();
+  Tensor nan = clean;
+  plant_nans(nan, 0);
+  const Tensor input = make_input(sobel);
+  EXPECT_FALSE(conv.params_hold_nan());
+  conv.set_weights(nan);
+  EXPECT_TRUE(conv.params_hold_nan());
+  const auto fast_exec = make_executor("dmr", nullptr);
+  const auto oracle_exec = make_executor("dmr", nullptr);
+  expect_outputs_bit_identical(conv.forward(input, *fast_exec).output,
+                               conv.forward_generic(input, *oracle_exec).output);
+  conv.set_weights(clean);
+  EXPECT_FALSE(conv.params_hold_nan());
+
+  ReliableLinear linear(Tensor(Shape{2, 4}, 0.5f), Tensor(Shape{2}, 0.0f));
+  Tensor linear_nan(Shape{2, 4}, 0.5f);
+  plant_nans(linear_nan, 1);
+  EXPECT_FALSE(linear.params_hold_nan());
+  linear.set_weights(linear_nan);
+  EXPECT_TRUE(linear.params_hold_nan());
+  linear.set_weights(Tensor(Shape{2, 4}, 0.5f));
+  EXPECT_FALSE(linear.params_hold_nan());
 }
 
 TEST(WindowedPath, CampaignMatchesPerOpOracleAtEveryThreadCount) {

@@ -169,50 +169,104 @@ TEST(Rng, GoldenStreamIsPinned) {
   }
 }
 
-TEST(Rng, TryTakeBernoulliMissesMatchesPerCallLoop) {
-  // The all-or-nothing run must make exactly the per-call loop's draws
-  // when every trial misses, and no draw at all otherwise.
-  for (const double p : {0.0, -1.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0, 2.0}) {
-    for (const std::uint64_t n : {0ULL, 1ULL, 7ULL, 600ULL, 20000ULL}) {
-      SCOPED_TRACE(std::to_string(p) + " n " + std::to_string(n));
-      Rng rng(99, 0xFA17);
-      for (int trial = 0; trial < 40; ++trial) {
-        Rng oracle = rng;
-        bool all_miss = true;
-        for (std::uint64_t i = 0; i < n && all_miss; ++i) {
-          all_miss = !oracle.bernoulli(p);
-        }
-        const Rng before = rng;
-        ASSERT_EQ(rng.try_take_bernoulli_misses(p, n), all_miss);
-        Rng expect = all_miss ? oracle : before;
-        Rng got = rng;
-        for (int i = 0; i < 8; ++i) ASSERT_EQ(got(), expect());
-        // Move on, so later trials start from fresh stream positions.
-        (void)rng.bernoulli(0.5);
+/// Leading misses of the per-call bernoulli(p) loop, on a copy.
+std::uint64_t per_call_misses(Rng rng, double p, std::uint64_t cap) {
+  std::uint64_t misses = 0;
+  while (misses < cap && !rng.bernoulli(p)) ++misses;
+  return misses;
+}
+
+/// The 53-bit draw of the trial `k` uniform() calls past `rng`.
+std::uint64_t trial_bits53(Rng rng, std::uint64_t k) {
+  rng.skip_uniforms(k);
+  const std::uint64_t hi = rng();
+  const std::uint64_t lo = rng();
+  return ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
+}
+
+TEST(Rng, BernoulliMissesMatchesScalarScanAndPerCallLoop) {
+  // The vector scan, its scalar fallback and the per-call loop must agree
+  // on every p class bernoulli() distinguishes and on caps around the
+  // scan's step width, also from a skipped-ahead origin; no scan may draw.
+  constexpr std::uint64_t lanes = hybridcnn::util::detail::kScanLanes;
+  constexpr std::uint64_t lead = hybridcnn::util::detail::kScanLeadIn;
+  // Around one step of lanes, from the origin and past the scalar lead-in.
+  const std::vector<std::uint64_t> caps = {0,
+                                           1,
+                                           lanes - 1,
+                                           lanes,
+                                           lanes + 1,
+                                           lead + lanes - 1,
+                                           lead + lanes,
+                                           lead + lanes + 1,
+                                           4 * lanes + 3,
+                                           20000};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed, 0xFA17);
+    (void)rng();  // odd draw offset: trials straddle the two-draw grid
+    std::vector<double> ps = {std::nan(""), -1.0, 0.0, 1e-300, 1e-6,
+                              1e-4, 0.3, 1.0 - 0x1p-53, 1.0, 2.0};
+    // Boundary-bucket probabilities: trial k (0 or inside the scan) lands
+    // exactly on T (a miss) or T - 1 (a hit), so only its low draw decides.
+    for (const std::uint64_t k : {std::uint64_t{0}, seed % (4 * lanes + 3)}) {
+      const std::uint64_t bits53 = trial_bits53(rng, k);
+      if (bits53 == 0) continue;
+      ps.push_back(std::ldexp(static_cast<double>(bits53), -53));
+      ps.push_back(std::ldexp(static_cast<double>(bits53 + 1), -53));
+    }
+    for (const double p : ps) {
+      for (const std::uint64_t cap : caps) {
+        const std::uint64_t want = per_call_misses(rng, p, cap);
+        ASSERT_EQ(rng.bernoulli_misses(p, cap), want)
+            << "seed " << seed << " p " << p << " cap " << cap;
+        ASSERT_EQ(hybridcnn::util::detail::scalar_bernoulli_misses(rng, p, cap),
+                  want)
+            << "seed " << seed << " p " << p << " cap " << cap;
+        Rng ahead = rng;
+        ahead.skip_uniforms(3);
+        ASSERT_EQ(rng.bernoulli_misses(p, cap, 3),
+                  per_call_misses(ahead, p, cap))
+            << "seed " << seed << " p " << p << " cap " << cap << " skip 3";
       }
     }
+    Rng untouched(seed, 0xFA17);
+    (void)untouched();
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(rng(), untouched());
   }
 }
 
-TEST(Rng, TryTakeBernoulliMissesDecidesOnTheLowDraw) {
+TEST(Rng, BernoulliMissesDecidesOnTheLowDraw) {
   // Probabilities placed exactly at the next trial's 53-bit draw, so the
   // high draw alone cannot settle it: T = bits53 misses, T = bits53 + 1
   // hits. Either shortcut on the high draw gets one of them wrong.
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    Rng rng(seed, 0xFA17);
-    Rng peek = rng;
-    const std::uint64_t hi = peek();
-    const std::uint64_t lo = peek();
-    const std::uint64_t bits53 = ((hi << 21) ^ lo) & ((1ULL << 53) - 1);
+    const Rng rng(seed, 0xFA17);
+    const std::uint64_t bits53 = trial_bits53(rng, 0);
     if (bits53 == 0) continue;
     const double miss_p = std::ldexp(static_cast<double>(bits53), -53);
     const double hit_p = std::ldexp(static_cast<double>(bits53 + 1), -53);
-    Rng miss = rng;
-    Rng hit = rng;
     EXPECT_FALSE(Rng(rng).bernoulli(miss_p));
     EXPECT_TRUE(Rng(rng).bernoulli(hit_p));
-    EXPECT_TRUE(miss.try_take_bernoulli_misses(miss_p, 1));
-    EXPECT_FALSE(hit.try_take_bernoulli_misses(hit_p, 1));
+    EXPECT_EQ(rng.bernoulli_misses(miss_p, 1), 1u);
+    EXPECT_EQ(rng.bernoulli_misses(hit_p, 1), 0u);
+    EXPECT_EQ(hybridcnn::util::detail::scalar_bernoulli_misses(rng, miss_p, 1),
+              1u);
+    EXPECT_EQ(hybridcnn::util::detail::scalar_bernoulli_misses(rng, hit_p, 1),
+              0u);
+  }
+}
+
+TEST(Rng, SkipUniformsEqualsSteppedTrials) {
+  // The jump-ahead must land exactly where k uniform() calls do.
+  for (const std::uint64_t seed : {3ULL, 0xFA17ULL}) {
+    for (const std::uint64_t k : {0ULL, 1ULL, (1ULL << 20) + 3}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " k " + std::to_string(k));
+      Rng stepped(seed, 0xFA17);
+      Rng jumped = stepped;
+      for (std::uint64_t i = 0; i < k; ++i) (void)stepped.uniform();
+      jumped.skip_uniforms(k);
+      for (int i = 0; i < 8; ++i) ASSERT_EQ(jumped(), stepped());
+    }
   }
 }
 

@@ -11,8 +11,7 @@ FaultInjector::FaultInjector(const FaultConfig& config, std::uint64_t seed)
       rng_(seed, /*stream=*/0xFA17),
       draws_trials_((config.kind == FaultKind::kTransient ||
                      config.kind == FaultKind::kIntermittent) &&
-                    !(config.probability <= 0.0)),
-      refills_(draws_trials_ && config.probability < kRefillBelow) {
+                    !(config.probability <= 0.0)) {
   const int pes = std::max(1, config_.num_pes);
   pe_permanently_faulty_.assign(static_cast<std::size_t>(pes), 0);
   pe_burst_active_.assign(static_cast<std::size_t>(pes), 0);
@@ -88,7 +87,7 @@ float FaultInjector::filter_drawn(float clean) noexcept {
   // A Bernoulli(p) trial with nothing known about the stream ahead: scan a
   // chunk, so that this call and the clean ones after it take the inline
   // branch.
-  if (refills_ && clean_ahead_ == 0 && !fault_after_ &&
+  if (draws_trials_ && clean_ahead_ == 0 && !fault_after_ &&
       pe_burst_active_[pe] == 0) {
     scan_ahead(kScanChunk);
     if (clean_ahead_ != 0) return filter(clean);

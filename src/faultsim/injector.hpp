@@ -90,11 +90,6 @@ class FaultInjector {
   /// setup (the lane states and a jump to the end of the cached run)
   /// spreads over many calls.
   static constexpr std::uint64_t kScanChunk = 1024;
-  /// filter_drawn() refills an empty cache only below this probability:
-  /// a denser stream's clean runs average under the scan's scalar lead-in
-  /// (util::detail::kScanLeadIn), so a refill would only replay the
-  /// per-call draws at extra cost.
-  static constexpr double kRefillBelow = 1.0 / 16;
 
   /// filter() for every call the inline branch does not settle; it makes
   /// the draws itself, so it drops the cache first.
@@ -116,8 +111,6 @@ class FaultInjector {
   std::vector<std::uint8_t> pe_burst_active_;
   /// Transient or intermittent at a probability whose bernoulli() draws.
   bool draws_trials_ = false;
-  /// draws_trials_ at a probability below kRefillBelow.
-  bool refills_ = false;
   /// Cache over the stream ahead: the next clean_ahead_ Bernoulli(p)
   /// trials miss, and if fault_after_ the one after them hits. Any draw
   /// other than these trials shifts the stream and drops it. rng_ stays

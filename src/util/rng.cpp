@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
@@ -110,26 +109,19 @@ bool any_lane(LaneMask m) noexcept {
   return any != 0;
 }
 
-/// scan_scalar() after a scalar lead-in of kScanLeadIn trials, then
-/// kScanLanes trials per step: all lanes test their high draw, and a step
-/// where some lane lands in the boundary bucket is run again by
-/// trial_hits() lane by lane, in trial order.
+/// scan_scalar() at kScanLanes trials per step: all lanes test their high
+/// draw, and a step where some lane lands in the boundary bucket is run
+/// again by trial_hits() lane by lane, in trial order.
 std::uint64_t scan_lanes(std::uint64_t origin, std::uint64_t inc,
                          std::uint64_t threshold, std::uint64_t cap) noexcept {
-  const std::uint64_t lead =
-      std::min<std::uint64_t>(cap, detail::kScanLeadIn);
-  const std::uint64_t lead_misses = scan_scalar(origin, inc, threshold, lead);
-  if (lead_misses < lead) return lead_misses;
-  constexpr LcgJump kPastLead = lcg_jump(2 * detail::kScanLeadIn);
-  const std::uint64_t start = kPastLead.of(origin, inc);
   const std::uint64_t hi_bound = threshold >> 32;
   VecU64 lanes[kScanVecs]{};
   for (std::size_t v = 0; v < kScanVecs; ++v) {
-    lanes[v] = start * load_lanes(&kLaneMul[v * kU64Lanes]) +
+    lanes[v] = origin * load_lanes(&kLaneMul[v * kU64Lanes]) +
                inc * load_lanes(&kLaneAdd[v * kU64Lanes]);
   }
   const std::uint64_t step_add = kLaneStep.add * inc;
-  for (std::uint64_t base = lead; base < cap; base += kScanLanes) {
+  for (std::uint64_t base = 0; base < cap; base += kScanLanes) {
     LaneMask any{};
     for (const VecU64& lane : lanes) any |= lane_hi21(lane) <= hi_bound;
     if (any_lane(any)) [[unlikely]] {

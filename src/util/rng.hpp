@@ -53,10 +53,6 @@ inline constexpr std::size_t kScanLanes = kScanVecs * runtime::isa::kU64Lanes;
 #else
 inline constexpr std::size_t kScanLanes = 1;
 #endif
-/// Trials the scan tests one at a time before it sets up its lanes, so
-/// that a hit close by (high p, or a fault right after the last one)
-/// costs no vector setup.
-inline constexpr std::size_t kScanLeadIn = 16;
 
 /// Rng::bernoulli_misses() computed one trial at a time, without vectors:
 /// the fallback on compilers without vector extensions, and the reference

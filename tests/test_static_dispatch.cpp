@@ -602,16 +602,20 @@ TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {
 // s1, p1) and a single-output conv (1x1 output, one map), linear layers
 // with ten outputs and with one, and layer-granular DMR. The `nan`
 // layers feed inputs with two different NaN payloads in one receptive
-// field, and the `nanw` layers hold them in their weights. `fast` is the dispatched forward (with its report mode),
-// `oracle` the per-op generic path, and `unit_starts` the flat op index
-// each output's ops start at, to tell an abort in the middle of an
-// output from one at its first op, and one in the last output.
+// field, and the `nanw` layers hold them in their weights. `fast` is the
+// dispatched forward (with its report mode), `oracle` the per-op generic
+// path, and `unit_starts` the flat op index each output's ops start at,
+// to tell an abort in the middle of an output from one at its first op,
+// and one in the last output. A `nanw` layer runs per-op in every cell,
+// so it runs only in the fault-free cells, which catch a gate that
+// ignores the NaN-weight flag, and in one armed cell (see runs_in_cell).
 struct WindowedLayer {
   std::string name;
   std::function<ReliableResult(Executor&, ReportMode)> fast;
   std::function<ReliableResult(Executor&)> oracle;
   bool has_report_mode = true;
   std::vector<std::int64_t> unit_starts;
+  bool nan_weights = false;
 };
 
 std::vector<std::int64_t> conv_unit_starts(const ReliableConv2d& conv,
@@ -670,7 +674,8 @@ WindowedLayer conv_layer(const std::string& name, const Geometry& g,
           [conv, input](Executor& e) {
             return conv->forward_generic(*input, e);
           },
-          true, conv_unit_starts(*conv, input->shape())};
+          true, conv_unit_starts(*conv, input->shape()),
+          nan == NanSite::kWeights};
 }
 
 WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
@@ -697,7 +702,7 @@ WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
           [linear, vec](Executor& e) {
             return linear->forward_generic(*vec, e);
           },
-          true, neuron_starts};
+          true, neuron_starts, nan == NanSite::kWeights};
 }
 
 std::vector<WindowedLayer> windowed_layers() {
@@ -745,7 +750,7 @@ std::vector<WindowedLayer> windowed_layers() {
                       [layer, input](Executor& e) {
                         return layer->forward_generic(*input, e);
                       },
-                      false, {}});
+                      false, {}, nan == NanSite::kWeights});
   }
   return layers;
 }
@@ -773,6 +778,17 @@ std::vector<MatrixFault> matrix_faults() {
     }
   }
   return faults;
+}
+
+/// True if `layer` runs in the matrix cell of fault `f`: every layer
+/// does, except that a `nanw` layer runs only where no fault can fire
+/// and in one transient cell.
+bool runs_in_cell(const WindowedLayer& layer, const MatrixFault& f) {
+  if (!layer.nan_weights) return true;
+  const bool fault_free = f.kind == FaultKind::kNone || f.probability == 0.0;
+  return fault_free ||
+         (f.kind == FaultKind::kTransient && f.target == FaultTarget::kResult &&
+          f.probability == 1e-4 && f.bit == -1);
 }
 
 std::shared_ptr<FaultInjector> matrix_injector(const MatrixFault& f,
@@ -809,6 +825,7 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
   for (const char* scheme : schemes) {
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
       for (const WindowedLayer& layer : layers) {
+        if (!runs_in_cell(layer, faults[fi])) continue;
         auto exec = make_executor(scheme, matrix_injector(faults[fi], fi));
         ReliableResult result = layer.oracle(*exec);
         if (!result.report.ok && !layer.unit_starts.empty() &&
@@ -839,6 +856,7 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
     for (const char* scheme : schemes) {
       for (std::size_t fi = 0; fi < faults.size(); ++fi) {
         for (const WindowedLayer& layer : layers) {
+          if (!runs_in_cell(layer, faults[fi])) continue;
           const OracleCell& oracle = oracles[cell++];
           SCOPED_TRACE(std::string(scheme) + " " + fault_label(faults[fi]) +
                        " " + layer.name + " threads " +

@@ -189,18 +189,8 @@ TEST(Rng, BernoulliMissesMatchesScalarScanAndPerCallLoop) {
   // on every p class bernoulli() distinguishes and on caps around the
   // scan's step width, also from a skipped-ahead origin; no scan may draw.
   constexpr std::uint64_t lanes = hybridcnn::util::detail::kScanLanes;
-  constexpr std::uint64_t lead = hybridcnn::util::detail::kScanLeadIn;
-  // Around one step of lanes, from the origin and past the scalar lead-in.
-  const std::vector<std::uint64_t> caps = {0,
-                                           1,
-                                           lanes - 1,
-                                           lanes,
-                                           lanes + 1,
-                                           lead + lanes - 1,
-                                           lead + lanes,
-                                           lead + lanes + 1,
-                                           4 * lanes + 3,
-                                           20000};
+  const std::vector<std::uint64_t> caps = {
+      0, 1, lanes - 1, lanes, lanes + 1, 4 * lanes + 3, 20000};
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     Rng rng(seed, 0xFA17);
     (void)rng();  // odd draw offset: trials straddle the two-draw grid

@@ -1,6 +1,7 @@
 #include "faultsim/injector.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "faultsim/bitflip.hpp"
 
@@ -29,42 +30,46 @@ bool FaultInjector::next_is_faulty() const noexcept {
   return false;  // stochastic kinds are not predictable
 }
 
-bool FaultInjector::window_hits(const std::vector<std::uint8_t>& pe_flags,
-                                std::uint64_t n) const noexcept {
-  const std::uint64_t pes = pe_flags.size();
-  const auto cursor = static_cast<std::uint64_t>(next_pe_);
-  for (std::uint64_t k = 0; k < std::min(n, pes); ++k) {
-    if (pe_flags[(cursor + k) % pes] != 0) return true;
+std::uint64_t FaultInjector::calls_before_flag(
+    const std::vector<std::uint8_t>& pe_flags) const noexcept {
+  const std::size_t pes = pe_flags.size();
+  auto pe = static_cast<std::size_t>(next_pe_);
+  for (std::uint64_t k = 0; k < pes; ++k) {
+    if (pe_flags[pe] != 0) return k;
+    if (++pe == pes) pe = 0;
   }
-  return false;
+  return std::numeric_limits<std::uint64_t>::max();
 }
 
-bool FaultInjector::try_take_clean(std::uint64_t n) noexcept {
+std::uint64_t FaultInjector::take_clean(std::uint64_t n,
+                                        std::uint64_t unit) noexcept {
+  std::uint64_t clean = n;
   switch (config_.kind) {
     case FaultKind::kNone:
       break;
     case FaultKind::kIntermittent:
-      // Burst flags change only on faulty calls, so the window's PEs can
-      // be checked up front; then the same Bernoulli test as transient.
-      if (window_hits(pe_burst_active_, n)) return false;
+      // Burst flags change only on faulty calls, so every call before the
+      // first burst PE makes the same Bernoulli(p) trial as a transient one.
+      clean = std::min(clean, calls_before_flag(pe_burst_active_));
       [[fallthrough]];
     case FaultKind::kTransient:
       if (!draws_trials_) break;  // p <= 0: bernoulli() never draws
-      if (n > clean_ahead_ && !fault_after_) {
-        scan_ahead(std::max(n - clean_ahead_, kScanChunk));
+      if (clean > clean_ahead_ && !fault_after_) {
+        scan_ahead(clean - clean_ahead_);
       }
-      if (n > clean_ahead_) return false;
-      clean_ahead_ -= n;  // rng_ catches up when it is next read
+      clean = std::min(clean, clean_ahead_);
       break;
     case FaultKind::kPermanent:
-      if (window_hits(pe_permanently_faulty_, n)) return false;
+      clean = std::min(clean, calls_before_flag(pe_permanently_faulty_));
       break;
   }
-  stats_.executions += n;
+  const std::uint64_t granted = clean - clean % unit;
+  if (draws_trials_) clean_ahead_ -= granted;  // rng_ catches up when read
+  stats_.executions += granted;
   const auto pes = static_cast<std::uint64_t>(pe_permanently_faulty_.size());
   next_pe_ = static_cast<int>(
-      (static_cast<std::uint64_t>(next_pe_) + n % pes) % pes);
-  return true;
+      (static_cast<std::uint64_t>(next_pe_) + granted % pes) % pes);
+  return granted;
 }
 
 void FaultInjector::scan_ahead(std::uint64_t want) noexcept {

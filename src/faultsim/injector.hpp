@@ -61,19 +61,27 @@ class FaultInjector {
   /// meaningful for deterministic test scenarios (kPermanent).
   [[nodiscard]] bool next_is_faulty() const noexcept;
 
-  /// Grants the next `n` filter() calls as one clean window, all or
-  /// nothing. If none of them would corrupt its value, consumes them
-  /// exactly as `n` filter() calls would (RNG draws, stats().executions,
-  /// the PE cursor) and returns true; otherwise leaves the injector's
-  /// observable state untouched and returns false. Clean calls never touch
-  /// burst state. The cost does not grow with `n` for kNone, for permanent
-  /// faults (a scan of at most num_pes flags) and for stochastic kinds at
-  /// probability <= 0 (bernoulli makes no draw there). Otherwise it reads
-  /// the cached clean run, extends it with a vector scan of the stream
-  /// (Rng::bernoulli_misses) up to the first hit when `n` reaches past
-  /// it, and counts a grant off the run in O(1). See
-  /// src/faultsim/README.md for the per-kind rules.
-  [[nodiscard]] bool try_take_clean(std::uint64_t n) noexcept;
+  /// The counting clean-window gate: grants the longest clean prefix of
+  /// the next `n` filter() calls that is a whole number of `unit`-call
+  /// groups (one group per logical op of a redundant scheme) and returns
+  /// its length in calls, min(n, index of the first faulty call) rounded
+  /// down to a multiple of `unit`. The granted calls are consumed exactly
+  /// as that many filter() calls would consume them (RNG draws,
+  /// stats().executions, the PE cursor); nothing after them is touched,
+  /// so the call that stopped the grant is left for filter(). Clean calls
+  /// never touch burst state. The clean prefix per kind:
+  ///   - kNone, and stochastic kinds at probability <= 0 (bernoulli makes
+  ///     no draw there): all `n`, in O(1);
+  ///   - transient: the leading misses of the cached clean run, which a
+  ///     vector scan of the stream (Rng::bernoulli_misses) extends up to
+  ///     the first hit when `n` reaches past it;
+  ///   - intermittent: the same, capped at the distance to the first PE
+  ///     of the round robin with an active burst;
+  ///   - permanent: the distance to the first faulty PE (a scan of at
+  ///     most num_pes flags).
+  /// See src/faultsim/README.md. Precondition: unit >= 1.
+  [[nodiscard]] std::uint64_t take_clean(std::uint64_t n,
+                                         std::uint64_t unit = 1) noexcept;
 
   [[nodiscard]] const FaultConfig& config() const noexcept { return config_; }
   [[nodiscard]] const InjectorStats& stats() const noexcept { return stats_; }
@@ -86,9 +94,10 @@ class FaultInjector {
   [[nodiscard]] int permanent_faulty_pes() const noexcept;
 
  private:
-  /// Trials a cache refill scans at least, so that the scan's per-call
-  /// setup (the lane states and a jump to the end of the cached run)
-  /// spreads over many calls.
+  /// Trials a filter() call with nothing cached scans at least, so that
+  /// the scan's per-call setup (the lane states and a jump to the end of
+  /// the cached run) spreads over the clean calls after it. take_clean()
+  /// scans exactly as far as its ask reaches instead.
   static constexpr std::uint64_t kScanChunk = 1024;
 
   /// filter() for every call the inline branch does not settle; it makes
@@ -99,9 +108,10 @@ class FaultInjector {
   /// extends it by the leading misses; a hit sets fault_after_.
   void scan_ahead(std::uint64_t want) noexcept;
 
-  /// True if a flag is set on any PE the next `n` calls land on.
-  [[nodiscard]] bool window_hits(const std::vector<std::uint8_t>& pe_flags,
-                                 std::uint64_t n) const noexcept;
+  /// Calls before the first one that lands on a PE with its flag set,
+  /// in the round robin from next_pe_; UINT64_MAX when no flag is set.
+  [[nodiscard]] std::uint64_t calls_before_flag(
+      const std::vector<std::uint8_t>& pe_flags) const noexcept;
 
   FaultConfig config_;
   util::Rng rng_;

@@ -84,6 +84,13 @@ inline float pin_nan(float a, float result) noexcept {
                 : result;
 }
 
+/// One physical op's result on a fault-free unit: what raw_mul/raw_add
+/// compute before the injector sees it. The fault-to-fault walk computes
+/// the granted ops of a partly granted output with these, so their values
+/// equal the ones the per-op envelope would commit.
+inline float clean_mul(float a, float b) noexcept { return pin_nan(a, a * b); }
+inline float clean_add(float a, float b) noexcept { return pin_nan(a, a + b); }
+
 /// Majority vote over three results. Returns the agreed value and whether
 /// a majority exists.
 inline Qualified<float> vote(float r1, float r2, float r3) noexcept {
@@ -131,22 +138,26 @@ class Executor {
     return injector_.get();
   }
 
-  /// The one execution gate of the qualified kernels: grants the next
-  /// `logical` qualified operations as a clean window when none of their
-  /// physical executions would be corrupted (always, without an
-  /// injector). On a grant, credits logical_ops and the scheme's physical
-  /// executions here and consumes the matching filter() calls on the
-  /// injector (FaultInjector::try_take_clean), leaving stats() and the
-  /// injector exactly as `logical` per-op mul/add calls would; the caller
-  /// computes the values as raw arithmetic. On a refusal nothing changes,
-  /// and the caller runs those operations one by one.
-  [[nodiscard]] bool try_take_clean(std::uint64_t logical) noexcept {
-    const std::uint64_t physical =
-        logical * static_cast<std::uint64_t>(redundancy());
-    if (injector_ && !injector_->try_take_clean(physical)) return false;
-    stats_.logical_ops += logical;
-    stats_.executions += physical;
-    return true;
+  /// The one execution gate of the qualified kernels: grants the longest
+  /// prefix of the next `logical` qualified operations none of whose
+  /// physical executions would be corrupted, and returns its length (all
+  /// of them without an injector). Credits logical_ops and the scheme's
+  /// physical executions for the granted operations here and consumes the
+  /// matching filter() calls on the injector, whole operations only
+  /// (FaultInjector::take_clean with a unit of redundancy()), leaving
+  /// stats() and the injector exactly as that many per-op mul/add calls
+  /// would; the caller computes their values as raw arithmetic. Nothing
+  /// after the grant is touched: when it is short, the operation that
+  /// stopped it holds a faulty execution, and the caller runs it through
+  /// mul/add before it asks again.
+  [[nodiscard]] std::uint64_t take_clean(std::uint64_t logical) noexcept {
+    const auto unit = static_cast<std::uint64_t>(redundancy());
+    const std::uint64_t granted =
+        injector_ ? injector_->take_clean(logical * unit, unit) / unit
+                  : logical;
+    stats_.logical_ops += granted;
+    stats_.executions += granted * unit;
+    return granted;
   }
 
  protected:
@@ -166,10 +177,10 @@ class Executor {
           bv = injector_->filter(bv);
           break;
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(detail::pin_nan(av, av * bv));
+          return injector_->filter(detail::clean_mul(av, bv));
       }
     }
-    return detail::pin_nan(av, av * bv);
+    return detail::clean_mul(av, bv);
   }
 
   /// One physical add on the (possibly faulty) compute unit.
@@ -186,10 +197,10 @@ class Executor {
           bv = injector_->filter(bv);
           break;
         case faultsim::FaultTarget::kResult:
-          return injector_->filter(detail::pin_nan(av, av + bv));
+          return injector_->filter(detail::clean_add(av, bv));
       }
     }
-    return detail::pin_nan(av, av + bv);
+    return detail::clean_add(av, bv);
   }
 
   ExecutorStats stats_;
@@ -311,7 +322,7 @@ class TmrExecutor final : public Executor {
 
 // Executor-layer contracts. The statically dispatched qualified kernels
 // (static_dispatch.hpp) fold mul_inline/add_inline straight into the
-// convolution inner loop, and try_take_clean credits granted windows in
+// convolution inner loop, and take_clean credits granted operations in
 // closed form from redundancy() — both are sound only while the concrete
 // schemes stay final, their class constants agree with the virtual
 // interface's answers, and the stats payloads stay memcpy-able.

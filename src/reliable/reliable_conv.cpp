@@ -123,18 +123,19 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   const float* wgt = weights_.data().data();
   const float* b = bias_.data().data();
 
-  // One gate: when the executor grants the whole forward as a clean
-  // window (no injector, kNone, p <= 0, no faulty PE, or simply no fault
-  // landing), the qualified schedule collapses to raw arithmetic in the
-  // identical order, vectorized and fanned across the pool as the conv's
-  // shape picks. Otherwise the qualified kernel asks again pixel by pixel.
-  // An input, weight or bias holding a NaN takes no window
-  // (detail::holds_nan).
+  // One gate: when the executor grants the whole forward (no injector,
+  // kNone, p <= 0, no faulty PE, or simply no fault landing), the
+  // qualified schedule collapses to raw arithmetic in the identical order,
+  // vectorized and fanned across the pool as the conv's shape picks.
+  // Otherwise the granted prefix is the qualified kernel's first credit,
+  // and it walks on from fault to fault. An input, weight or bias holding
+  // a NaN takes no window (detail::holds_nan).
   const auto pack = channel_pack();
   const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
   const bool windows =
       !params_hold_nan_ && !detail::holds_nan(in, input.count());
-  if (windows && exec.try_take_clean(ops)) {
+  const std::uint64_t granted = windows ? exec.take_clean(ops) : 0;
+  if (windows && granted == ops) {
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
     if (mode == ReportMode::kFull) {
@@ -147,12 +148,12 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
     if (mode == ReportMode::kFull) {
       detail::conv_forward_qualified<true>(plan, pack.get(), in, wgt, b,
-                                           policy_, windows, concrete,
-                                           result);
+                                           policy_, windows, granted,
+                                           concrete, result);
     } else {
       detail::conv_forward_qualified<false>(plan, pack.get(), in, wgt, b,
-                                            policy_, windows, concrete,
-                                            result);
+                                            policy_, windows, granted,
+                                            concrete, result);
     }
   });
   return result;
@@ -420,8 +421,9 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
   const auto pack = inner_.channel_pack();
   const bool windows =
       !inner_.params_hold_nan() && !detail::holds_nan(in, input.count());
-  if (windows &&
-      exec.try_take_clean(2 * (2 * plan.macs()))) {  // two layer passes
+  const std::uint64_t ops = 2 * (2 * plan.macs());  // two layer passes
+  std::uint64_t credit = windows ? exec.take_clean(ops) : 0;
+  if (windows && credit == ops) {
     // Both attempts are granted clean windows: they agree by
     // construction, so one raw computation serves as the committed layer.
     ReliableResult result{tensor::Tensor(out_shape), {}};
@@ -430,17 +432,19 @@ ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
     report.scheme = "layer-dmr(" + exec.name() + ")";
     detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
                              result.output.data().data());
-    report.logical_ops = 2 * (2 * plan.macs());
+    report.logical_ops = ops;
     ++report.commits;
     return result;
   }
 
+  // The granted prefix is the first pass's credit (and the second's, if
+  // it reaches past the first).
   return layer_dmr_loop(
       inner_, out_shape, "layer-dmr(" + exec.name() + ")",
       [&](tensor::Tensor& buffer, ExecutionReport& report) {
         detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
           detail::conv_unqualified_inline(plan, pack.get(), in, wgt, b,
-                                          windows, concrete, report,
+                                          windows, credit, concrete, report,
                                           buffer.data().data());
         });
       });

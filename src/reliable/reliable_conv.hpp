@@ -74,11 +74,13 @@ class ReliableConv2d {
   ///
   /// Dispatches once per call on the executor's scheme; custom executors
   /// fall back to forward_generic(). The three library schemes pass one
-  /// clean-window gate (Executor::try_take_clean): a forward granted as a
-  /// whole runs as raw arithmetic (channel or pixel lanes, picked from
-  /// the conv's shape, where the target has vectors); otherwise a
-  /// devirtualized kernel walks the output pixels, computes granted ones
-  /// the same way and runs the per-op envelope only on refused ones.
+  /// counting clean-window gate (Executor::take_clean): a forward granted
+  /// as a whole runs as raw arithmetic (channel or pixel lanes, picked
+  /// from the conv's shape, where the target has vectors); otherwise a
+  /// devirtualized kernel walks from fault to fault, spending the granted
+  /// ops as a credit. Pixels inside the credit are computed the same way,
+  /// only the op each fault lands on runs the per-op envelope, and after
+  /// it the kernel asks the gate again for the rest of the forward.
   /// Outputs, reports, executor stats and injector state are
   /// bit-identical across the paths — the contract
   /// tests/test_static_dispatch.cpp and tests/test_simd_dispatch.cpp

@@ -78,14 +78,15 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   const float* wgt = weights_.data().data();
   const float* b = bias_.data().data();
 
-  // One gate, as in ReliableConv2d::forward: the whole forward as one
-  // clean window, else one window per output neuron; none when the input,
-  // weights or bias hold a NaN.
+  // One gate, as in ReliableConv2d::forward: the whole forward granted,
+  // else a fault-to-fault walk over the output neurons from the granted
+  // prefix on; no window when the input, weights or bias hold a NaN.
   const auto pack = neuron_pack();
   const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
   const bool windows =
       !params_hold_nan_ && !detail::holds_nan(in, input.count());
-  if (windows && exec.try_take_clean(ops)) {
+  const std::uint64_t granted = windows ? exec.take_clean(ops) : 0;
+  if (windows && granted == ops) {
     detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
                                result.output.data().data());
     if (mode == ReportMode::kFull) {
@@ -98,12 +99,12 @@ ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
     if (mode == ReportMode::kFull) {
       detail::linear_forward_qualified<true>(out_n, in_n, pack.get(), in, wgt,
-                                             b, policy_, windows, concrete,
-                                             result);
+                                             b, policy_, windows, granted,
+                                             concrete, result);
     } else {
       detail::linear_forward_qualified<false>(out_n, in_n, pack.get(), in,
                                               wgt, b, policy_, windows,
-                                              concrete, result);
+                                              granted, concrete, result);
     }
   });
   return result;

@@ -34,9 +34,10 @@ class ReliableLinear {
 
   /// Input must be rank-1 of length `in`. Same contract as
   /// ReliableConv2d::forward, including the once-per-call scheme dispatch
-  /// onto devirtualized kernels, the clean-window gate (one window per
-  /// output neuron when the whole forward is refused; granted neurons are
-  /// vectorized across output neurons where the target allows) and the
+  /// onto devirtualized kernels, the counting clean-window gate (a
+  /// fault-to-fault walk over the output neurons when the whole forward
+  /// is not granted; neurons inside the credit are vectorized across
+  /// output neurons where the target allows) and the
   /// ReportMode::kStatsOnly variant.
   [[nodiscard]] ReliableResult forward(
       const tensor::Tensor& input, Executor& exec,

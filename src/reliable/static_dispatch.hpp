@@ -18,14 +18,16 @@
 //     conv_unqualified_inline — inner kernels templated over the concrete
 //     executor type (Simplex/Dmr/Tmr are final), so mul/add fold into the
 //     loop with no virtual calls or per-op lambdas surviving to codegen.
-//     They walk the outputs in the generic loop order and ask the one
-//     execution gate, Executor::try_take_clean, for each output's ops as
-//     one clean window. A granted output is credited in closed form and
-//     computed by the raw kernels below; only refused outputs run op by
-//     op. The public forward() entry points first ask for the whole
-//     forward's ops, which is answered in O(1) when no fault can land.
-//     A forward whose input, weights or bias hold a NaN takes no window
-//     at all (holds_nan, params_hold_nan).
+//     The public forward() entry points first ask the one execution
+//     gate, the counting Executor::take_clean, for the whole forward's
+//     ops, which is answered in O(1) when no fault can land. When it
+//     grants less, the kernels walk the outputs in the generic loop order
+//     from fault to fault: the granted ops are a credit, credited in
+//     closed form at grant time. Outputs the credit covers are computed by
+//     the raw kernels below; only the op each fault lands on runs the
+//     per-op envelope, after which the rest of the forward is asked for
+//     again. A forward whose input, weights or bias hold a NaN takes no
+//     window at all (holds_nan, params_hold_nan).
 //   * conv_raw_compute / linear_raw_compute — raw arithmetic in the
 //     identical operation order for granted windows, whose values never
 //     depend on the fault stream. On SIMD-capable targets
@@ -169,13 +171,21 @@ void with_concrete_executor(Scheme scheme, Executor& exec, Fn&& fn) {
 
 /// Algorithm 3's per-operation envelope for one qualified kernel run, split
 /// so the common success case stays on a straight-line inlined path. It
-/// owns the run's leaky bucket and the flat op index failed_op_index
-/// reports. run() evaluates one op; qualified success commits and returns
-/// immediately. The first failure drops to the cold slow path, which
-/// replicates the generic retry loop exactly: rollback, leaky-bucket
-/// escalation, per-op retry cap, re-execution. try_take_clean() instead
-/// grants a whole window of ops that cannot fault and credits it in
-/// closed form, exactly as that many first-attempt successes would be.
+/// owns the run's leaky bucket, the flat op index failed_op_index reports
+/// and the credit of the fault-to-fault walk. run() evaluates one op;
+/// qualified success commits and returns immediately. The first failure
+/// drops to the cold slow path, which replicates the generic retry loop
+/// exactly: rollback, leaky-bucket escalation, per-op retry cap,
+/// re-execution.
+///
+/// The credit: the counting gate (Executor::take_clean) grants the ops up
+/// to the next faulty one, and grant() credits them in closed form at once
+/// (bucket, op index, report), exactly as that many first-attempt
+/// successes would be: they all come before the next op run() sees, so the
+/// sequence of events is the same. The walk then spends the credit op by
+/// op or output by output (spend) and computes those ops as raw
+/// arithmetic. The op where the credit runs out goes through run(), and
+/// after it commits, run() asks the gate again for every op left.
 ///
 /// WithReport=false (ReportMode::kStatsOnly) compiles out every report
 /// counter update; control flow, checkpoint traffic and executor calls
@@ -187,26 +197,41 @@ struct QualifiedOpRunner {
   ExecutionReport& report;
   LeakyBucket bucket;
   std::uint32_t max_retries_per_op;
-  std::int64_t op_index = 0;  ///< flat index of the next op
+  std::int64_t op_index = 0;  ///< flat index past every op credited or run
+  std::uint64_t credit = 0;   ///< ops granted and credited, not yet walked
+  /// Ops of the forward past the credit that are neither granted nor run;
+  /// 0 when the forward takes no windows, so the gate is never asked.
+  std::uint64_t ungranted = 0;
 
+  /// `windowed_ops` is the forward's op count when it takes windows, else
+  /// 0; `granted` is how many of them the forward's first ask got.
   QualifiedOpRunner(Exec& e, ExecutionReport& r,
-                    const ReliabilityPolicy& policy)
+                    const ReliabilityPolicy& policy,
+                    std::uint64_t windowed_ops, std::uint64_t granted)
       : exec(e),
         report(r),
         bucket(policy.bucket_factor, policy.bucket_ceiling),
-        max_retries_per_op(policy.max_retries_per_op) {}
+        max_retries_per_op(policy.max_retries_per_op),
+        ungranted(windowed_ops) {
+    grant(granted);
+  }
 
-  /// Grants the next `ops` ops as one clean window
-  /// (Executor::try_take_clean) and credits the bucket, the op index and
-  /// the report for them. False leaves everything untouched.
-  HYBRIDCNN_RELIABLE_ALWAYS_INLINE bool try_take_clean(std::uint64_t ops) {
-    if (!exec.try_take_clean(ops)) return false;
+  /// Credits `ops` ops the gate granted and adds them to the credit.
+  void grant(std::uint64_t ops) {
     bucket.record_successes(ops);
     op_index += static_cast<std::int64_t>(ops);
     if constexpr (WithReport) {
       report.logical_ops += ops;
       report.commits += ops;
     }
+    credit += ops;
+    ungranted -= ops;
+  }
+
+  /// Walks `ops` granted ops if the credit covers them all.
+  HYBRIDCNN_RELIABLE_ALWAYS_INLINE bool spend(std::uint64_t ops = 1) {
+    if (credit < ops) return false;
+    credit -= ops;
     return true;
   }
 
@@ -220,9 +245,17 @@ struct QualifiedOpRunner {
       bucket.record_success();
       cp.commit(q.value);
       if constexpr (WithReport) ++report.commits;
+      ask_again();
       return q.value;
     }
-    return run_slow(op, cp);
+    const std::optional<float> value = run_slow(op, cp);
+    if (value) ask_again();
+    return value;
+  }
+
+  /// After a committed run() op: asks the gate for every op left.
+  HYBRIDCNN_RELIABLE_ALWAYS_INLINE void ask_again() {
+    if (ungranted != 0 && --ungranted != 0) grant(exec.take_clean(ungranted));
   }
 
   /// Cold path; returns std::nullopt when the error is persistent (bucket
@@ -902,10 +935,40 @@ inline std::uint64_t conv_pixel_ops(const ConvPlan& plan, std::size_t oy,
          plan.row_taps[oy].count() * plan.col_taps[ox].count();
 }
 
-/// One output pixel through the per-op envelope, in the qualified order
-/// (c, ky, kx): a mul into a product cell, then an accumulate onto `acc`.
-/// Returns false on a persistent error, leaving the committed prefix in
-/// `acc`.
+/// One tap of a partly granted output: acc += x * w as a qualified mul
+/// and accumulate, each spent from the credit or run through the
+/// envelope. False on a persistent error.
+template <bool WithReport, typename Exec>
+HYBRIDCNN_RELIABLE_ALWAYS_INLINE bool qualified_mac(
+    float x, float w, QualifiedOpRunner<Exec, WithReport>& runner,
+    ScalarCheckpoint& acc) {
+  float pv;
+  if (runner.spend()) {
+    pv = clean_mul(x, w);
+  } else {
+    ScalarCheckpoint prod(0.0f);
+    const auto p =
+        runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
+    if (!p) return false;
+    pv = *p;
+  }
+  const float before = acc.value();
+  if (runner.spend()) {
+    acc.commit(clean_add(before, pv));
+    return true;
+  }
+  return runner
+      .run([before, pv](Exec& e) { return e.add_inline(before, pv); }, acc)
+      .has_value();
+}
+
+/// One output pixel that the credit does not cover, in the qualified
+/// order (c, ky, kx): a mul into a product cell, then an accumulate onto
+/// `acc`. Ops the credit still covers are computed as raw arithmetic
+/// (clean_mul, clean_add: the committed values); the op where it runs out
+/// goes through the per-op envelope, which asks the gate again after it.
+/// That op may be a tap's add whose mul was still granted. Returns false
+/// on a persistent error, leaving the committed prefix in `acc`.
 template <bool WithReport, typename Exec>
 bool conv_pixel_qualified(const ConvPlan& plan, const float* input,
                           const float* weights, std::size_t o,
@@ -924,17 +987,7 @@ bool conv_pixel_qualified(const ConvPlan& plan, const float* input,
           weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
       for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
         const std::size_t ix = ox * plan.stride + kx - plan.pad;
-        const float x = input[in_base + ix];
-        const float w = w_row[kx];
-        ScalarCheckpoint prod(0.0f);
-        const auto p =
-            runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-        if (!p) return false;
-        const float before = acc.value();
-        const float pv = *p;
-        if (!runner.run(
-                [before, pv](Exec& e) { return e.add_inline(before, pv); },
-                acc)) {
+        if (!qualified_mac(input[in_base + ix], w_row[kx], runner, acc)) {
           return false;
         }
       }
@@ -943,22 +996,26 @@ bool conv_pixel_qualified(const ConvPlan& plan, const float* input,
   return true;
 }
 
-/// Qualified convolution over a concrete executor type, walked in the
-/// generic path's pixel order (o, oy, ox) with one clean window per
-/// pixel: a pixel whose ops the executor grants is credited in closed
-/// form and computed later by the fault-free kernel, and only refused
-/// pixels run the per-op envelope. The walk is serial because it owns the
-/// fault stream; only the raw compute fans out over the pool. Output
-/// bits, the report (failed_op_index and an aborted pixel's committed
-/// prefix included) and executor/injector state equal the per-op path's.
-/// With `windows` false every pixel runs the envelope.
+/// Qualified convolution over a concrete executor type: the fault-to-fault
+/// walk over the generic path's pixel order (o, oy, ox). `granted` of the
+/// forward's ops were granted by its first ask and form the initial
+/// credit. A pixel the credit covers is only counted off it and computed
+/// later by the fault-free kernel; a pixel it does not cover runs
+/// conv_pixel_qualified. So gate calls scale with the faults, not the
+/// pixels. The walk is serial because it owns the fault stream; only the
+/// raw compute fans out over the pool. Output bits, the report
+/// (failed_op_index and an aborted pixel's committed prefix included) and
+/// executor/injector state equal the per-op path's. With `windows` false
+/// the gate is never asked and every op runs the envelope.
 template <bool WithReport = true, typename Exec>
 void conv_forward_qualified(const ConvPlan& plan, const WeightPack* pack,
                             const float* input, const float* weights,
                             const float* bias,
                             const ReliabilityPolicy& policy, bool windows,
-                            Exec& exec, ReliableResult& result) {
-  QualifiedOpRunner<Exec, WithReport> runner(exec, result.report, policy);
+                            std::uint64_t granted, Exec& exec,
+                            ReliableResult& result) {
+  QualifiedOpRunner<Exec, WithReport> runner(
+      exec, result.report, policy, windows ? 2 * plan.macs() : 0, granted);
   const std::size_t count = plan.out_c * plan.out_h * plan.out_w;
   std::vector<PerOpOutput> per_op;
   std::size_t end = count;
@@ -966,9 +1023,7 @@ void conv_forward_qualified(const ConvPlan& plan, const WeightPack* pack,
   for (std::size_t i = 0; i < count && !aborted; ++i) {
     const std::size_t ox = i % plan.out_w;
     const std::size_t oy = i / plan.out_w % plan.out_h;
-    if (windows && runner.try_take_clean(conv_pixel_ops(plan, oy, ox))) {
-      continue;
-    }
+    if (runner.spend(conv_pixel_ops(plan, oy, ox))) continue;
     const std::size_t o = i / (plan.out_w * plan.out_h);
     // The accumulator starts from the bias, loaded from (assumed
     // ECC-protected) parameter memory; all arithmetic on it is qualified.
@@ -991,25 +1046,47 @@ void conv_forward_qualified(const ConvPlan& plan, const WeightPack* pack,
 }
 
 /// Unqualified (raw-arithmetic) convolution pass through a concrete
-/// executor — the execution style layer-granular redundancy wraps — with
-/// one clean window per pixel: granted pixels come from the fault-free
-/// kernel, refused ones run op by op through the (possibly faulty)
-/// executor; with `windows` false every pixel does. Writes into a
-/// caller-owned output buffer so retry attempts reuse their two
-/// comparison buffers instead of reallocating.
+/// executor — the execution style layer-granular redundancy wraps — on
+/// the same fault-to-fault walk. `credit` carries granted ops in and out,
+/// so a grant that reaches into the next pass serves it. The pass asks
+/// the gate for its ops past the credit, and again for the rest of the
+/// pass after each op the credit does not cover; that op runs through the
+/// (possibly faulty) executor, and a partly granted pixel computes its
+/// granted ops with clean_mul/clean_add. Pixels the credit covers come
+/// from the fault-free kernel. With `windows` false every op runs through
+/// the executor. Writes into a caller-owned output buffer so retry
+/// attempts reuse their two comparison buffers instead of reallocating.
 template <typename Exec>
 void conv_unqualified_inline(const ConvPlan& plan, const WeightPack* pack,
                              const float* input, const float* weights,
-                             const float* bias, bool windows, Exec& exec,
+                             const float* bias, bool windows,
+                             std::uint64_t& credit, Exec& exec,
                              ExecutionReport& report, float* out) {
   const std::size_t count = plan.out_c * plan.out_h * plan.out_w;
+  std::uint64_t left = 2 * plan.macs();  // ops of the pass not yet walked
+  if (windows && credit < left) credit += exec.take_clean(left - credit);
+  // Walks one op: true while the credit covers it.
+  const auto spend = [&] {
+    --left;
+    if (credit == 0) return false;
+    --credit;
+    return true;
+  };
+  // After an op the credit did not cover: asks for the rest of the pass.
+  const auto ask_again = [&] {
+    if (windows && left != 0) credit = exec.take_clean(left);
+  };
   std::vector<PerOpOutput> per_op;
   for (std::size_t i = 0; i < count; ++i) {
     const std::size_t ox = i % plan.out_w;
     const std::size_t oy = i / plan.out_w % plan.out_h;
     const std::uint64_t ops = conv_pixel_ops(plan, oy, ox);
     report.logical_ops += ops;
-    if (windows && exec.try_take_clean(ops)) continue;
+    if (credit >= ops) {
+      credit -= ops;
+      left -= ops;
+      continue;
+    }
     const std::size_t o = i / (plan.out_w * plan.out_h);
     const TapRange ry = plan.row_taps[oy];
     const TapRange rx = plan.col_taps[ox];
@@ -1022,9 +1099,21 @@ void conv_unqualified_inline(const ConvPlan& plan, const WeightPack* pack,
             weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
         for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
           const std::size_t ix = ox * plan.stride + kx - plan.pad;
-          const float p =
-              exec.mul_inline(input[in_base + ix], w_row[kx]).value;
-          acc = exec.add_inline(acc, p).value;
+          const float x = input[in_base + ix];
+          const float w = w_row[kx];
+          float p;
+          if (spend()) {
+            p = clean_mul(x, w);
+          } else {
+            p = exec.mul_inline(x, w).value;
+            ask_again();
+          }
+          if (spend()) {
+            acc = clean_add(acc, p);
+          } else {
+            acc = exec.add_inline(acc, p).value;
+            ask_again();
+          }
         }
       }
     }
@@ -1165,42 +1254,29 @@ inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
 }
 
 /// Qualified dense kernel over a concrete executor type: the linear
-/// analogue of conv_forward_qualified, with one clean window per output
-/// neuron (its 2 * in_n ops).
+/// analogue of conv_forward_qualified, the same fault-to-fault walk over
+/// output neurons of 2 * in_n ops each.
 template <bool WithReport = true, typename Exec>
 void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
                               const LinearWeightPack* pack,
                               const float* input, const float* weights,
                               const float* bias,
                               const ReliabilityPolicy& policy, bool windows,
-                              Exec& exec, ReliableResult& result) {
-  QualifiedOpRunner<Exec, WithReport> runner(exec, result.report, policy);
+                              std::uint64_t granted, Exec& exec,
+                              ReliableResult& result) {
+  const std::uint64_t neuron_ops = 2 * static_cast<std::uint64_t>(in_n);
+  QualifiedOpRunner<Exec, WithReport> runner(
+      exec, result.report, policy, windows ? neuron_ops * out_n : 0,
+      granted);
   std::vector<PerOpOutput> per_op;
   std::size_t end = out_n;
   bool aborted = false;
   for (std::size_t o = 0; o < out_n && !aborted; ++o) {
-    if (windows &&
-        runner.try_take_clean(2 * static_cast<std::uint64_t>(in_n))) {
-      continue;
-    }
+    if (runner.spend(neuron_ops)) continue;
     ScalarCheckpoint acc(bias[o]);
     const float* w_row = weights + o * in_n;
     for (std::size_t i = 0; i < in_n; ++i) {
-      const float x = input[i];
-      const float w = w_row[i];
-      ScalarCheckpoint prod(0.0f);
-      const auto p =
-          runner.run([x, w](Exec& e) { return e.mul_inline(x, w); }, prod);
-      if (!p) {
-        aborted = true;
-        end = o + 1;
-        break;
-      }
-      const float before = acc.value();
-      const float pv = *p;
-      if (!runner.run(
-              [before, pv](Exec& e) { return e.add_inline(before, pv); },
-              acc)) {
+      if (!qualified_mac(input[i], w_row[i], runner, acc)) {
         aborted = true;
         end = o + 1;
         break;

@@ -197,22 +197,24 @@ void expect_same_injector(const FaultInjector& a, const FaultInjector& b) {
   EXPECT_EQ(filter_mismatches, 0);
 }
 
-TEST(FaultInjector, TryTakeCleanMatchesPerCallFilter) {
-  // A grant must leave exactly the state of n per-call filter()s; a
-  // refusal (some call would fault) must leave the injector untouched.
-  // The walk starts each trial where the per-call oracle ended, faults,
-  // bursts and all, so grants are tried from every kind of state.
-  std::uint64_t grants = 0;
-  std::uint64_t refusals = 0;
+TEST(FaultInjector, TakeCleanMatchesPerCallFilter) {
+  // A grant of g calls must leave exactly the state of g per-call
+  // filter()s, with g the clean prefix of the ask in whole units; the
+  // call that stopped it is left untouched. The walk starts each ask
+  // where the per-call oracle ended, faults, bursts and all, so grants
+  // are tried from every kind of state.
+  std::uint64_t full = 0;
+  std::uint64_t short_grants = 0;
   for (const FaultKind kind :
        {FaultKind::kNone, FaultKind::kTransient, FaultKind::kIntermittent,
         FaultKind::kPermanent}) {
     for (const double p : {0.0, 1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
       for (const int pes : {1, 7, 128}) {
-        for (const int bit : {-1, 9}) {
+        for (const std::uint64_t unit : {1ULL, 2ULL, 3ULL}) {
+          const int bit = unit == 2 ? 9 : -1;
           SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
                        " p " + std::to_string(p) + " pes " +
-                       std::to_string(pes) + " bit " + std::to_string(bit));
+                       std::to_string(pes) + " unit " + std::to_string(unit));
           FaultConfig cfg;
           cfg.kind = kind;
           cfg.probability = p;
@@ -223,22 +225,33 @@ TEST(FaultInjector, TryTakeCleanMatchesPerCallFilter) {
           for (const std::uint64_t n :
                {0ULL, 1ULL, 2ULL, 6ULL, 147ULL, 588ULL, 1ULL, 3000ULL, 5ULL,
                 129ULL, 40ULL, 1200ULL}) {
+            // The clean prefix, call by call.
             FaultInjector oracle = inj;
-            const std::uint64_t faults_before = oracle.stats().faults;
-            for (std::uint64_t i = 0; i < n; ++i) (void)oracle.filter(0.5f);
-            const bool clean = oracle.stats().faults == faults_before;
-            FaultInjector windowed = inj;
-            ASSERT_EQ(windowed.try_take_clean(n), clean) << "n " << n;
-            expect_same_injector(windowed, clean ? oracle : inj);
-            (clean ? grants : refusals) += 1;
+            std::uint64_t clean = 0;
+            while (clean < n) {
+              FaultInjector next = oracle;
+              (void)next.filter(0.5f);
+              if (next.stats().faults != oracle.stats().faults) break;
+              oracle = next;
+              ++clean;
+            }
+            const std::uint64_t want = clean - clean % unit;
+            FaultInjector granted = inj;
+            ASSERT_EQ(granted.take_clean(n, unit), want) << "n " << n;
+            oracle = inj;
+            for (std::uint64_t i = 0; i < want; ++i) (void)oracle.filter(0.5f);
+            expect_same_injector(granted, oracle);
+            (want == n ? full : short_grants) += 1;
+            // Carry on from past the ask, through any fault it stopped at.
+            for (std::uint64_t i = want; i < n; ++i) (void)oracle.filter(0.5f);
             inj = oracle;
           }
         }
       }
     }
   }
-  EXPECT_GT(grants, 0u);
-  EXPECT_GT(refusals, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(short_grants, 0u);
 }
 
 /// A per-call model of FaultInjector that shares none of its code: it is
@@ -290,14 +303,20 @@ class ReferenceInjector {
     return flip_bit(clean, bit);
   }
 
-  bool try_take_clean(std::uint64_t n) {
+  /// Index of the first faulty call among the next `n`, `n` if none is,
+  /// found by running a copy call by call.
+  std::uint64_t first_fault(std::uint64_t n) const {
     ReferenceInjector run = *this;
     for (std::uint64_t i = 0; i < n; ++i) {
       (void)run.filter(0.5f);
-      if (run.faults_ != faults_) return false;
+      if (run.faults_ != faults_) return i;
     }
-    *this = run;
-    return true;
+    return n;
+  }
+
+  /// Runs `calls` calls of a grant.
+  void take(std::uint64_t calls) {
+    for (std::uint64_t i = 0; i < calls; ++i) (void)filter(0.5f);
   }
 
   std::uint64_t executions() const { return executions_; }
@@ -329,62 +348,71 @@ void expect_matches_reference(const FaultInjector& inj,
 }
 
 TEST(FaultInjector, MatchesIndependentPerCallReference) {
-  // Long random mixes of filter() runs and try_take_clean(n) windows,
-  // compared call by call with the reference. Copies taken mid-stream
-  // (the clean-run cache filled by the last window) must carry on exactly
-  // like the reference copy.
+  // Long random mixes of filter() runs and take_clean(n, unit) asks,
+  // compared call by call with the reference: every ask must return the
+  // reference's first faulty call index (capped at n) rounded down to the
+  // unit, and leave the injector where the reference is after running the
+  // granted calls. Copies taken mid-stream (the clean-run cache filled by
+  // the last ask) must carry on exactly like the reference copy.
   const std::vector<std::uint64_t> windows = {0,   1,   2,    5,   31,
                                               147, 588, 1200, 5000};
-  std::uint64_t grants = 0;
-  std::uint64_t refusals = 0;
+  std::uint64_t full = 0;
+  std::uint64_t short_grants = 0;
   std::uint64_t faults = 0;
   for (const FaultKind kind : {FaultKind::kTransient, FaultKind::kIntermittent,
                                FaultKind::kPermanent}) {
     for (const double p : {1e-6, 1e-4, 2e-3, 0.3, 1.0}) {
       for (const int pes : {1, 7, 128}) {
-        for (const int bit : {-1, 9}) {
-          SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
-                       " p " + std::to_string(p) + " pes " +
-                       std::to_string(pes) + " bit " + std::to_string(bit));
-          FaultConfig cfg;
-          cfg.kind = kind;
-          cfg.probability = p;
-          cfg.num_pes = pes;
-          cfg.bit = bit;
-          cfg.burst_continue = 0.9;
-          const std::uint64_t seed = 17 + static_cast<std::uint64_t>(pes);
-          FaultInjector inj(cfg, seed);
-          ReferenceInjector ref(cfg, seed);
-          Rng mix(seed, 0x313);
-          for (int step = 0; step < 250; ++step) {
-            SCOPED_TRACE("step " + std::to_string(step));
-            if (mix.bernoulli(0.5)) {
-              const auto calls = mix.uniform_int(1, 40);
-              for (std::int64_t c = 0; c < calls; ++c) {
-                const float v = 0.25f + static_cast<float>(c);
-                ASSERT_EQ(float_bits(inj.filter(v)), float_bits(ref.filter(v)));
+        for (const std::uint64_t unit : {1ULL, 2ULL, 3ULL}) {
+          for (const int bit : {-1, 9}) {
+            SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                         " p " + std::to_string(p) + " pes " +
+                         std::to_string(pes) + " unit " +
+                         std::to_string(unit) + " bit " +
+                         std::to_string(bit));
+            FaultConfig cfg;
+            cfg.kind = kind;
+            cfg.probability = p;
+            cfg.num_pes = pes;
+            cfg.bit = bit;
+            cfg.burst_continue = 0.9;
+            const std::uint64_t seed = 17 + static_cast<std::uint64_t>(pes);
+            FaultInjector inj(cfg, seed);
+            ReferenceInjector ref(cfg, seed);
+            Rng mix(seed + unit, 0x313);
+            for (int step = 0; step < 250; ++step) {
+              SCOPED_TRACE("step " + std::to_string(step));
+              if (mix.bernoulli(0.5)) {
+                const auto calls = mix.uniform_int(1, 40);
+                for (std::int64_t c = 0; c < calls; ++c) {
+                  const float v = 0.25f + static_cast<float>(c);
+                  ASSERT_EQ(float_bits(inj.filter(v)),
+                            float_bits(ref.filter(v)));
+                }
+                ASSERT_EQ(inj.stats().executions, ref.executions());
+                ASSERT_EQ(inj.stats().faults, ref.faults());
+                ASSERT_EQ(inj.next_pe(), ref.next_pe());
+              } else {
+                const std::uint64_t n = windows[static_cast<std::size_t>(
+                    mix.uniform_int(
+                        0, static_cast<std::int64_t>(windows.size()) - 1))];
+                const std::uint64_t clean = ref.first_fault(n);
+                const std::uint64_t granted = clean - clean % unit;
+                ASSERT_EQ(inj.take_clean(n, unit), granted) << "n " << n;
+                ref.take(granted);
+                (granted == n ? full : short_grants) += 1;
+                expect_matches_reference(inj, ref);
               }
-            } else {
-              const std::uint64_t n = windows[static_cast<std::size_t>(
-                  mix.uniform_int(0, static_cast<std::int64_t>(windows.size()) -
-                                         1))];
-              const bool granted = ref.try_take_clean(n);
-              ASSERT_EQ(inj.try_take_clean(n), granted) << "n " << n;
-              (granted ? grants : refusals) += 1;
             }
-            ASSERT_EQ(inj.stats().executions, ref.executions());
-            ASSERT_EQ(inj.stats().faults, ref.faults());
-            ASSERT_EQ(inj.next_pe(), ref.next_pe());
-            if (step % 25 == 24) expect_matches_reference(inj, ref);
+            expect_matches_reference(inj, ref);
+            faults += ref.faults();
           }
-          expect_matches_reference(inj, ref);
-          faults += ref.faults();
         }
       }
     }
   }
-  EXPECT_GT(grants, 0u);
-  EXPECT_GT(refusals, 0u);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(short_grants, 0u);
   EXPECT_GT(faults, 0u);
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -604,20 +605,28 @@ TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {
 // layers feed inputs with two different NaN payloads in one receptive
 // field, and the `nanw` layers hold them in their weights. `fast` is the
 // dispatched forward (with its report mode), `oracle` the per-op generic
-// path, and `unit_starts` the flat op index each output's ops start at,
-// to tell an abort in the middle of an output from one at its first op,
-// and one in the last output. A `nanw` layer runs per-op in every cell,
-// so it runs only in the fault-free cells, which catch a gate that
+// path, `unit_starts` the flat op index each output's ops start at (in
+// one pass, for layer DMR), to tell an abort in the middle of an output
+// from one at its first op, and one in the last output, and `ops` the op
+// count of one forward (one pass). A `nanw` layer runs per-op in every
+// cell, so it runs only in the fault-free cells, which catch a gate that
 // ignores the NaN-weight flag, and in one armed cell (see runs_in_cell).
+// `family` names the layers whose fault-to-fault walk the matrix must be
+// seen to cover (see WalkCoverage); `unqualified` marks layer DMR, whose
+// passes retry whole layers, not ops.
 struct WindowedLayer {
   std::string name;
   std::function<ReliableResult(Executor&, ReportMode)> fast;
   std::function<ReliableResult(Executor&)> oracle;
   bool has_report_mode = true;
   std::vector<std::int64_t> unit_starts;
+  std::int64_t ops = 0;
   bool nan_weights = false;
+  std::string family;
+  bool unqualified = false;
 };
 
+/// Flat op index each output pixel's ops start at, and the total, last.
 std::vector<std::int64_t> conv_unit_starts(const ReliableConv2d& conv,
                                            const Shape& in) {
   const Shape out = conv.output_shape(in);
@@ -644,6 +653,7 @@ std::vector<std::int64_t> conv_unit_starts(const ReliableConv2d& conv,
       }
     }
   }
+  starts.push_back(at);
   return starts;
 }
 
@@ -658,7 +668,7 @@ void plant_nans(Tensor& t, std::size_t at) {
 enum class NanSite { kNone, kInput, kWeights };
 
 WindowedLayer conv_layer(const std::string& name, const Geometry& g,
-                         NanSite nan) {
+                         NanSite nan, const std::string& family = "") {
   const ReliableConv2d made = make_conv(g);
   Tensor weights = made.weights();
   // Two adjacent taps of the first map's first row.
@@ -667,6 +677,9 @@ WindowedLayer conv_layer(const std::string& name, const Geometry& g,
                                                made.spec(), made.policy());
   auto input = std::make_shared<Tensor>(make_input(g));
   if (nan == NanSite::kInput) plant_nans(*input, (g.h / 2) * g.w + g.w / 2);
+  std::vector<std::int64_t> starts = conv_unit_starts(*conv, input->shape());
+  const std::int64_t ops = starts.back();
+  starts.pop_back();
   return {name,
           [conv, input](Executor& e, ReportMode m) {
             return conv->forward(*input, e, m);
@@ -674,12 +687,15 @@ WindowedLayer conv_layer(const std::string& name, const Geometry& g,
           [conv, input](Executor& e) {
             return conv->forward_generic(*input, e);
           },
-          true, conv_unit_starts(*conv, input->shape()),
-          nan == NanSite::kWeights};
+          true,
+          std::move(starts),
+          ops,
+          nan == NanSite::kWeights,
+          family};
 }
 
 WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
-                           NanSite nan) {
+                           NanSite nan, const std::string& family = "") {
   constexpr std::size_t kIn = 37;
   Rng rng(5);
   Tensor weights(Shape{out_n, kIn});
@@ -702,7 +718,11 @@ WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
           [linear, vec](Executor& e) {
             return linear->forward_generic(*vec, e);
           },
-          true, neuron_starts, nan == NanSite::kWeights};
+          true,
+          neuron_starts,
+          static_cast<std::int64_t>(2 * kIn * out_n),
+          nan == NanSite::kWeights,
+          family};
 }
 
 std::vector<WindowedLayer> windowed_layers() {
@@ -713,9 +733,13 @@ std::vector<WindowedLayer> windowed_layers() {
   convs.push_back(sign96_conv1);
   convs.push_back(sobel);
   convs.push_back({1, 3, 3, 1, 0, 3, 3});  // one output pixel
+  const std::size_t conv1_at = kGeometries.size();
   for (std::size_t gi = 0; gi < convs.size(); ++gi) {
-    layers.push_back(
-        conv_layer("conv" + std::to_string(gi), convs[gi], NanSite::kNone));
+    layers.push_back(conv_layer("conv" + std::to_string(gi), convs[gi],
+                                NanSite::kNone,
+                                gi == conv1_at       ? "conv1"
+                                : gi == conv1_at + 1 ? "sobel"
+                                                     : ""));
   }
   layers.push_back(
       conv_layer("sign96_conv1_nan", sign96_conv1, NanSite::kInput));
@@ -723,8 +747,9 @@ std::vector<WindowedLayer> windowed_layers() {
   const Geometry conv1_13{8, 3, 7, 2, 0, 13, 13};
   layers.push_back(conv_layer("conv1_13_nanw", conv1_13, NanSite::kWeights));
   layers.push_back(conv_layer("sobel_nanw", sobel, NanSite::kWeights));
-  layers.push_back(linear_layer("linear", 10, NanSite::kNone));
-  layers.push_back(linear_layer("linear_out1", 1, NanSite::kNone));
+  layers.push_back(linear_layer("linear", 10, NanSite::kNone, "linear"));
+  layers.push_back(
+      linear_layer("linear_out1", 1, NanSite::kNone, "linear"));
   layers.push_back(linear_layer("linear_nan", 10, NanSite::kInput));
   layers.push_back(linear_layer("linear_nanw", 10, NanSite::kWeights));
 
@@ -742,6 +767,9 @@ std::vector<WindowedLayer> windowed_layers() {
     auto layer = std::make_shared<LayerDmrConv2d>(weights, ref.bias(),
                                                   ref.spec(), policy);
     auto input = std::make_shared<Tensor>(make_input(g));
+    std::vector<std::int64_t> starts = conv_unit_starts(ref, input->shape());
+    const std::int64_t pass_ops = starts.back();
+    starts.pop_back();
     layers.push_back({"layer_dmr" + std::to_string(g.out_c) +
                           (nan == NanSite::kWeights ? "_nanw" : ""),
                       [layer, input](Executor& e, ReportMode) {
@@ -750,7 +778,12 @@ std::vector<WindowedLayer> windowed_layers() {
                       [layer, input](Executor& e) {
                         return layer->forward_generic(*input, e);
                       },
-                      false, {}, nan == NanSite::kWeights});
+                      false,
+                      std::move(starts),
+                      pass_ops,
+                      nan == NanSite::kWeights,
+                      nan == NanSite::kWeights ? "" : "layer_dmr",
+                      true});
   }
   return layers;
 }
@@ -809,6 +842,108 @@ std::string fault_label(const MatrixFault& f) {
          std::to_string(f.probability) + " bit " + std::to_string(f.bit);
 }
 
+/// Where faults land, traced on the per-op oracle: forwards to a library
+/// executor and records the op index of every mul/add call during which
+/// its injector fired. In a qualified forward a call that follows a
+/// failed one retries the same op; an unqualified pass never retries, so
+/// there every call is the next op (counted on across passes).
+class FaultTrace final : public Executor {
+ public:
+  FaultTrace(Executor& inner, bool unqualified)
+      : Executor(nullptr),
+        exec_(inner),
+        faults_(inner.injector()->stats().faults),
+        unqualified_(unqualified) {}
+
+  // Plain calls and a cached reference to the fault count keep the trace
+  // cheap in unoptimised sanitizer builds.
+  Qualified<float> mul(float a, float b) override {
+    const std::uint64_t before = start_op();
+    return record(exec_.mul(a, b), before);
+  }
+  Qualified<float> add(float a, float b) override {
+    const std::uint64_t before = start_op();
+    return record(exec_.add(a, b), before);
+  }
+  [[nodiscard]] std::string name() const override { return exec_.name(); }
+  [[nodiscard]] int redundancy() const override { return exec_.redundancy(); }
+
+  /// Ops a fault landed on, ascending, without repeats.
+  [[nodiscard]] const std::vector<std::int64_t>& faulty_ops() const {
+    return faulty_;
+  }
+
+ private:
+  std::uint64_t start_op() {
+    if (unqualified_ || last_ok_) ++op_;
+    return faults_;
+  }
+  Qualified<float> record(Qualified<float> q, std::uint64_t faults_before) {
+    if (faults_ != faults_before && last_faulty_ != op_) {
+      faulty_.push_back(op_);
+      last_faulty_ = op_;
+    }
+    last_ok_ = q.ok;
+    return q;
+  }
+
+  Executor& exec_;
+  const std::uint64_t& faults_;  ///< the inner injector's fault count
+  bool unqualified_;
+  std::int64_t op_ = -1;
+  std::int64_t last_faulty_ = -1;
+  bool last_ok_ = true;
+  std::vector<std::int64_t> faulty_;
+};
+
+/// The fault-to-fault walk's boundary cases one oracle run reaches. Every
+/// op no fault lands on is granted, so a faulty op whose predecessor is
+/// clean is where a credit runs out.
+struct WalkCoverage {
+  std::uint64_t credit_ends_on_mul = 0;  ///< the fault lands on a tap's add
+  std::uint64_t fault_on_first_op = 0;   ///< of a pixel or neuron
+  std::uint64_t fault_on_last_op = 0;
+  std::uint64_t abort_after_grant = 0;  ///< on the op right after a grant
+
+  WalkCoverage& operator+=(const WalkCoverage& o) {
+    credit_ends_on_mul += o.credit_ends_on_mul;
+    fault_on_first_op += o.fault_on_first_op;
+    fault_on_last_op += o.fault_on_last_op;
+    abort_after_grant += o.abort_after_grant;
+    return *this;
+  }
+};
+
+WalkCoverage walk_coverage(const WindowedLayer& layer, const FaultTrace& trace,
+                           const ExecutionReport& report) {
+  WalkCoverage cov;
+  const std::vector<std::int64_t>& faulty = trace.faulty_ops();
+  const std::vector<std::int64_t>& starts = layer.unit_starts;
+  // Faulty ops ascend, so the unit each lands in only moves forward
+  // within a pass.
+  std::size_t unit = 0;
+  for (std::size_t i = 0; i < faulty.size(); ++i) {
+    const std::int64_t op = faulty[i];
+    const bool after_clean = op > 0 && (i == 0 || faulty[i - 1] != op - 1);
+    const std::int64_t at = op % layer.ops;  // op index within its pass
+    if (at < starts[unit]) unit = 0;         // the next pass
+    while (unit + 1 < starts.size() && starts[unit + 1] <= at) ++unit;
+    const std::int64_t end =
+        unit + 1 < starts.size() ? starts[unit + 1] : layer.ops;
+    if ((at - starts[unit]) % 2 == 1 && after_clean) {
+      ++cov.credit_ends_on_mul;
+    }
+    if (at == starts[unit]) ++cov.fault_on_first_op;
+    if (at == end - 1) ++cov.fault_on_last_op;
+  }
+  const std::int64_t failed = report.failed_op_index;
+  if (!layer.unqualified && !report.ok && failed > 0 &&
+      !std::binary_search(faulty.begin(), faulty.end(), failed - 1)) {
+    ++cov.abort_after_grant;
+  }
+  return cov;
+}
+
 TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
   const std::vector<WindowedLayer> layers = windowed_layers();
   const std::vector<MatrixFault> faults = matrix_faults();
@@ -817,6 +952,7 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
   struct OracleCell {
     ReliableResult result;
     std::unique_ptr<Executor> exec;
+    WalkCoverage coverage;
   };
   std::vector<OracleCell> oracles;
   std::uint64_t mid_unit_aborts = 0;
@@ -827,21 +963,29 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
       for (const WindowedLayer& layer : layers) {
         if (!runs_in_cell(layer, faults[fi])) continue;
         auto exec = make_executor(scheme, matrix_injector(faults[fi], fi));
-        ReliableResult result = layer.oracle(*exec);
-        if (!result.report.ok && !layer.unit_starts.empty() &&
+        ReliableResult result;
+        WalkCoverage coverage;
+        if (layer.family.empty()) {
+          result = layer.oracle(*exec);
+        } else {
+          FaultTrace trace(*exec, layer.unqualified);
+          result = layer.oracle(trace);
+          coverage = walk_coverage(layer, trace, result.report);
+        }
+        if (!result.report.ok && !layer.unqualified &&
             !std::binary_search(layer.unit_starts.begin(),
                                 layer.unit_starts.end(),
                                 result.report.failed_op_index)) {
           ++mid_unit_aborts;
         }
-        if (!result.report.ok && !layer.unit_starts.empty() &&
+        if (!result.report.ok && !layer.unqualified &&
             result.report.failed_op_index >= layer.unit_starts.back()) {
           ++last_unit_aborts;
         }
         if (result.report.ok && exec->injector()->stats().faults > 0) {
           ++faulted_but_ok;
         }
-        oracles.push_back({std::move(result), std::move(exec)});
+        oracles.push_back({std::move(result), std::move(exec), coverage});
       }
     }
   }
@@ -849,6 +993,8 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
   EXPECT_GT(mid_unit_aborts, 0u);
   EXPECT_GT(last_unit_aborts, 0u);
   EXPECT_GT(faulted_but_ok, 0u);
+  // Walk coverage, summed over the cells each family ran in per mode.
+  std::map<std::pair<std::string, ReportMode>, WalkCoverage> walk;
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ComputeContext::set_global_threads(threads);
@@ -881,12 +1027,32 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
               ComputeContext::set_global_threads(1);
               return;  // one diagnosed cell beats thousands of repeats
             }
+            if (threads == 1 && !layer.family.empty()) {
+              walk[{layer.family, mode}] += oracle.coverage;
+            }
           }
         }
       }
     }
   }
   ComputeContext::set_global_threads(1);
+  // The matrix must reach each boundary of the walk on conv1, the Sobel,
+  // linear and layer DMR, in every report mode they run in. Layer DMR
+  // aborts whole layers, never on an op.
+  for (const std::string family : {"conv1", "sobel", "linear", "layer_dmr"}) {
+    for (const ReportMode mode : {ReportMode::kFull, ReportMode::kStatsOnly}) {
+      if (family == "layer_dmr" && mode == ReportMode::kStatsOnly) continue;
+      SCOPED_TRACE(family +
+                   (mode == ReportMode::kFull ? " full" : " stats-only"));
+      const WalkCoverage& cov = walk[{family, mode}];
+      EXPECT_GT(cov.credit_ends_on_mul, 0u);
+      EXPECT_GT(cov.fault_on_first_op, 0u);
+      EXPECT_GT(cov.fault_on_last_op, 0u);
+      if (family != "layer_dmr") {
+        EXPECT_GT(cov.abort_after_grant, 0u);
+      }
+    }
+  }
 }
 
 TEST(WindowedPath, NanWeightFlagFollowsSetWeights) {

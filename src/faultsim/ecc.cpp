@@ -21,23 +21,32 @@ constexpr std::array<std::uint8_t, 32> data_positions() {
 
 constexpr std::array<std::uint8_t, 32> kDataPos = data_positions();
 
-/// Six Hamming check bits over the data word.
-std::uint8_t hamming_bits(std::uint32_t data) noexcept {
-  std::uint8_t check = 0;
-  for (int j = 0; j < 6; ++j) {
-    std::uint32_t parity = 0;
-    for (int d = 0; d < 32; ++d) {
-      if ((kDataPos[static_cast<std::size_t>(d)] >> j) & 1u) {
-        parity ^= (data >> d) & 1u;
-      }
-    }
-    check = static_cast<std::uint8_t>(check | (parity << j));
-  }
-  return check;
-}
-
 std::uint32_t popcount32(std::uint32_t v) noexcept {
   return static_cast<std::uint32_t>(__builtin_popcount(v));
+}
+
+/// Data bits covered by each Hamming check bit j: the data bits whose
+/// codeword position has bit j set.
+constexpr std::array<std::uint32_t, 6> check_masks() {
+  std::array<std::uint32_t, 6> masks{};
+  for (std::size_t j = 0; j < 6; ++j) {
+    for (std::size_t d = 0; d < 32; ++d) {
+      if ((kDataPos[d] >> j) & 1u) masks[j] |= 1u << d;
+    }
+  }
+  return masks;
+}
+
+constexpr std::array<std::uint32_t, 6> kCheckMask = check_masks();
+
+/// Six Hamming check bits over the data word: check bit j is the parity
+/// of the data bits kCheckMask[j] selects.
+std::uint8_t hamming_bits(std::uint32_t data) noexcept {
+  std::uint32_t check = 0;
+  for (std::size_t j = 0; j < 6; ++j) {
+    check |= (popcount32(data & kCheckMask[j]) & 1u) << j;
+  }
+  return static_cast<std::uint8_t>(check);
 }
 
 }  // namespace

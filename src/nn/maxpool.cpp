@@ -18,26 +18,81 @@ std::size_t MaxPool::out_size(std::size_t in) const {
   return (in - window_) / stride_ + 1;
 }
 
-tensor::Tensor MaxPool::forward_impl(const tensor::Tensor& input,
-                                     std::vector<std::size_t>* argmax) const {
-  const auto& in = input.shape();
+tensor::Shape MaxPool::pooled_shape(const tensor::Shape& in) const {
   if (in.rank() != 4) {
     throw std::invalid_argument("MaxPool: expected NCHW, got " + in.str());
   }
-  const std::size_t n = in[0];
-  const std::size_t c = in[1];
+  return tensor::Shape{in[0], in[1], out_size(in[2]), out_size(in[3])};
+}
+
+namespace {
+
+/// Maximum of every window of one plane: forward_train's scan without its
+/// argmax. Each window is read in the same order under the same strict
+/// `>`, so NaN, signed zeros and ties resolve exactly as in training, and
+/// the select is branch-free. kWindow/kStride fix the shape at compile
+/// time (0 takes the runtime value): with both fixed every window
+/// unrolls, which makes the shipped 3/2 and 2/2 pools several times
+/// faster than the runtime-shaped loop.
+template <std::size_t kWindow, std::size_t kStride>
+void max_plane(const float* in, std::size_t in_w, float* out,
+               std::size_t out_h, std::size_t out_w, std::size_t window_arg,
+               std::size_t stride_arg) noexcept {
+  const std::size_t window = kWindow != 0 ? kWindow : window_arg;
+  const std::size_t stride = kStride != 0 ? kStride : stride_arg;
+  for (std::size_t oy = 0; oy < out_h; ++oy) {
+    const float* row = in + oy * stride * in_w;
+    for (std::size_t ox = 0; ox < out_w; ++ox, ++out) {
+      const float* win = row + ox * stride;
+      float best = win[0];
+      for (std::size_t wy = 0; wy < window; ++wy) {
+        for (std::size_t wx = 0; wx < window; ++wx) {
+          const float v = win[wy * in_w + wx];
+          best = v > best ? v : best;
+        }
+      }
+      *out = best;
+    }
+  }
+}
+
+}  // namespace
+
+tensor::Tensor MaxPool::infer(const tensor::Tensor& input,
+                              runtime::Workspace& /*ws*/) const {
+  tensor::Tensor out(pooled_shape(input.shape()));
+  const auto& in = input.shape();
+  const std::size_t in_plane = in[2] * in[3];
+  const std::size_t out_h = out.shape()[2];
+  const std::size_t out_w = out.shape()[3];
+  auto* const plane_fn = window_ == 3 && stride_ == 2   ? max_plane<3, 2>
+                         : window_ == 2 && stride_ == 2 ? max_plane<2, 2>
+                                                        : max_plane<0, 0>;
+  const float* src = input.data().data();
+  float* dst = out.data().data();
+  runtime::ComputeContext::global().pool().parallel_for(
+      0, in[0] * in[1], [&](std::size_t sc) {
+        plane_fn(src + sc * in_plane, in[3], dst + sc * out_h * out_w, out_h,
+                 out_w, window_, stride_);
+      });
+  return out;
+}
+
+tensor::Tensor MaxPool::forward_train(const tensor::Tensor& input,
+                                      LayerCache& cache) {
+  tensor::Tensor out(pooled_shape(input.shape()));
+  const auto& in = input.shape();
   const std::size_t in_h = in[2];
   const std::size_t in_w = in[3];
-  const std::size_t out_h = out_size(in_h);
-  const std::size_t out_w = out_size(in_w);
-
-  tensor::Tensor out(tensor::Shape{n, c, out_h, out_w});
-  if (argmax != nullptr) argmax->assign(out.count(), 0);
+  const std::size_t out_h = out.shape()[2];
+  const std::size_t out_w = out.shape()[3];
+  std::vector<std::size_t>& argmax = cache.argmax;
+  argmax.assign(out.count(), 0);
 
   // Each (sample, channel) plane is independent; split across the pool.
   const std::size_t out_plane = out_h * out_w;
   runtime::ComputeContext::global().pool().parallel_for(
-      0, n * c, [&](std::size_t sc) {
+      0, in[0] * in[1], [&](std::size_t sc) {
         const std::size_t base = sc * in_h * in_w;
         std::size_t oi = sc * out_plane;
         for (std::size_t oy = 0; oy < out_h; ++oy) {
@@ -56,21 +111,10 @@ tensor::Tensor MaxPool::forward_impl(const tensor::Tensor& input,
               }
             }
             out[oi] = best;
-            if (argmax != nullptr) (*argmax)[oi] = best_idx;
+            argmax[oi] = best_idx;
           }
         }
       });
-  return out;
-}
-
-tensor::Tensor MaxPool::infer(const tensor::Tensor& input,
-                              runtime::Workspace& /*ws*/) const {
-  return forward_impl(input, nullptr);
-}
-
-tensor::Tensor MaxPool::forward_train(const tensor::Tensor& input,
-                                      LayerCache& cache) {
-  tensor::Tensor out = forward_impl(input, &cache.argmax);
   cache.in_shape = input.shape();
   return out;
 }

@@ -28,9 +28,9 @@ class MaxPool final : public Layer {
   [[nodiscard]] std::size_t out_size(std::size_t in) const;
 
  private:
-  /// Shared pooling loop; records argmax routes when `argmax` non-null.
-  tensor::Tensor forward_impl(const tensor::Tensor& input,
-                              std::vector<std::size_t>* argmax) const;
+  /// NCHW output shape; throws std::invalid_argument on other ranks or a
+  /// window larger than the input.
+  [[nodiscard]] tensor::Shape pooled_shape(const tensor::Shape& in) const;
 
   std::size_t window_;
   std::size_t stride_;

@@ -690,6 +690,14 @@ inline void conv_raw_compute_simd(const ConvPlan& plan, const float* input,
 /// the input broadcast while hiding vector-add latency.
 inline constexpr std::size_t kChannelBlockUnroll = 4;
 
+/// Output pixels per channel-lane pass for a group of B blocks: the
+/// B x P independent accumulator chains stay near eight, enough to cover
+/// the vector-add latency on two ports. A pure function of B, so every
+/// pixel's lanes run the same per-lane (c, ky, kx) order at any P.
+inline constexpr std::size_t channel_pixel_run(std::size_t b) noexcept {
+  return b == 1 ? 8 : b == 2 ? 4 : 2;
+}
+
 /// B channel blocks x P output pixels of the channel-lane kernel: lane l
 /// of block b accumulates output channel o0 + b*lanes + l at pixel
 /// (oy, ox0 + p). The reduction per lane runs the scalar (c, ky, kx)
@@ -709,7 +717,7 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_channel_pixels(
     const TapRange rx, float* out) noexcept {
   namespace isa = runtime::isa;
   static_assert(B >= 1 && B <= kChannelBlockUnroll);
-  static_assert(P >= 1 && P <= 2);
+  static_assert(P >= 1 && P <= channel_pixel_run(B));
   isa::VecF acc[B * P];
   for (std::size_t p = 0; p < P; ++p) {
     for (std::size_t b = 0; b < B; ++b) {
@@ -754,24 +762,43 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_channel_pixels(
 }
 
 /// One output row for one group of B channel blocks — the unit the
-/// pooled channel-lane fan-out distributes. Adjacent output columns
-/// sharing one tap range pair up so each weight-vector load is amortized
-/// over two input broadcasts. Any (stride, pad, kw) geometry takes this
+/// pooled channel-lane fan-out distributes. Each run of adjacent output
+/// columns sharing one tap range goes through the kernel
+/// channel_pixel_run(B) pixels at a time, and its tail through passes of
+/// 4, 2 and 1 pixels, so each weight-vector load is amortized over
+/// several input broadcasts. Any (stride, pad, kw) geometry takes this
 /// one code path — border columns simply carry narrower tap ranges.
 template <std::size_t B>
 inline void conv_channel_group_row(const ConvPlan& plan,
                                    const WeightPack& pack, const float* input,
                                    std::size_t o0, std::size_t oy,
                                    float* out) noexcept {
+  constexpr std::size_t P = channel_pixel_run(B);
   const TapRange ry = plan.row_taps[oy];
   std::size_t ox = 0;
   while (ox < plan.out_w) {
     const TapRange rx = plan.col_taps[ox];
-    if (ox + 1 < plan.out_w && plan.col_taps[ox + 1].begin == rx.begin &&
-        plan.col_taps[ox + 1].end == rx.end) {
-      conv_channel_pixels<B, 2>(plan, pack, input, o0, oy, ox, ry, rx, out);
-      ox += 2;
-    } else {
+    std::size_t end = ox + 1;
+    while (end < plan.out_w && plan.col_taps[end].begin == rx.begin &&
+           plan.col_taps[end].end == rx.end) {
+      ++end;
+    }
+    for (; ox + P <= end; ox += P) {
+      conv_channel_pixels<B, P>(plan, pack, input, o0, oy, ox, ry, rx, out);
+    }
+    if constexpr (P > 4) {
+      if (ox + 4 <= end) {
+        conv_channel_pixels<B, 4>(plan, pack, input, o0, oy, ox, ry, rx, out);
+        ox += 4;
+      }
+    }
+    if constexpr (P > 2) {
+      if (ox + 2 <= end) {
+        conv_channel_pixels<B, 2>(plan, pack, input, o0, oy, ox, ry, rx, out);
+        ox += 2;
+      }
+    }
+    if (ox < end) {
       conv_channel_pixels<B, 1>(plan, pack, input, o0, oy, ox, ry, rx, out);
       ox += 1;
     }

@@ -8,6 +8,8 @@
 // test suite verifies.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -39,12 +41,36 @@ double mindist(std::string_view a, std::string_view b,
 /// Minimum MINDIST over all circular rotations of `b` — the
 /// rotation-invariant comparison used for shape words, since a rotated
 /// sign yields a circularly shifted radial signature. Returns the best
-/// distance and writes the best rotation to `*best_rotation` if non-null.
-/// Rotations are evaluated by modular indexing — no copies, no
-/// allocation.
+/// distance (the lowest rotation on ties) and writes the best rotation to
+/// `*best_rotation` if non-null. Draws its operands (below) from the
+/// calling thread's scratch arena.
 double mindist_rotation_invariant(std::string_view a, std::string_view b,
                                   std::size_t original_length,
                                   const SymbolDistanceTable& table,
                                   std::size_t* best_rotation = nullptr);
+
+/// Precomputed-operand form of the rotation scan, for one word compared
+/// against many. `rows` holds the left word's distance rows
+/// (distance_rows) and `b_twice` the right word's symbol indices written
+/// twice over (symbols_twice), so rotation r reads b_twice[r, r + n).
+/// Bit-identical to the string form. Throws std::invalid_argument on
+/// mismatched sizes or an index outside the table's alphabet.
+double mindist_rotation_invariant(std::span<const double> rows,
+                                  std::span<const std::uint8_t> b_twice,
+                                  std::size_t original_length,
+                                  const SymbolDistanceTable& table,
+                                  std::size_t* best_rotation = nullptr);
+
+/// rows[i * alphabet + s] = dist(a[i], 'a' + s): the left word's terms of
+/// every MINDIST against it. Throws std::invalid_argument on a symbol
+/// outside the table's alphabet or rows.size() != a.size() * alphabet.
+void distance_rows(std::string_view a, const SymbolDistanceTable& table,
+                   std::span<double> rows);
+
+/// out[j] = b[j % n] - 'a' for j < 2n, n = b.size(). Throws
+/// std::invalid_argument on a symbol outside `alphabet` or
+/// out.size() != 2 * b.size().
+void symbols_twice(std::string_view b, std::size_t alphabet,
+                   std::span<std::uint8_t> out);
 
 }  // namespace hybridcnn::sax

@@ -19,13 +19,16 @@ int count_corners_core(std::span<const double> series,
   const std::size_t n = series.size();
   if (n < 8) return 0;
 
-  // Circular moving-average smoothing.
+  // Circular moving-average smoothing. The taps of sample i start at
+  // (i - smooth_w) mod n and advance with a wrapped index; smooth_w < n.
   const std::size_t smooth_w = std::max<std::size_t>(1, n / 64);
   std::span<double> s = smooth;
   for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = i >= smooth_w ? i - smooth_w : i + n - smooth_w;
     double acc = 0.0;
     for (std::size_t k = 0; k <= 2 * smooth_w; ++k) {
-      acc += series[(i + n - smooth_w + k) % n];
+      acc += series[j];
+      j = j + 1 == n ? 0 : j + 1;
     }
     s[i] = acc / static_cast<double>(2 * smooth_w + 1);
   }
@@ -42,9 +45,10 @@ int count_corners_core(std::span<const double> series,
   while (i < n) {
     bool is_peak = true;
     double local_min = s[i];
+    // w < n, so each probe wraps at most once.
     for (std::size_t k = 1; k <= w && is_peak; ++k) {
-      const double left = s[(i + n - k) % n];
-      const double right = s[(i + k) % n];
+      const double left = s[i >= k ? i - k : i + n - k];
+      const double right = s[i + k < n ? i + k : i + k - n];
       if (left > s[i] || right > s[i]) is_peak = false;
       local_min = std::min(local_min, std::min(left, right));
     }
@@ -136,6 +140,13 @@ ShapeMatcher::ShapeMatcher(std::size_t sides, std::size_t samples,
     templates_.push_back(
         sax_word(polygon_signature(sides_, samples_, rot), config_.sax));
   }
+  const std::size_t n = config_.sax.word_length;
+  template_symbols_.resize(kShapeSubRotations * 2 * n);
+  for (std::size_t r = 0; r < kShapeSubRotations; ++r) {
+    symbols_twice(templates_[r], config_.sax.alphabet,
+                  std::span<std::uint8_t>(template_symbols_)
+                      .subspan(r * 2 * n, 2 * n));
+  }
 }
 
 ShapeMatchResult ShapeMatcher::match(std::span<const double> series,
@@ -153,17 +164,23 @@ ShapeMatchResult ShapeMatcher::match(std::span<const double> series,
   sax_word(series, config_.sax, breakpoints_, word, ws);
   result.word.assign(word.data(), word.size());
 
+  // The word's distance rows are built (and its symbols checked) once,
+  // then scanned against every template's precomputed symbols.
+  const std::size_t n = word.size();
+  const std::span<double> rows =
+      ws.alloc_span_as<double>(n * table_.alphabet());
+  distance_rows(std::string_view(word.data(), n), table_, rows);
   result.distance = -1.0;
   for (std::size_t r = 0; r < kShapeSubRotations; ++r) {
-    const std::string& tmpl = templates_[r];
     std::size_t letter_rot = 0;
     const double d = mindist_rotation_invariant(
-        std::string_view(word.data(), word.size()), tmpl, samples_, table_,
-        &letter_rot);
+        rows, std::span<const std::uint8_t>(template_symbols_).subspan(
+                  r * 2 * n, 2 * n),
+        samples_, table_, &letter_rot);
     if (result.distance < 0.0 || d < result.distance) {
       result.distance = d;
       result.rotation = letter_rot;
-      result.template_word = tmpl;
+      result.template_word = templates_[r];
     }
   }
   result.corners = count_corners(series, ws);

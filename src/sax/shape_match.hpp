@@ -9,6 +9,7 @@
 // qualified. Corner counting is a second, independent plausibility check.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -68,8 +69,10 @@ struct ShapeMatchResult {
 /// Precomputed polygon matcher. Construction builds everything that does
 /// not depend on the measured series — the symbol distance table, the
 /// Gaussian breakpoints, and the SAX template words of the analytic
-/// polygon at kShapeSubRotations sub-segment rotations — so steady-state
-/// match() draws only per-series scratch from a Workspace arena. This is
+/// polygon at kShapeSubRotations sub-segment rotations with their symbol
+/// indices — so steady-state match() builds the measured word's distance
+/// rows once and draws only per-series scratch from a Workspace arena.
+/// The rotation scan runs eight rotations at a time. This is
 /// the batched-inference hot path: one ShapeMatcher lives inside each
 /// ShapeQualifier and is shared (const, thread-safe) by all images.
 class ShapeMatcher {
@@ -100,6 +103,8 @@ class ShapeMatcher {
   SymbolDistanceTable table_;
   std::vector<double> breakpoints_;
   std::vector<std::string> templates_;  // one word per sub-rotation
+  /// symbols_twice of each template, 2 * word_length entries apiece.
+  std::vector<std::uint8_t> template_symbols_;
 };
 
 /// Allocating wrapper: matches a measured series against the analytic

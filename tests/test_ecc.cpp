@@ -154,6 +154,113 @@ TEST(SecDed, ExhaustiveDoubleBitFlipAlwaysDetectedNeverMiscorrected) {
   }
 }
 
+// --------------------------------------------------------------------------
+// Reference codec: the bit-serial Hamming encoder the mask-parity one
+// replaced, with decode's syndrome logic on top of it.
+
+namespace reference {
+
+constexpr std::uint8_t data_position(int d) {
+  int n = 0;
+  for (int p = 1;; ++p) {
+    if ((p & (p - 1)) != 0 && n++ == d) return static_cast<std::uint8_t>(p);
+  }
+}
+
+std::uint8_t hamming_bits(std::uint32_t data) {
+  std::uint8_t check = 0;
+  for (int j = 0; j < 6; ++j) {
+    std::uint32_t parity = 0;
+    for (int d = 0; d < 32; ++d) {
+      if ((data_position(d) >> j) & 1u) parity ^= (data >> d) & 1u;
+    }
+    check = static_cast<std::uint8_t>(check | (parity << j));
+  }
+  return check;
+}
+
+std::uint32_t ones(std::uint32_t v) {
+  std::uint32_t n = 0;
+  for (; v != 0; v &= v - 1) ++n;
+  return n;
+}
+
+std::uint8_t encode(std::uint32_t data) {
+  const std::uint8_t hamming = hamming_bits(data);
+  const std::uint32_t parity = (ones(data) + ones(hamming)) & 1u;
+  return static_cast<std::uint8_t>(hamming | (parity << 6));
+}
+
+SecDed::Outcome decode(std::uint32_t& data, std::uint8_t& check) {
+  const std::uint8_t stored_hamming = check & 0x3F;
+  const std::uint8_t syndrome = stored_hamming ^ hamming_bits(data);
+  const bool parity_ok =
+      ((ones(data) + ones(stored_hamming) + ((check >> 6) & 1u)) & 1u) == 0;
+  if (syndrome == 0 && parity_ok) return SecDed::Outcome::kClean;
+  if (parity_ok) return SecDed::Outcome::kDoubleError;
+  if (syndrome == 0) {
+    check = static_cast<std::uint8_t>(check ^ 0x40);
+    return SecDed::Outcome::kCorrectedCheck;
+  }
+  if ((syndrome & (syndrome - 1)) == 0) {
+    check = static_cast<std::uint8_t>(check ^ syndrome);
+    return SecDed::Outcome::kCorrectedCheck;
+  }
+  for (int d = 0; d < 32; ++d) {
+    if (data_position(d) == syndrome) {
+      data ^= 1u << d;
+      return SecDed::Outcome::kCorrectedData;
+    }
+  }
+  return SecDed::Outcome::kDoubleError;
+}
+
+}  // namespace reference
+
+/// Decodes a corrupted codeword with both codecs and compares the outcome
+/// and the repaired data and check bits.
+void expect_decode_matches_reference(std::uint32_t data, std::uint8_t check,
+                                     const char* what) {
+  std::uint32_t ref_data = data;
+  std::uint8_t ref_check = check;
+  const SecDed::Outcome ref = reference::decode(ref_data, ref_check);
+  const SecDed::Outcome got = SecDed::decode(data, check);
+  ASSERT_EQ(got, ref) << what;
+  ASSERT_EQ(data, ref_data) << what;
+  ASSERT_EQ(check, ref_check) << what;
+}
+
+TEST(SecDed, MatchesBitSerialReference) {
+  Rng rng(19);
+  // Every single data-bit and check-bit flip of a few words.
+  for (const std::uint32_t word :
+       {0u, 0xFFFFFFFFu, 0x3F800000u, 0x80000001u, 0xDEADBEEFu}) {
+    const std::uint8_t check = SecDed::encode(word);
+    ASSERT_EQ(check, reference::encode(word)) << "word " << word;
+    for (int p = 0; p < 39; ++p) {
+      std::uint32_t d = word;
+      std::uint8_t c = check;
+      flip_codeword_bit(d, c, p);
+      expect_decode_matches_reference(d, c, "single flip");
+    }
+  }
+  // Random words: identical check bytes, and identical decodes after a
+  // random double flip (two distinct codeword bits).
+  for (int trial = 0; trial < 10000; ++trial) {
+    const auto word = static_cast<std::uint32_t>(rng());
+    const std::uint8_t check = SecDed::encode(word);
+    ASSERT_EQ(check, reference::encode(word)) << "word " << word;
+    const auto p1 = static_cast<int>(rng.uniform_int(0, 38));
+    auto p2 = static_cast<int>(rng.uniform_int(0, 37));
+    if (p2 >= p1) ++p2;
+    std::uint32_t d = word;
+    std::uint8_t c = check;
+    flip_codeword_bit(d, c, p1);
+    flip_codeword_bit(d, c, p2);
+    expect_decode_matches_reference(d, c, "double flip");
+  }
+}
+
 TEST(ProtectedTensor, CleanScrubIsNoop) {
   Rng rng(2);
   Tensor t(Shape{64});

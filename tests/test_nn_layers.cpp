@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
 
 #include "nn/alexnet.hpp"
 #include "nn/conv2d.hpp"
@@ -156,6 +157,42 @@ TEST(MaxPool, OverlappingAlexNetStyle) {
   EXPECT_EQ(pool.out_size(55), 27u);
   EXPECT_EQ(pool.out_size(27), 13u);
   EXPECT_THROW(static_cast<void>(pool.out_size(2)), std::invalid_argument);
+}
+
+TEST(MaxPool, InferMatchesForwardTrain) {
+  // infer() has its own branch-free loop; it must pick exactly the value
+  // forward_train's argmax scan picks. Values come from a small set so
+  // windows hold ties, NaNs (never selected over an earlier value, but
+  // kept when first) and both zeros (the first of +0/-0 wins).
+  const float kValues[] = {std::nanf(""), -0.0f, 0.0f, -1.5f, 1.5f, 2.0f};
+  Rng rng(17);
+  for (const std::size_t batch : {1u, 3u}) {
+    Tensor input(Shape{batch, 2, 11, 13});
+    for (std::size_t i = 0; i < input.count(); ++i) {
+      input[i] = kValues[rng.uniform_int(0, 5)];
+    }
+    for (const std::size_t window : {1u, 2u, 3u}) {
+      for (const std::size_t stride : {1u, 2u, 3u}) {
+        SCOPED_TRACE("batch " + std::to_string(batch) + " window " +
+                     std::to_string(window) + " stride " +
+                     std::to_string(stride));
+        MaxPool pool(window, stride);
+        LayerCache cache;
+        const Tensor trained = pool.forward_train(input, cache);
+        const Tensor inferred = pool.infer(input, scratch());
+        ASSERT_EQ(trained.shape(), inferred.shape());
+        for (std::size_t i = 0; i < trained.count(); ++i) {
+          const float tv = trained[i];
+          const float iv = inferred[i];
+          std::uint32_t tbits = 0;
+          std::uint32_t ibits = 0;
+          std::memcpy(&tbits, &tv, sizeof(tbits));
+          std::memcpy(&ibits, &iv, sizeof(ibits));
+          ASSERT_EQ(tbits, ibits) << "element " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Lrn, UnitInputKnownValue) {

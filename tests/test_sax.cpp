@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <numbers>
+#include <string>
 #include <vector>
 
 #include "sax/breakpoints.hpp"
 #include "sax/mindist.hpp"
 #include "sax/paa.hpp"
 #include "sax/sax_word.hpp"
+#include "sax/shape_match.hpp"
 #include "sax/znorm.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +21,12 @@ namespace {
 
 using namespace hybridcnn::sax;
 using hybridcnn::util::Rng;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
 
 // ----------------------------------------------------------------- znorm
 
@@ -271,6 +282,271 @@ TEST(MindistRotationInvariant, UpperBoundedByPlainMindist) {
     const std::string wb = sax_word(b, cfg);
     EXPECT_LE(mindist_rotation_invariant(wa, wb, 64, t),
               mindist(wa, wb, 64, t) + 1e-12);
+  }
+}
+
+// ------------------------------------- modulo-indexed reference loops
+
+// The straight modulo-indexed forms the rotation scan and the corner
+// counter replaced: one serial sum per rotation through the range-checked
+// dist(), and a `% n` on every smoothing tap and peak probe.
+namespace reference {
+
+// The term as an optimised build compiles `sum += d * d` (sax/ keeps the
+// compiler's default FP contraction): one fused multiply-add where the
+// target has FMA. Spelled out so the reference means the same unoptimised.
+double add_square(double sum, double d) {
+#ifdef __FMA__
+  return std::fma(d, d, sum);
+#else
+  return sum + d * d;
+#endif
+}
+
+double mindist_rotated(std::string_view a, std::string_view b,
+                       std::size_t rot, std::size_t original_length,
+                       const SymbolDistanceTable& table) {
+  const std::size_t n = a.size();
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sum = add_square(sum, table.dist(a[i], b[(i + rot) % n]));
+  }
+  const double scale = std::sqrt(static_cast<double>(original_length) /
+                                 static_cast<double>(n));
+  return scale * std::sqrt(sum);
+}
+
+double rotation_invariant(std::string_view a, std::string_view b,
+                          std::size_t original_length,
+                          const SymbolDistanceTable& table,
+                          std::size_t* best_rotation) {
+  double best = -1.0;
+  for (std::size_t rot = 0; rot < b.size(); ++rot) {
+    const double d = mindist_rotated(a, b, rot, original_length, table);
+    if (best < 0.0 || d < best) {
+      best = d;
+      *best_rotation = rot;
+    }
+  }
+  return best;
+}
+
+int count_corners(const std::vector<double>& series, double prominence_frac) {
+  const std::size_t n = series.size();
+  if (n < 8) return 0;
+  const std::size_t smooth_w = std::max<std::size_t>(1, n / 64);
+  std::vector<double> s(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k <= 2 * smooth_w; ++k) {
+      acc += series[(i + n - smooth_w + k) % n];
+    }
+    s[i] = acc / static_cast<double>(2 * smooth_w + 1);
+  }
+  double mean = 0.0;
+  for (const double v : s) mean += v;
+  mean /= static_cast<double>(n);
+  if (mean <= 0.0) return 0;
+  const double prominence = prominence_frac * mean;
+  const std::size_t w = std::max<std::size_t>(2, n / 16);
+  int corners = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    bool is_peak = true;
+    double local_min = s[i];
+    for (std::size_t k = 1; k <= w && is_peak; ++k) {
+      const double left = s[(i + n - k) % n];
+      const double right = s[(i + k) % n];
+      if (left > s[i] || right > s[i]) is_peak = false;
+      local_min = std::min(local_min, std::min(left, right));
+    }
+    if (is_peak && (s[i] - local_min) >= prominence) {
+      ++corners;
+      i += w;
+    } else {
+      ++i;
+    }
+  }
+  return corners;
+}
+
+}  // namespace reference
+
+std::string random_word(Rng& rng, std::size_t n, std::size_t alphabet) {
+  std::string w(n, 'a');
+  for (char& c : w) {
+    c = static_cast<char>(
+        'a' + rng.uniform_int(0, static_cast<std::int64_t>(alphabet) - 1));
+  }
+  return w;
+}
+
+TEST(MindistRotationInvariant, MatchesModuloReference) {
+  Rng rng(29);
+  for (std::size_t alphabet = 3; alphabet <= 10; ++alphabet) {
+    const SymbolDistanceTable table(alphabet);
+    std::vector<double> rows;
+    std::vector<std::uint8_t> b_twice;
+    for (std::size_t n = 1; n <= 40; ++n) {
+      for (int trial = 0; trial < 4; ++trial) {
+        SCOPED_TRACE("alphabet " + std::to_string(alphabet) + " n " +
+                     std::to_string(n) + " trial " + std::to_string(trial));
+        std::string a = random_word(rng, n, alphabet);
+        std::string b = random_word(rng, n, alphabet);
+        if (trial >= 2) {
+          // Planted ties: a has a period p dividing n and b is a rotated
+          // by k, so rotations k, k + p, ... all match exactly.
+          std::vector<std::size_t> divisors;
+          for (std::size_t d = 1; d <= n; ++d) {
+            if (n % d == 0) divisors.push_back(d);
+          }
+          const std::size_t p = divisors[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(divisors.size()) -
+                                     1))];
+          const std::string unit = random_word(rng, p, alphabet);
+          for (std::size_t i = 0; i < n; ++i) a[i] = unit[i % p];
+          const auto k = static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+          for (std::size_t i = 0; i < n; ++i) b[(i + k) % n] = a[i];
+          std::size_t tied = 0;
+          std::size_t first = n;
+          for (std::size_t rot = 0; rot < n; ++rot) {
+            if (reference::mindist_rotated(a, b, rot, 7 * n, table) == 0.0) {
+              ++tied;
+              first = std::min(first, rot);
+            }
+          }
+          ASSERT_GE(tied, n / p);
+          std::size_t rot = n;
+          EXPECT_EQ(mindist_rotation_invariant(a, b, 7 * n, table, &rot), 0.0);
+          EXPECT_EQ(rot, first);
+        }
+        std::size_t ref_rot = n;
+        const double ref =
+            reference::rotation_invariant(a, b, 7 * n, table, &ref_rot);
+        std::size_t rot = n;
+        EXPECT_EQ(bits_of(mindist_rotation_invariant(a, b, 7 * n, table, &rot)),
+                  bits_of(ref));
+        EXPECT_EQ(rot, ref_rot);
+        // The precomputed-operand form, as ShapeMatcher drives it.
+        rows.assign(n * alphabet, 0.0);
+        b_twice.assign(2 * n, 0);
+        distance_rows(a, table, rows);
+        symbols_twice(b, alphabet, b_twice);
+        rot = n;
+        EXPECT_EQ(bits_of(mindist_rotation_invariant(rows, b_twice, 7 * n,
+                                                     table, &rot)),
+                  bits_of(ref));
+        EXPECT_EQ(rot, ref_rot);
+        EXPECT_EQ(bits_of(mindist(a, b, 7 * n, table)),
+                  bits_of(reference::mindist_rotated(a, b, 0, 7 * n, table)));
+      }
+    }
+  }
+}
+
+TEST(MindistRotationInvariant, RejectsOutOfAlphabetSymbols) {
+  const SymbolDistanceTable table(4);
+  std::vector<double> rows(3 * 4);
+  std::vector<std::uint8_t> b_twice(2 * 3);
+  for (const char bad : {'e', 'z', static_cast<char>('a' - 1)}) {
+    std::string w = "abc";
+    w[1] = bad;
+    EXPECT_THROW(mindist_rotation_invariant(w, "abc", 12, table),
+                 std::invalid_argument);
+    EXPECT_THROW(mindist_rotation_invariant("abc", w, 12, table),
+                 std::invalid_argument);
+    EXPECT_THROW(mindist(w, "abc", 12, table), std::invalid_argument);
+    EXPECT_THROW(distance_rows(w, table, rows), std::invalid_argument);
+    EXPECT_THROW(symbols_twice(w, table.alphabet(), b_twice),
+                 std::invalid_argument);
+  }
+  // Operand sizes must agree with the word length and the alphabet.
+  EXPECT_THROW(distance_rows("abcd", table, rows), std::invalid_argument);
+  EXPECT_THROW(symbols_twice("ab", table.alphabet(), b_twice),
+               std::invalid_argument);
+  EXPECT_THROW(mindist_rotation_invariant(
+                   rows, std::span<const std::uint8_t>(b_twice).first(4), 12,
+                   table),
+               std::invalid_argument);
+  b_twice.assign(2 * 3, 0);
+  b_twice[4] = 4;  // one past the alphabet
+  EXPECT_THROW(mindist_rotation_invariant(rows, b_twice, 12, table),
+               std::invalid_argument);
+}
+
+TEST(ShapeMatcherScan, MatchesModuloReference) {
+  // match() scans every template through the precomputed operands; the
+  // reference rebuilds the same templates and scans them modulo-indexed.
+  Rng rng(31);
+  for (const SaxConfig cfg : {SaxConfig{32, 8}, SaxConfig{13, 3},
+                              SaxConfig{40, 10}, SaxConfig{1, 5}}) {
+    constexpr std::size_t kSides = 8;
+    constexpr std::size_t kSamples = 360;
+    const ShapeMatcher matcher(kSides, kSamples, ShapeMatchConfig{cfg});
+    const SymbolDistanceTable table(cfg.alphabet);
+    std::vector<std::string> templates;
+    for (std::size_t r = 0; r < kShapeSubRotations; ++r) {
+      const double sector = 2.0 * std::numbers::pi / kSides;
+      templates.push_back(sax_word(
+          polygon_signature(kSides, kSamples,
+                            sector * static_cast<double>(r) /
+                                static_cast<double>(kShapeSubRotations)),
+          cfg));
+    }
+    for (int trial = 0; trial < 12; ++trial) {
+      SCOPED_TRACE("word " + std::to_string(cfg.word_length) + " trial " +
+                   std::to_string(trial));
+      std::vector<double> series =
+          polygon_signature(trial % 2 == 0 ? kSides : 3 + trial % 5,
+                            kSamples, rng.uniform(0.0, 1.0));
+      for (double& v : series) v += rng.normal(0.0, 0.02 * (trial % 4));
+      const ShapeMatchResult got =
+          matcher.match(series, hybridcnn::runtime::thread_scratch());
+      double best = -1.0;
+      std::size_t best_rot = 0;
+      std::string best_template;
+      for (const std::string& t : templates) {
+        std::size_t rot = 0;
+        const double d =
+            reference::rotation_invariant(got.word, t, kSamples, table, &rot);
+        if (best < 0.0 || d < best) {
+          best = d;
+          best_rot = rot;
+          best_template = t;
+        }
+      }
+      EXPECT_EQ(bits_of(got.distance), bits_of(best));
+      EXPECT_EQ(got.rotation, best_rot);
+      EXPECT_EQ(got.template_word, best_template);
+      EXPECT_EQ(got.corners, reference::count_corners(series, 0.04));
+    }
+  }
+}
+
+TEST(CountCorners, MatchesModuloReference) {
+  Rng rng(37);
+  for (std::size_t n = 1; n <= 400; n += (n < 40 ? 1 : 17)) {
+    for (int trial = 0; trial < 3; ++trial) {
+      SCOPED_TRACE("n " + std::to_string(n) + " trial " +
+                   std::to_string(trial));
+      std::vector<double> series(n);
+      if (trial == 0) {
+        for (double& v : series) v = rng.uniform(0.0, 2.0);
+      } else {
+        const std::size_t sides = 3 + static_cast<std::size_t>(trial) * 2;
+        if (sides > n) continue;
+        series = polygon_signature(sides, n, rng.uniform(0.0, 1.0));
+        for (double& v : series) v += rng.normal(0.0, 0.01);
+      }
+      for (const double frac : {0.0, 0.04, 0.2}) {
+        EXPECT_EQ(count_corners(series, frac),
+                  reference::count_corners(series, frac));
+        EXPECT_EQ(count_corners(series, hybridcnn::runtime::thread_scratch(),
+                                frac),
+                  reference::count_corners(series, frac));
+      }
+    }
   }
 }
 

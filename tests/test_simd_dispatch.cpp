@@ -80,6 +80,10 @@ const std::vector<Geometry> kGeometries = {
     {2, 2, 1, 1, 0, 6, 21, "pixel"},      // 1x1 kernel, odd lane remainder
     {1, 1, 5, 1, 4, 12, 28, "pixel"},     // heavy pad: 4-wide borders
     {2, 2, 3, 1, 1, 5, 5, "scalar"},      // interior (3) below any block
+    // Channel-lane column runs: border columns carry narrower tap ranges,
+    // so each row splits into runs whose lengths leave pixel tails.
+    {8, 3, 7, 2, 3, 33, 33, "channel"},   // sign96 maps, padded: 1,1,13,1,1
+    {24, 3, 5, 2, 2, 29, 31, "channel"},  // two 16-lane blocks: 1,14,1
 };
 
 ReliableConv2d make_conv(const Geometry& g, std::uint64_t seed = 11) {

@@ -41,7 +41,7 @@ class Workspace {
   }
 
   /// Typed bump allocation: `count` uninitialised objects of a trivial
-  /// type T (double series, mask bytes, BFS queues), aligned for T and
+  /// type T (double series, mask bytes, run labels), aligned for T and
   /// carved out of the same float blocks. Same lifetime rules as alloc().
   template <typename T>
   T* alloc_as(std::size_t count) {

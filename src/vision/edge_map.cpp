@@ -110,63 +110,28 @@ void mask_from_feature_map(std::span<const float> feature_map, std::size_t h,
   // Close small contour gaps: a single mixed-direction filter (the
   // paper's Sobel x/y/x stack collapses both gradient axes into one map)
   // has directional nulls where the boundary response vanishes, and any
-  // gap lets the background flood leak into the shape.
+  // gap lets the background leak into the shape.
   MaskView dilated{h, w, ws.alloc_as<std::uint8_t>(n)};
   dilate(edges, 1, dilated);
 
-  // Keep the outermost ring free so the background flood below always
-  // has entry points.
+  // Clear the outermost ring, so the background below reaches every
+  // border pixel.
   clear_band(dilated, 1);
 
-  // Fill the interior: flood the background from the border over non-edge
-  // pixels; whatever is unreachable is inside an edge contour. The flood
-  // runs on a grid padded by one pixel that counts as already reached, so
-  // neighbour reads need no bounds checks or coordinate division.
-  constexpr std::uint8_t kOpen = 0;
-  constexpr std::uint8_t kEdge = 1;
-  constexpr std::uint8_t kOutside = 2;
-  const std::size_t pw = w + 2;
-  std::uint8_t* state = ws.alloc_as<std::uint8_t>((h + 2) * pw);
-  std::fill(state, state + pw, kOutside);
-  std::fill(state + (h + 1) * pw, state + (h + 2) * pw, kOutside);
-  for (std::size_t y = 0; y < h; ++y) {
-    std::uint8_t* row = state + (y + 1) * pw;
-    const std::uint8_t* src = dilated.data + y * w;
-    row[0] = kOutside;
-    for (std::size_t x = 0; x < w; ++x) {
-      row[x + 1] = src[x] != 0 ? kEdge : kOpen;
-    }
-    row[w + 1] = kOutside;
-  }
-  std::size_t* queue = ws.alloc_as<std::size_t>(n);
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  const auto push = [&](std::size_t p) {
-    if (state[p] != kOpen) return;
-    state[p] = kOutside;
-    queue[tail++] = p;
-  };
-  for (std::size_t x = 1; x <= w; ++x) {
-    push(pw + x);
-    push(h * pw + x);
-  }
-  for (std::size_t y = 1; y <= h; ++y) {
-    push(y * pw + 1);
-    push(y * pw + w);
-  }
-  while (head < tail) {
-    const std::size_t p = queue[head++];
-    push(p - pw);
-    push(p + pw);
-    push(p - 1);
-    push(p + 1);
-  }
-
+  // Fill the interior: the background is every non-edge pixel 4-connected
+  // to the image border, and whatever it leaves is inside an edge contour.
+  // The cleared ring joins every border pixel into one component, that of
+  // the first run (all of row 0), so the background is that component's
+  // runs.
   MaskView filled{h, w, ws.alloc_as<std::uint8_t>(n)};
-  for (std::size_t y = 0; y < h; ++y) {
-    const std::uint8_t* row = state + (y + 1) * pw + 1;
-    std::uint8_t* dst = filled.data + y * w;
-    for (std::size_t x = 0; x < w; ++x) dst[x] = row[x] == kOutside ? 0 : 1;
+  filled.fill(1);
+  {
+    runtime::Workspace::Scope runs_scope(ws);
+    for (const detail::PixelRun& r : detail::label_runs(dilated, false, ws)) {
+      if (r.root != 0) continue;
+      std::uint8_t* row = filled.data + r.y * w;
+      std::fill(row + r.x0, row + r.x1, std::uint8_t{0});
+    }
   }
   // Erode once to undo the dilation's boundary fattening.
   MaskView eroded{h, w, ws.alloc_as<std::uint8_t>(n)};

@@ -27,8 +27,8 @@ tensor::Tensor edge_magnitude(const tensor::Tensor& chw);
 BinaryMask dominant_shape(const tensor::Tensor& chw);
 
 /// Explicit-scratch overload of mask_from_feature_map over a flat H*W
-/// feature-map plane. Every intermediate (magnitude, edge masks, flood
-/// fill frontier) is drawn from `ws`; `out` must be an h x w view.
+/// feature-map plane. Every intermediate (magnitude, edge masks, run
+/// labels) is drawn from `ws`; `out` must be an h x w view.
 void mask_from_feature_map(std::span<const float> feature_map, std::size_t h,
                            std::size_t w, MaskView out,
                            runtime::Workspace& ws);

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "runtime/workspace.hpp"
@@ -96,6 +97,27 @@ struct BinaryMask {
            x < static_cast<std::int64_t>(width);
   }
 };
+
+namespace detail {
+
+/// One maximal horizontal run [x0, x1) of row y whose pixels all share a
+/// value, with the index of its 4-connected component's root run.
+struct PixelRun {
+  std::size_t y = 0;
+  std::size_t x0 = 0;
+  std::size_t x1 = 0;
+  std::size_t root = 0;
+};
+
+/// Run-length labelling of the 4-connected components of the pixels that
+/// are set (`set`) or unset (`!set`; any non-zero byte counts as set).
+/// Runs are listed in raster order, and each run's `root` is the index of
+/// its component's raster-first run. The runs live in `ws` until the
+/// caller's scope ends.
+std::span<PixelRun> label_runs(ConstMaskView mask, bool set,
+                               runtime::Workspace& ws);
+
+}  // namespace detail
 
 /// Explicit-scratch overloads: `out` must match the input dimensions and
 /// must not alias it. Results are identical to the allocating versions.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace hybridcnn::vision {
@@ -38,8 +39,11 @@ double round_half_away(double v) {
 /// starts inside it. Every set pixel lies in the box, and the box lies in
 /// the image, so the steps the march visits before leaving the image that
 /// can hit a set pixel all lie in the prefix of steps not past the box.
-/// A binary search finds the prefix's last step k, a backward scan from k
-/// finds the last set pixel in it, and that is the step the march keeps.
+/// The distance at which the ray passes the box gives a step near the
+/// prefix's last step k; a walk of the predicate up or down from there
+/// finds k exactly, because the predicate is monotone. A backward scan
+/// from k finds the last set pixel in the prefix, and that is the step
+/// the march keeps.
 class RayScanner {
  public:
   RayScanner(ConstMaskView mask, const Centroid& c) : mask_(mask), c_(c) {
@@ -56,17 +60,15 @@ class RayScanner {
 
   [[nodiscard]] double farthest(RayDirection d) const {
     if (!any_hit_ || !before_box_end(d, 0)) return 0.0;
-    std::size_t lo = 0;  // before_box_end(d, lo) holds
-    std::size_t hi = last_step_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo + 1) / 2;
-      if (before_box_end(d, mid)) {
-        lo = mid;
-      } else {
-        hi = mid - 1;
-      }
+    std::size_t end = box_exit_estimate(d);
+    if (before_box_end(d, end)) {
+      while (end < last_step_ && before_box_end(d, end + 1)) ++end;
+    } else {
+      do {
+        --end;  // stops at 0 at the latest: before_box_end(d, 0) holds
+      } while (!before_box_end(d, end));
     }
-    for (std::size_t k = lo; k > 0; --k) {
+    for (std::size_t k = end; k > 0; --k) {
       const double r = 0.5 * static_cast<double>(k);
       const double y = round_half_away(c_.y + r * d.dy);
       const double x = round_half_away(c_.x + r * d.dx);
@@ -78,6 +80,21 @@ class RayScanner {
   }
 
  private:
+  /// The step at which the unrounded ray c + r*d passes the box widened by
+  /// half a pixel on the first axis, clamped to [0, last_step_]: usually
+  /// within a step of the prefix's end. Only the walk's starting point.
+  [[nodiscard]] std::size_t box_exit_estimate(RayDirection d) const {
+    const auto axis_steps = [](double c, double lo, double hi, double dir) {
+      if (dir > 0.0) return 2.0 * (hi + 0.5 - c) / dir;
+      if (dir < 0.0) return 2.0 * (c - (lo - 0.5)) / -dir;
+      return std::numeric_limits<double>::infinity();
+    };
+    const double steps = std::min(axis_steps(c_.y, y0_, y1_, d.dy),
+                                  axis_steps(c_.x, x0_, x1_, d.dx));
+    if (!(steps < static_cast<double>(last_step_))) return last_step_;
+    return steps > 0.0 ? static_cast<std::size_t>(steps) : 0;
+  }
+
   /// Whether step k has not yet passed the box in the ray's direction of
   /// travel. A NaN coordinate compares false, so it ends the prefix.
   [[nodiscard]] bool before_box_end(RayDirection d, std::size_t k) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace hybridcnn::vision {
@@ -31,20 +32,73 @@ float otsu_threshold(std::span<const float> image) {
     throw std::invalid_argument("otsu_threshold: empty image");
   }
 
-  float lo = image[0];
-  float hi = image[0];
-  for (std::size_t i = 1; i < image.size(); ++i) {
-    lo = std::min(lo, image[i]);
-    hi = std::max(hi, image[i]);
+  // Min and max in independent lanes, each a serial scan from image[0]
+  // over every kLanes-th pixel. Like one serial scan they skip a NaN after
+  // image[0] and propagate one at image[0], which starts every lane. Lane
+  // order can only differ from the serial scan's on values that compare
+  // equal (+0 and -0), and their sign reaches the result only when
+  // max == min: then no lane moves off image[0], so the result is image[0]
+  // as before.
+  constexpr std::size_t kLanes = 16;
+  const std::size_t n = image.size();
+  std::array<float, kLanes> lo_lane;
+  std::array<float, kLanes> hi_lane;
+  lo_lane.fill(image[0]);
+  hi_lane.fill(image[0]);
+  const auto scan = [&](std::size_t begin, std::size_t lanes) {
+    // Kept a loop: GCC vectorises it, but scalarises the lanes of a fully
+    // unrolled one.
+#pragma GCC unroll 1
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const float v = image[begin + l];
+      lo_lane[l] = v < lo_lane[l] ? v : lo_lane[l];
+      hi_lane[l] = hi_lane[l] < v ? v : hi_lane[l];
+    }
+  };
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) scan(i, kLanes);
+  scan(i, n - i);
+  float lo = lo_lane[0];
+  float hi = hi_lane[0];
+  for (std::size_t l = 1; l < kLanes; ++l) {
+    lo = std::min(lo, lo_lane[l]);
+    hi = std::max(hi, hi_lane[l]);
   }
   if (hi <= lo) return lo;
 
+  // Bin indices of a chunk first, then counts into four sub-histograms,
+  // so a run of pixels in one bin does not wait on its own increments.
+  // Counts are integers: the sub-histograms sum to the one-histogram
+  // counts exactly.
   constexpr int kBins = 256;
-  std::array<std::uint64_t, kBins> hist{};
+  constexpr std::size_t kChunk = 1024;
   const float scale = static_cast<float>(kBins - 1) / (hi - lo);
-  for (std::size_t i = 0; i < image.size(); ++i) {
-    const int bin = static_cast<int>((image[i] - lo) * scale);
-    ++hist[static_cast<std::size_t>(std::min(std::max(bin, 0), kBins - 1))];
+  std::array<std::uint8_t, kChunk> bins;
+  std::array<std::array<std::uint64_t, kBins>, 4> sub{};
+  for (std::size_t begin = 0; begin < n; begin += kChunk) {
+    const std::size_t len = std::min(kChunk, n - begin);
+    for (std::size_t j = 0; j < len; ++j) {
+      // Truncated and clamped to [0, 255]; a NaN (from a NaN pixel or
+      // range) goes to bin 0, as std::max(0, NaN) is 0. A value is +Inf
+      // only when the scale is, and then the result lo + bin / scale is
+      // the same for every bin.
+      const float s = (image[begin + j] - lo) * scale;
+      const float clamped =
+          std::max(0.0f, std::min(s, static_cast<float>(kBins - 1)));
+      bins[j] = static_cast<std::uint8_t>(static_cast<int>(clamped));
+    }
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4) {
+      ++sub[0][bins[j]];
+      ++sub[1][bins[j + 1]];
+      ++sub[2][bins[j + 2]];
+      ++sub[3][bins[j + 3]];
+    }
+    for (; j < len; ++j) ++sub[0][bins[j]];
+  }
+  std::array<std::uint64_t, kBins> hist;
+  for (int b = 0; b < kBins; ++b) {
+    hist[b] = sub[0][b] + sub[1][b] + sub[2][b] + sub[3][b];
   }
 
   const double total = static_cast<double>(image.size());

@@ -2,7 +2,9 @@
 // behaviour and the footprint (cost split) argument.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "core/hybrid_network.hpp"
 #include "core/shape_qualifier.hpp"
@@ -244,6 +246,55 @@ TEST(ShapeQualifier, QualifiesStopSignImageThroughReliableSobel) {
       << " corners=" << verdict.shape.corners;
   EXPECT_TRUE(verdict.qualifies());
   EXPECT_GT(verdict.report.logical_ops, 0u);
+}
+
+TEST(HybridNetwork, NonFinitePixelsClassifyAsRecorded) {
+  // A 96px stop sign with one pixel set to NaN or +-Inf in every channel.
+  // DMR compares bit patterns, so the non-finite Sobel responses pass the
+  // reliable conv as agreed and reach the qualifier's Otsu threshold. The
+  // verdicts and decisions were recorded from the serial-histogram Otsu.
+  auto cnn = std::make_unique<nn::Sequential>();
+  cnn->emplace<nn::Conv2d>(3, 8, 7, 2, 0);  // 96 -> 45
+  cnn->emplace<nn::ReLU>();
+  cnn->emplace<nn::MaxPool>(3, 2);  // 45 -> 22
+  cnn->emplace<nn::Flatten>();
+  cnn->emplace<nn::Linear>(8 * 22 * 22, 5);
+  nn::init_network(*cnn, 3);
+  const HybridNetwork hybrid(std::move(cnn), 0, HybridConfig{});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::string clean_word = "bdhdbchebdhdbchebdhdbchebdhdbche";
+
+  struct Case {
+    std::size_t y;
+    std::size_t x;
+    float value;
+    Decision decision;
+    bool match;
+  };
+  for (const Case c : {
+           // NaN in the first magnitude pixel: the threshold is NaN, no
+           // pixel is an edge and no shape is found.
+           Case{0, 0, nan, Decision::kDemotedUnqualified, false},
+           // NaN inside the image: skipped by the min/max, binned at 0.
+           Case{40, 30, nan, Decision::kQualifiedReliable, true},
+           // An infinity makes the threshold NaN.
+           Case{40, 30, inf, Decision::kDemotedUnqualified, false},
+           Case{40, 30, -inf, Decision::kDemotedUnqualified, false},
+       }) {
+    SCOPED_TRACE(::testing::Message()
+                 << "pixel (" << c.y << ", " << c.x << ") = " << c.value);
+    Tensor img = data::render_stop_sign(96, 6.0);
+    for (std::size_t ch = 0; ch < 3; ++ch) img.at3(ch, c.y, c.x) = c.value;
+    const HybridClassification r = classify_once(hybrid, img);
+    EXPECT_EQ(r.predicted_class, 0);
+    EXPECT_EQ(r.decision, c.decision);
+    EXPECT_TRUE(r.conv1_report.ok);
+    EXPECT_TRUE(r.qualifier.reliable);
+    EXPECT_EQ(r.qualifier.match, c.match);
+    EXPECT_EQ(r.qualifier.shape.word, c.match ? clean_word : "");
+    EXPECT_EQ(r.qualifier.shape.corners, c.match ? 8u : 0u);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "data/renderer.hpp"
 #include "vision/centroid.hpp"
@@ -97,6 +99,38 @@ TEST(Threshold, OtsuSeparatesBimodal) {
 TEST(Threshold, OtsuFlatImage) {
   const Tensor img(Shape{4, 4}, 0.5f);
   EXPECT_FLOAT_EQ(otsu_threshold(img), 0.5f);
+}
+
+TEST(Threshold, OtsuNanAndInfPixels) {
+  // A 40-pixel ramp in quarter steps with one pixel replaced. A NaN first
+  // propagates, a later NaN is skipped by the min/max and counted in bin
+  // 0; an infinity makes the scale 0 or the range infinite, and the
+  // threshold NaN. Values recorded from the serial single-histogram scan.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto ramp_with = [](std::size_t at, float v) {
+    std::vector<float> image(40);
+    for (std::size_t i = 0; i < image.size(); ++i) {
+      image[i] = 0.25f * static_cast<float>((i * 7) % image.size());
+    }
+    image[at] = v;
+    return otsu_threshold(image);
+  };
+  EXPECT_TRUE(std::isnan(ramp_with(0, nan)));
+  EXPECT_EQ(ramp_with(17, nan), 0x1.1e1e1ep+2f);
+  EXPECT_EQ(ramp_with(39, nan), 0x1.1e4e4ep+2f);
+  for (const std::size_t at : {0u, 5u, 20u}) {
+    EXPECT_TRUE(std::isnan(ramp_with(at, inf))) << at;
+    EXPECT_TRUE(std::isnan(ramp_with(at, -inf))) << at;
+  }
+  // Flat spans return their first pixel: NaN propagates, -0 stays -0.
+  EXPECT_TRUE(std::isnan(otsu_threshold(std::vector<float>{nan, 1.0f})));
+  EXPECT_TRUE(std::signbit(otsu_threshold(
+      std::vector<float>(33, -0.0f))));
+  EXPECT_TRUE(std::signbit(
+      otsu_threshold(std::vector<float>{-0.0f, 0.0f, nan, 0.0f})));
+  EXPECT_FALSE(std::signbit(
+      otsu_threshold(std::vector<float>{0.0f, -0.0f, nan, -0.0f})));
 }
 
 TEST(Mask, CountAndAccessors) {

@@ -2,15 +2,20 @@
 // (gray -> threshold -> sobel -> edge_map -> centroid) on small synthetic
 // shape images, scratch-overload vs allocating-overload equivalence for
 // every refactored sax/vision function, and bit-for-bit comparisons of the
-// radial scan and the morphology against straightforward reference
-// implementations kept in this file.
+// radial scan, morphology, labelling, Otsu and centroid against
+// straightforward reference implementations kept in this file.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -310,12 +315,16 @@ TEST(VisionScratchEquivalence, RadialSeriesAndShapeSignature) {
 }
 
 // ------------------------------------------------------------------
-// Radial scan and morphology against reference implementations.
+// Radial scan, morphology, labelling, Otsu and centroid against
+// reference implementations.
 //
-// The library's radial scan searches a bounded range of each ray and its
-// radius-1 morphology runs separable passes; the references below are
-// the plain definitions (march every half-pixel step to the image edge;
-// test every pixel of the square structuring element). Every public
+// The library's radial scan searches a bounded range of each ray, its
+// radius-1 morphology runs separable passes, its components come from a
+// run-length labelling, its Otsu scans in lanes and sub-histograms and
+// its centroid sums integers; the references below are the plain
+// definitions (march every half-pixel step to the image edge; test every
+// pixel of the square structuring element; flood pixel by pixel; one
+// serial min/max and histogram scan; running double sums). Every public
 // overload must match them bit for bit.
 // ------------------------------------------------------------------
 
@@ -416,6 +425,75 @@ BinaryMask reference_largest_component(const BinaryMask& mask) {
   return out;
 }
 
+/// Otsu's threshold by one serial scan: a running min/max from image[0],
+/// one 256-bin histogram of s = (v - lo) * scale truncated to int and
+/// clamped to [0, 255], and the between-class variance sweep. A NaN s,
+/// or one outside int's range, converts to INT_MIN as x86's truncating
+/// convert gives it, so it lands in bin 0.
+float reference_otsu(std::span<const float> image) {
+  float lo = image[0];
+  float hi = image[0];
+  for (std::size_t i = 1; i < image.size(); ++i) {
+    lo = std::min(lo, image[i]);
+    hi = std::max(hi, image[i]);
+  }
+  if (hi <= lo) return lo;
+
+  constexpr int kBins = 256;
+  std::vector<std::uint64_t> hist(kBins, 0);
+  const float scale = static_cast<float>(kBins - 1) / (hi - lo);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    const float s = (image[i] - lo) * scale;
+    const int bin = s > -2147483648.0f && s < 2147483648.0f
+                        ? static_cast<int>(s)
+                        : std::numeric_limits<int>::min();
+    ++hist[static_cast<std::size_t>(std::min(std::max(bin, 0), kBins - 1))];
+  }
+
+  const double total = static_cast<double>(image.size());
+  double sum_all = 0.0;
+  for (int b = 0; b < kBins; ++b) sum_all += b * static_cast<double>(hist[b]);
+
+  double sum_bg = 0.0;
+  double weight_bg = 0.0;
+  double best_between = -1.0;
+  int best_bin = 0;
+  for (int b = 0; b < kBins; ++b) {
+    weight_bg += static_cast<double>(hist[b]);
+    if (weight_bg == 0.0) continue;
+    const double weight_fg = total - weight_bg;
+    if (weight_fg == 0.0) break;
+    sum_bg += b * static_cast<double>(hist[b]);
+    const double mean_bg = sum_bg / weight_bg;
+    const double mean_fg = (sum_all - sum_bg) / weight_fg;
+    const double between =
+        weight_bg * weight_fg * (mean_bg - mean_fg) * (mean_bg - mean_fg);
+    if (between > best_between) {
+      best_between = between;
+      best_bin = b;
+    }
+  }
+  return lo + static_cast<float>(best_bin) / scale;
+}
+
+/// Centroid as running double sums of each set pixel's coordinates.
+std::optional<vision::Centroid> reference_centroid(const BinaryMask& mask) {
+  double sy = 0.0;
+  double sx = 0.0;
+  std::size_t n = 0;
+  for (std::size_t y = 0; y < mask.height; ++y) {
+    for (std::size_t x = 0; x < mask.width; ++x) {
+      if (!mask.at(y, x)) continue;
+      sy += static_cast<double>(y);
+      sx += static_cast<double>(x);
+      ++n;
+    }
+  }
+  if (n == 0) return std::nullopt;
+  return vision::Centroid{sy / static_cast<double>(n),
+                          sx / static_cast<double>(n)};
+}
+
 /// mask_from_feature_map's documented recipe built from the references:
 /// Otsu edges of |feature| with a two-pixel frame cleared, a radius-1
 /// dilation with the one-pixel frame cleared, the pixels a 4-connected
@@ -424,7 +502,8 @@ BinaryMask reference_largest_component(const BinaryMask& mask) {
 BinaryMask reference_mask_from_feature_map(const Tensor& feature_map) {
   Tensor mag = feature_map;
   for (std::size_t i = 0; i < mag.count(); ++i) mag[i] = std::abs(mag[i]);
-  BinaryMask edges = vision::threshold_otsu(mag);
+  BinaryMask edges = vision::threshold(
+      mag, reference_otsu(std::span<const float>(mag.data())));
   const std::size_t h = edges.height;
   const std::size_t w = edges.width;
   const auto clear_frame = [&](BinaryMask& m, std::size_t band) {
@@ -512,14 +591,26 @@ void expect_morphology_matches_reference(const BinaryMask& mask) {
   }
 }
 
+void expect_same_centroid(const BinaryMask& mask) {
+  const auto expect = reference_centroid(mask);
+  const auto got = vision::centroid(mask);
+  ASSERT_EQ(got.has_value(), expect.has_value());
+  if (!expect) return;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->y),
+            std::bit_cast<std::uint64_t>(expect->y));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got->x),
+            std::bit_cast<std::uint64_t>(expect->x));
+}
+
 /// Radial scan around the mask's own centroid at every tested resolution,
 /// both morphology operators and the largest component.
 void expect_mask_matches_references(const BinaryMask& mask) {
   expect_morphology_matches_reference(mask);
   expect_same_mask(vision::largest_component(mask),
                    reference_largest_component(mask), "largest_component");
+  expect_same_centroid(mask);
   if (const auto c = vision::centroid(mask)) {
-    for (const std::size_t samples : {1u, 45u, 90u, 360u}) {
+    for (const std::size_t samples : {1u, 2u, 7u, 45u, 90u, 360u, 720u}) {
       expect_radial_matches_reference(mask, *c, samples);
     }
   }
@@ -645,7 +736,7 @@ TEST(VisionReferenceEquivalence, AdversarialMasks) {
         vision::Centroid{0.0, 0.0}, vision::Centroid{20.0, 20.0},
         vision::Centroid{2.0, 18.0}, vision::Centroid{-3.0, 4.0},
         vision::Centroid{25.0, 5.0}, vision::Centroid{10.0, 10.49999}}) {
-    for (const std::size_t samples : {1u, 45u, 90u, 360u}) {
+    for (const std::size_t samples : {1u, 2u, 7u, 45u, 90u, 360u, 720u}) {
       expect_radial_matches_reference(ring, c, samples);
       expect_radial_matches_reference(notch, c, samples);
       expect_radial_matches_reference(empty, c, samples);
@@ -678,6 +769,257 @@ TEST(VisionReferenceEquivalence, MaskFromNoisyFeatureMaps) {
     expect_same_mask(vision::mask_from_feature_map(fm),
                      reference_mask_from_feature_map(fm),
                      "mask_from_feature_map");
+  }
+}
+
+TEST(VisionReferenceEquivalence, OtsuMatchesSerialScan) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<float> value(-3.0f, 5.0f);
+  const auto random_span = [&](std::size_t n) {
+    std::vector<float> v(n);
+    for (float& x : v) x = value(rng);
+    return v;
+  };
+  std::vector<std::vector<float>> spans;
+  // Random maps, at lengths around the lane and chunk widths.
+  for (const std::size_t n : {1u, 2u, 3u, 15u, 16u, 17u, 31u, 33u, 100u,
+                              1023u, 1024u, 1025u, 2100u, 9216u}) {
+    spans.push_back(random_span(n));
+  }
+  // Flat and one-pixel spans.
+  for (const float v : {0.5f, 0.0f, -0.0f, -7.0f, nan, inf, -inf}) {
+    spans.push_back({v});
+    spans.push_back(std::vector<float>(37, v));
+  }
+  // +0/-0 mixes: flat ones keep image[0]'s sign; others add 1 and -1.
+  std::bernoulli_distribution coin(0.5);
+  for (const std::size_t n : {5u, 40u, 1100u}) {
+    for (const float first : {0.0f, -0.0f}) {
+      std::vector<float> v(n);
+      for (float& x : v) x = coin(rng) ? 0.0f : -0.0f;
+      v[0] = first;
+      spans.push_back(v);
+      v[n / 2] = 1.0f;
+      spans.push_back(v);
+      v[n / 3] = -1.0f;
+      spans.push_back(v);
+    }
+  }
+  // NaN first and later, and +-Inf, at positions inside and around the
+  // first lane block and in the tail.
+  const std::vector<float> base = random_span(50);
+  for (const std::size_t at : {0u, 1u, 15u, 16u, 17u, 49u}) {
+    for (const float v : {nan, inf, -inf}) {
+      std::vector<float> with = base;
+      with[at] = v;
+      spans.push_back(with);
+    }
+  }
+  {
+    std::vector<float> many_nans = random_span(300);
+    for (std::size_t i = 3; i < many_nans.size(); i += 7) many_nans[i] = nan;
+    spans.push_back(many_nans);
+  }
+  // A range so narrow that the scale overflows to +Inf, and one a single
+  // float step wide.
+  spans.push_back({0.0f, 1e-45f, 0.0f, 1e-45f, 0.0f});
+  spans.push_back({1.0f, std::nextafter(1.0f, 2.0f), 1.0f});
+  // Sobel magnitudes of rendered signs at both qualifier resolutions.
+  for (const std::size_t size : {96u, 227u}) {
+    for (const data::SignClass cls : data::all_classes()) {
+      data::RenderParams params;
+      params.cls = cls;
+      params.size = size;
+      params.rotation = 0.1;
+      const Tensor edge = vision::edge_magnitude(data::render_sign(params));
+      spans.emplace_back(edge.data().begin(), edge.data().end());
+    }
+  }
+
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const std::span<const float> span(spans[i]);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(vision::otsu_threshold(span)),
+              std::bit_cast<std::uint32_t>(reference_otsu(span)))
+        << "span " << i << " of length " << span.size();
+  }
+}
+
+TEST(VisionReferenceEquivalence, CentroidMatchesDoubleSums) {
+  std::mt19937 rng(12);
+  std::uniform_int_distribution<std::size_t> side(1, 227);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t h = side(rng);
+    const std::size_t w = side(rng);
+    expect_same_centroid(random_mask(rng, h, w, 0.02 + 0.024 * trial));
+  }
+  expect_same_centroid(filled_rect(227, 227, 0, 0, 227, 227));
+  expect_same_centroid(BinaryMask(5, 9));
+  expect_same_centroid(filled_rect(1, 70000, 0, 0, 1, 70000));
+  expect_same_centroid(random_mask(rng, 1, 70000, 0.5));
+  expect_same_centroid(random_mask(rng, 70000, 1, 0.5));
+}
+
+/// Mask from rows of '#' (set) and '.' (unset), all of one width.
+BinaryMask mask_from_rows(std::initializer_list<std::string_view> rows) {
+  BinaryMask m(rows.size(), rows.begin()->size());
+  std::size_t y = 0;
+  for (const std::string_view row : rows) {
+    for (std::size_t x = 0; x < row.size(); ++x) m.set(y, x, row[x] == '#');
+    ++y;
+  }
+  return m;
+}
+
+/// Square spiral wall on an n x n grid, one pixel wide with one-pixel
+/// gaps: legs of n-1, n-1, n-1, n-3, n-3, n-5, n-5, ... pixels.
+BinaryMask spiral(std::size_t n) {
+  BinaryMask m(n, n);
+  constexpr std::int64_t kDy[] = {0, 1, 0, -1};
+  constexpr std::int64_t kDx[] = {1, 0, -1, 0};
+  std::int64_t y = 0;
+  std::int64_t x = 0;
+  m.set(0, 0, true);
+  auto len = static_cast<std::int64_t>(n) - 1;
+  for (std::size_t leg = 0; len > 0; ++leg) {
+    if (leg >= 3 && (leg - 3) % 2 == 0) len -= 2;
+    for (std::int64_t i = 0; i < len; ++i) {
+      y += kDy[leg % 4];
+      x += kDx[leg % 4];
+      m.set(static_cast<std::size_t>(y), static_cast<std::size_t>(x), true);
+    }
+  }
+  return m;
+}
+
+TEST(VisionReferenceEquivalence, LabellingAdversarialMasks) {
+  std::vector<BinaryMask> masks;
+  // U shapes: the arms are separate runs until the last row joins them.
+  masks.push_back(mask_from_rows({"#...#",  //
+                                  "#...#",  //
+                                  "#####"}));
+  masks.push_back(mask_from_rows({"....#",  //
+                                  "#...#",  //
+                                  "#.#.#",  //
+                                  "#####"}));
+  // Equal-size ties: the component whose first pixel comes first in
+  // raster order wins, also when it is the one that starts further right.
+  masks.push_back(mask_from_rows({"##.##",  //
+                                  "##.##"}));
+  masks.push_back(mask_from_rows({"....#",  //
+                                  "#...#",  //
+                                  "#...#"}));
+  masks.push_back(mask_from_rows({".#.#..#",  //
+                                  ".#.#..#",  //
+                                  ".###.##"}));
+  // Columns that start one row later from right to left, all joined on
+  // the last row: every merge has to keep the rightmost column's root.
+  {
+    BinaryMask m(12, 23);
+    for (std::size_t x = 0; x < 23; x += 2) {
+      for (std::size_t y = (22 - x) / 2; y < 12; ++y) m.set(y, x, true);
+    }
+    for (std::size_t x = 0; x < 23; ++x) m.set(11, x, true);
+    masks.push_back(m);
+    // The same comb twice, the right copy a row higher: a tie.
+    BinaryMask two(13, 47);
+    for (std::size_t y = 0; y < 12; ++y) {
+      for (std::size_t x = 0; x < 23; ++x) {
+        two.set(y + 1, x, m.at(y, x));
+        two.set(y, x + 24, m.at(y, x));
+      }
+    }
+    masks.push_back(two);
+  }
+  masks.push_back(spiral(31));
+  masks.push_back(spiral(32));
+  {
+    // Two spirals that meet only on their bottom rows.
+    const BinaryMask s = spiral(15);
+    BinaryMask m(16, 31);
+    for (std::size_t y = 0; y < 15; ++y) {
+      for (std::size_t x = 0; x < 15; ++x) {
+        m.set(y, x, s.at(y, x));
+        m.set(y, 30 - x, s.at(y, x));
+      }
+    }
+    for (std::size_t x = 0; x < 31; ++x) m.set(15, x, true);
+    masks.push_back(m);
+  }
+  // Checkerboards (every pixel its own component) and stripes.
+  for (const std::size_t phase : {0u, 1u}) {
+    BinaryMask m(9, 11);
+    BinaryMask stripes(9, 11);
+    for (std::size_t y = 0; y < 9; ++y) {
+      for (std::size_t x = 0; x < 11; ++x) {
+        m.set(y, x, (x + y + phase) % 2 == 0);
+        stripes.set(y, x, (x + phase) % 2 == 0);
+      }
+    }
+    masks.push_back(m);
+    masks.push_back(stripes);
+  }
+  // 1 x n and n x 1 masks with gaps, empty and full masks.
+  masks.push_back(mask_from_rows({"##.###.#..####."}));
+  {
+    BinaryMask column(15, 1);
+    for (std::size_t y = 0; y < 15; ++y) column.set(y, 0, y % 4 != 2);
+    masks.push_back(column);
+  }
+  masks.emplace_back(6, 7);
+  masks.push_back(filled_rect(6, 7, 0, 0, 6, 7));
+  masks.push_back(filled_rect(1, 1, 0, 0, 1, 1));
+
+  for (const BinaryMask& m : masks) {
+    SCOPED_TRACE(::testing::Message() << m.height << "x" << m.width);
+    expect_mask_matches_references(m);
+  }
+}
+
+TEST(VisionReferenceEquivalence, BackgroundReachedOnlyDiagonallyStaysFilled) {
+  // Edge pixels on the boundary of [10, 30]^2, with the top row starting
+  // at x = 13 and the left column at y = 13. Dilated, the outside pixel
+  // (11, 11) touches the inside pixel (12, 12) only diagonally, so the
+  // 4-connected background must not enter the square.
+  Tensor fm(Shape{40, 40}, 0.0f);
+  for (std::size_t i = 10; i <= 30; ++i) {
+    if (i >= 13) fm.at2(10, i) = 1.0f;
+    if (i >= 13) fm.at2(i, 10) = 1.0f;
+    fm.at2(30, i) = 1.0f;
+    fm.at2(i, 30) = 1.0f;
+  }
+  const BinaryMask silhouette = vision::mask_from_feature_map(fm);
+  expect_same_mask(silhouette, reference_mask_from_feature_map(fm),
+                   "mask_from_feature_map");
+  // The erosion clears (12, 12), which borders (11, 11); the rest of the
+  // square stays.
+  EXPECT_TRUE(silhouette.at(13, 13));
+  EXPECT_TRUE(silhouette.at(20, 20));
+  EXPECT_FALSE(silhouette.at(11, 11));
+}
+
+TEST(VisionReferenceEquivalence, RadialCentroidsOffTheShapeAt227Pixels) {
+  data::RenderParams params;
+  params.cls = data::all_classes()[0];
+  params.size = 227;
+  params.rotation = 0.1;
+  const BinaryMask silhouette = vision::mask_from_feature_map(
+      vision::edge_magnitude(data::render_sign(params)));
+  ASSERT_GT(silhouette.count(), 0u);
+  // Image corners, points inside the image but outside the set pixels'
+  // bounding box, points outside the image, and the exact centroid.
+  // Sample counts 2 and 720 include theta = pi, where sin(theta) is about
+  // 1.2e-16, and 720 also theta = pi / 2 with cos(theta) about 6e-17.
+  std::vector<vision::Centroid> centroids = {
+      {0.0, 0.0},   {0.0, 226.0}, {226.0, 0.0}, {226.4, 226.6},
+      {3.5, 113.0}, {113.0, 2.0}, {220.0, 110.5}, {-1.0, 100.0},
+      {100.0, 240.0}};
+  centroids.push_back(*vision::centroid(silhouette));
+  for (const vision::Centroid& c : centroids) {
+    for (const std::size_t samples : {1u, 2u, 7u, 360u, 720u}) {
+      expect_radial_matches_reference(silhouette, c, samples);
+    }
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 
+#include "campaign_fabric/campaigns.hpp"
 #include "core/hybrid_network.hpp"
 #include "core/memory_campaign.hpp"
 #include "data/renderer.hpp"
@@ -48,6 +51,103 @@ class MemoryCampaignTest : public ::testing::Test {
  protected:
   void TearDown() override { ComputeContext::set_global_threads(1); }
 };
+
+std::string describe(const MemoryCampaignSummary& s) {
+  std::ostringstream os;
+  os << "{" << s.runs << ", " << s.intact << ", " << s.corrected << ", "
+     << s.uncorrectable << ", " << s.qualifier_caught << ", "
+     << s.silent_corruption << ", " << s.bits_flipped << ", "
+     << s.ecc_corrected_data << ", " << s.ecc_corrected_check << ", "
+     << s.ecc_uncorrectable_words << "}";
+  return os.str();
+}
+
+/// Runs `runs` runs from `seed_base` at 1, 2 and 8 threads, directly and
+/// through the fabric (2 workers, shards of 5 runs, which is not a
+/// multiple of any scrub interval below), and expects `pin` every time.
+void expect_pinned_summary(const HybridNetwork& net,
+                           const MemoryCampaignConfig& cfg, std::size_t runs,
+                           std::uint64_t seed_base,
+                           const MemoryCampaignSummary& pin) {
+  const MemoryFaultCampaign campaign(net, cfg);
+  const Tensor img = stop_image();
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ComputeContext::set_global_threads(threads);
+    FaultSeedStream seeds(seed_base);
+    const MemoryCampaignSummary direct = campaign.run(img, runs, seeds);
+    EXPECT_EQ(direct, pin) << threads << " threads: " << describe(direct);
+
+    fabric::FabricConfig fcfg;
+    fcfg.shard_size = 5;
+    fcfg.workers = 2;
+    const fabric::FabricResult<MemoryCampaignSummary> sharded =
+        fabric::run_memory_campaign(campaign, img, runs, seed_base, fcfg);
+    ASSERT_TRUE(sharded.complete);
+    EXPECT_EQ(sharded.summary, pin)
+        << threads << " threads, fabric: " << describe(sharded.summary);
+  }
+}
+
+// Pinned summaries. Each cell was recorded from the campaign as it was
+// before runs whose scrubbed weights and input are bit-identical to the
+// pristine ones were decided without classifying them, and locks that
+// shortcut to the outcomes the classifying path gives. Never re-record
+// them. Fields: runs, intact, corrected, uncorrectable, qualifier_caught,
+// silent_corruption, bits_flipped, ecc_corrected_data,
+// ecc_corrected_check, ecc_uncorrectable_words.
+
+TEST_F(MemoryCampaignTest, PinnedSummaryEccWeightsCorrectedAndUncorrectable) {
+  const HybridNetwork net(make_testnet(), 0);
+  MemoryCampaignConfig cfg;
+  cfg.model.bit_error_rate = 4e-4;
+  cfg.ecc = true;
+  cfg.scrub_interval = 2;
+  expect_pinned_summary(net, cfg, 24, 1234,
+                        {24, 0, 15, 9, 0, 0, 553, 531, 0, 11});
+}
+
+TEST_F(MemoryCampaignTest, PinnedSummaryUnprotectedWeights) {
+  const HybridNetwork net(make_testnet(), 0);
+  MemoryCampaignConfig cfg;
+  cfg.model.bit_error_rate = 5e-4;
+  cfg.scrub_interval = 3;
+  expect_pinned_summary(net, cfg, 16, 2345,
+                        {16, 6, 0, 0, 10, 0, 605, 0, 0, 0});
+}
+
+TEST_F(MemoryCampaignTest, PinnedSummaryInput) {
+  const HybridNetwork net(make_testnet(), 0);
+  MemoryCampaignConfig cfg;
+  cfg.model.target = MemoryTarget::kInput;
+  cfg.model.bit_error_rate = 2e-6;
+  cfg.scrub_interval = 2;
+  expect_pinned_summary(net, cfg, 24, 3456,
+                        {24, 21, 0, 0, 0, 3, 104, 0, 0, 0});
+}
+
+TEST_F(MemoryCampaignTest, PinnedSummaryWeightsAndInput) {
+  const HybridNetwork net(make_testnet(), 0);
+  MemoryCampaignConfig cfg;
+  cfg.model.target = MemoryTarget::kWeightsAndInput;
+  cfg.model.bit_error_rate = 1e-6;
+  cfg.ecc = true;
+  cfg.scrub_interval = 4;
+  expect_pinned_summary(net, cfg, 16, 4567,
+                        {16, 12, 2, 0, 0, 2, 64, 3, 0, 0});
+}
+
+TEST_F(MemoryCampaignTest, PinnedSummaryArmedComputeFaultsWithEcc) {
+  HybridConfig hcfg;
+  hcfg.fault_config.kind = faultsim::FaultKind::kTransient;
+  hcfg.fault_config.probability = 1e-5;
+  const HybridNetwork net(make_testnet(), 0, hcfg);
+  MemoryCampaignConfig cfg;
+  cfg.model.bit_error_rate = 4e-4;
+  cfg.ecc = true;
+  cfg.scrub_interval = 2;
+  expect_pinned_summary(net, cfg, 12, 5678,
+                        {12, 0, 11, 1, 0, 0, 259, 255, 0, 1});
+}
 
 TEST_F(MemoryCampaignTest, ZeroRateLeavesEveryRunIntact) {
   HybridNetwork net(make_testnet(), 0);

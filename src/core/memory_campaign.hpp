@@ -14,7 +14,22 @@
 // Rng, compute-fault injector seed) from `seeds.peek() + i` alone, runs
 // fan across the thread pool, and outcomes reduce in run-index order —
 // so the returned summary is bit-identical at every thread count
-// (tests/test_memory_campaign.cpp locks 1/2/8 threads).
+// (tests/test_memory_campaign.cpp locks 1/2/8 threads and the fabric
+// against summaries pinned before the masked-run rule below existed).
+//
+// Masked runs: a run whose weights, after corruption and any scrub, and
+// whose input are bit-identical to the pristine ones (compared bit for
+// bit, so a +0/-0 swap or a NaN-payload change is not a match) is not
+// classified. Its classification and its golden are the same pure
+// function of (weight bits, input bits, seed), so they agree whether or
+// not compute faults are armed, and the run takes the matching outcome:
+// corrected when bits flipped and the scrub repaired any, else intact.
+//
+// Golden: the pristine conv1 kernel, and with no compute faults armed
+// the one shared golden, are built lazily, at most once per run_range
+// call and only when some run in the range classifies. With compute
+// faults armed, each classifying run also classifies its same-seed
+// golden; masked runs skip both.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +79,11 @@ class MemoryFaultCampaign {
   /// `seeds.peek() + i`, the classify_repeat contract). The golden
   /// reference is the same-seed classification with pristine weights —
   /// computed once when the network's compute-fault environment is
-  /// kNone (the fault-free path is seed-independent), per run otherwise,
-  /// so the summary isolates the memory-fault effect either way.
+  /// kNone (the fault-free path is seed-independent), per classifying
+  /// run otherwise, so the summary isolates the memory-fault effect
+  /// either way. Masked runs are decided without either (file comment).
+  /// Throws if `image` is not CHW with conv1's input channels; other
+  /// shape errors surface from the first run that classifies.
   [[nodiscard]] faultsim::MemoryCampaignSummary run(
       const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
       runtime::ComputeContext& ctx =

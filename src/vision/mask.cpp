@@ -10,10 +10,11 @@ namespace hybridcnn::vision {
 
 namespace {
 
+/// A zero-area output needs no storage, so its data may be null.
 void require_same_dims(const ConstMaskView& in, const MaskView& out,
                        const char* what) {
   if (in.height != out.height || in.width != out.width ||
-      out.data == nullptr) {
+      (out.data == nullptr && out.size() != 0)) {
     throw std::invalid_argument(std::string(what) +
                                 ": output view dimensions mismatch");
   }

@@ -172,6 +172,10 @@ TEST_F(MemoryCampaignTest, RejectsZeroScrubIntervalAndBadImage) {
   FaultSeedStream seeds = net.seed_stream();
   EXPECT_THROW((void)campaign.run(Tensor(Shape{4, 4}), 1, seeds),
                std::invalid_argument);
+  // Zero-rate runs are masked and never classify, so conv1's channel
+  // count is checked up front.
+  EXPECT_THROW((void)campaign.run(Tensor(Shape{1, 128, 128}), 1, seeds),
+               std::invalid_argument);
 }
 
 TEST_F(MemoryCampaignTest, SummaryDeterministicForSeedBase) {

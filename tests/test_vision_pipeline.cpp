@@ -970,6 +970,10 @@ TEST(VisionReferenceEquivalence, LabellingAdversarialMasks) {
   masks.emplace_back(6, 7);
   masks.push_back(filled_rect(6, 7, 0, 0, 6, 7));
   masks.push_back(filled_rect(1, 1, 0, 0, 1, 1));
+  // Zero-area masks, whose empty storage has a null data().
+  masks.emplace_back(3, 0);
+  masks.emplace_back(0, 3);
+  masks.emplace_back(0, 0);
 
   for (const BinaryMask& m : masks) {
     SCOPED_TRACE(::testing::Message() << m.height << "x" << m.width);

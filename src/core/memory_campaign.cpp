@@ -58,6 +58,10 @@ bool evidence_flags(const HybridClassification& r) noexcept {
          (r.qualifier.qualifies() && !r.safety_critical);
 }
 
+const nn::Conv2d& conv1_of(const HybridNetwork& net) {
+  return net.cnn().layer_as<nn::Conv2d>(net.conv1_index());
+}
+
 bool same_result(const HybridClassification& a,
                  const HybridClassification& b) noexcept {
   return a.predicted_class == b.predicted_class && a.decision == b.decision;
@@ -67,15 +71,15 @@ bool same_result(const HybridClassification& a,
 
 MemoryFaultCampaign::MemoryFaultCampaign(const HybridNetwork& net,
                                          MemoryCampaignConfig config)
-    : net_(&net), config_(std::move(config)) {
+    : net_(&net),
+      config_(std::move(config)),
+      weights_(conv1_of(net).weights()),
+      bias_(conv1_of(net).bias()),
+      spec_{conv1_of(net).stride(), conv1_of(net).pad()} {
   if (config_.scrub_interval == 0) {
     throw std::invalid_argument(
         "MemoryFaultCampaign: scrub_interval must be >= 1");
   }
-  const auto& conv1 = net.cnn().layer_as<nn::Conv2d>(net.conv1_index());
-  weights_ = conv1.weights();
-  bias_ = conv1.bias();
-  spec_ = reliable::ConvSpec{conv1.stride(), conv1.pad()};
 }
 
 faultsim::MemoryCampaignSummary MemoryFaultCampaign::run(
@@ -88,7 +92,8 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run(
 faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     const tensor::Tensor& image, std::size_t run_begin, std::size_t run_end,
     std::uint64_t seed_base, runtime::ComputeContext& ctx) const {
-  if (image.shape().rank() != 3 || image.shape()[0] != weights_.shape()[1]) {
+  if (image.shape().rank() != 3 ||
+      image.shape()[0] != weights_.data().shape()[1]) {
     throw std::invalid_argument(
         "MemoryFaultCampaign::run_range: expected CHW with conv1's channels");
   }
@@ -115,7 +120,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
   HybridClassification shared_golden;
   const auto pristine = [&]() -> const reliable::ReliableConv2d& {
     std::call_once(pristine_once, [&] {
-      pristine_rconv.emplace(weights_, bias_, spec_, policy);
+      pristine_rconv.emplace(weights_.data(), bias_, spec_, policy);
       if (!compute_faults_armed) {
         shared_golden =
             net_->classify_with_conv1(*pristine_rconv, image, seed_base, opts);
@@ -139,26 +144,21 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     const std::size_t epochs = (i % config_.scrub_interval) + 1;
 
     // ---- Corrupt the stored weights (optionally behind SEC-DED). ----
-    tensor::Tensor weights = weights_;
+    // The pristine words' check bits were encoded once, at construction;
+    // the scrub decodes only the words the faults changed.
+    tensor::Tensor weights = weights_.data();
     bool ecc_uncorrectable = false;
     if (targets_weights(config_.model.target)) {
+      for (std::size_t e = 0; e < epochs; ++e) {
+        rec.bits_flipped +=
+            apply_model(weights, config_.model, rng).bits_flipped;
+      }
       if (config_.ecc) {
-        faultsim::ProtectedTensor prot(std::move(weights));
-        for (std::size_t e = 0; e < epochs; ++e) {
-          rec.bits_flipped +=
-              apply_model(prot.data(), config_.model, rng).bits_flipped;
-        }
-        const faultsim::ScrubReport sr = prot.scrub();
+        const faultsim::ScrubReport sr = weights_.scrub_copy(weights);
         rec.ecc_corrected_data = sr.corrected_data;
         rec.ecc_corrected_check = sr.corrected_check;
         rec.ecc_uncorrectable_words = sr.uncorrectable;
         ecc_uncorrectable = sr.uncorrectable != 0;
-        weights = std::move(prot.data());
-      } else {
-        for (std::size_t e = 0; e < epochs; ++e) {
-          rec.bits_flipped +=
-              apply_model(weights, config_.model, rng).bits_flipped;
-        }
       }
     }
 
@@ -187,7 +187,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     // input bits, seed). It matches without being classified. Bits, not
     // float ==: a +0/-0 swap or a NaN-payload change is a difference.
     const bool masked =
-        tensor::bit_identical(weights, weights_) &&
+        tensor::bit_identical(weights, weights_.data()) &&
         (input == &image || tensor::bit_identical(*input, image));
     if (!masked) {
       const reliable::ReliableConv2d rconv(std::move(weights), bias_, spec_,

@@ -25,6 +25,14 @@
 // not compute faults are armed, and the run takes the matching outcome:
 // corrected when bits flipped and the scrub repaired any, else intact.
 //
+// ECC cost: the pristine weights' SEC-DED check bits are encoded once,
+// at construction. A run copies the pristine payload, injects into the
+// copy and scrubs it against the pristine check words
+// (ProtectedTensor::scrub_copy), which decodes only the words the faults
+// changed; the report and the repaired bits equal a full scrub's. A
+// run's ECC cost is therefore a copy and a compare over the tensor plus
+// O(changed words) decodes, not an encode and a decode of every word.
+//
 // Golden: the pristine conv1 kernel, and with no compute faults armed
 // the one shared golden, are built lazily, at most once per run_range
 // call and only when some run in the range classifies. With compute
@@ -36,6 +44,7 @@
 
 #include "core/fault_seed_stream.hpp"
 #include "core/hybrid_network.hpp"
+#include "faultsim/ecc.hpp"
 #include "faultsim/memory_faults.hpp"
 #include "runtime/compute_context.hpp"
 #include "tensor/tensor.hpp"
@@ -65,7 +74,8 @@ struct MemoryCampaignConfig {
 };
 
 /// Runs memory-fault campaigns against one HybridNetwork. Construction
-/// snapshots the pristine conv1 parameters once; each run builds its own
+/// snapshots the pristine conv1 parameters and encodes their SEC-DED
+/// check bits once; each run builds its own
 /// corrupted kernel from the snapshot, so the network itself is never
 /// mutated and campaigns may share it with concurrent classify traffic.
 class MemoryFaultCampaign {
@@ -112,8 +122,9 @@ class MemoryFaultCampaign {
   const HybridNetwork* net_;
   MemoryCampaignConfig config_;
   // Pristine conv1 snapshot (weights, bias, geometry) taken at
-  // construction; the per-run corruption source.
-  tensor::Tensor weights_;
+  // construction; the per-run corruption source. The weights' SEC-DED
+  // check bits are encoded here, once per campaign.
+  faultsim::ProtectedTensor weights_;
   tensor::Tensor bias_;
   reliable::ConvSpec spec_;
 };

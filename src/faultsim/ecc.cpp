@@ -1,6 +1,8 @@
 #include "faultsim/ecc.hpp"
 
 #include <array>
+#include <bit>
+#include <stdexcept>
 
 #include "faultsim/bitflip.hpp"
 
@@ -21,83 +23,86 @@ constexpr std::array<std::uint8_t, 32> data_positions() {
 
 constexpr std::array<std::uint8_t, 32> kDataPos = data_positions();
 
-std::uint32_t popcount32(std::uint32_t v) noexcept {
-  return static_cast<std::uint32_t>(__builtin_popcount(v));
+/// Bit-serial encode, used only to fill the byte tables: Hamming check
+/// bit j is the parity of the data bits whose codeword position has bit j
+/// set (so the six bits are the XOR of the set bits' positions), and bit
+/// 6 is even parity over the data and the six Hamming bits.
+constexpr std::uint8_t encode_serial(std::uint32_t data) noexcept {
+  std::uint32_t hamming = 0;
+  for (std::size_t d = 0; d < 32; ++d) {
+    if ((data >> d) & 1u) hamming ^= kDataPos[d];
+  }
+  const auto ones =
+      static_cast<std::uint32_t>(std::popcount(data) + std::popcount(hamming));
+  return static_cast<std::uint8_t>(hamming | ((ones & 1u) << 6));
 }
 
-/// Data bits covered by each Hamming check bit j: the data bits whose
-/// codeword position has bit j set.
-constexpr std::array<std::uint32_t, 6> check_masks() {
-  std::array<std::uint32_t, 6> masks{};
-  for (std::size_t j = 0; j < 6; ++j) {
-    for (std::size_t d = 0; d < 32; ++d) {
-      if ((kDataPos[d] >> j) & 1u) masks[j] |= 1u << d;
+/// kEncode[k][b] = encode(b << 8k): by linearity, the check bits of a
+/// word are the XOR of its four bytes' entries.
+constexpr std::array<std::array<std::uint8_t, 256>, 4> encode_tables() {
+  std::array<std::array<std::uint8_t, 256>, 4> t{};
+  for (std::size_t k = 0; k < 4; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      t[k][b] = encode_serial(b << (8 * k));
     }
   }
-  return masks;
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 6> kCheckMask = check_masks();
+constexpr auto kEncode = encode_tables();
 
-/// Six Hamming check bits over the data word: check bit j is the parity
-/// of the data bits kCheckMask[j] selects.
-std::uint8_t hamming_bits(std::uint32_t data) noexcept {
-  std::uint32_t check = 0;
-  for (std::size_t j = 0; j < 6; ++j) {
-    check |= (popcount32(data & kCheckMask[j]) & 1u) << j;
+/// Decodes one stored word, repairing `word` and `check` in place, and
+/// counts the outcome in `report` — the accounting shared by every scrub.
+void scrub_word(std::uint32_t& word, std::uint8_t& check,
+                ScrubReport& report) noexcept {
+  switch (SecDed::decode(word, check)) {
+    case SecDed::Outcome::kClean:
+      break;
+    case SecDed::Outcome::kCorrectedData:
+      ++report.corrected_data;
+      break;
+    case SecDed::Outcome::kCorrectedCheck:
+      ++report.corrected_check;
+      break;
+    case SecDed::Outcome::kDoubleError:
+      ++report.uncorrectable;
+      break;
   }
-  return static_cast<std::uint8_t>(check);
 }
 
 }  // namespace
 
 std::uint8_t SecDed::encode(std::uint32_t data) noexcept {
-  const std::uint8_t hamming = hamming_bits(data);
-  // Overall parity over data and the six Hamming bits (even parity).
-  const std::uint32_t ones =
-      popcount32(data) + popcount32(hamming);
-  return static_cast<std::uint8_t>(hamming | ((ones & 1u) << 6));
+  return static_cast<std::uint8_t>(
+      kEncode[0][data & 0xFF] ^ kEncode[1][(data >> 8) & 0xFF] ^
+      kEncode[2][(data >> 16) & 0xFF] ^ kEncode[3][data >> 24]);
 }
 
 SecDed::Outcome SecDed::decode(std::uint32_t& data,
                                std::uint8_t& check) noexcept {
-  const std::uint8_t stored_hamming = check & 0x3F;
-  const std::uint8_t stored_parity = (check >> 6) & 1;
+  // Linearity: the syndrome is the check bits of the error pattern. Its
+  // low six bits locate a single error; its weight's parity is the
+  // parity of the number of flipped codeword bits.
+  const auto syndrome = static_cast<std::uint8_t>(check ^ encode(data));
+  if (syndrome == 0) return Outcome::kClean;
+  // Even number of flips: detected, not correctable.
+  if ((std::popcount(syndrome) & 1) == 0) return Outcome::kDoubleError;
 
-  const std::uint8_t computed_hamming = hamming_bits(data);
-  const std::uint8_t syndrome = stored_hamming ^ computed_hamming;
-  const std::uint32_t ones = popcount32(data) +
-                             popcount32(stored_hamming) + stored_parity;
-  const bool parity_ok = (ones & 1u) == 0;
-
-  if (syndrome == 0 && parity_ok) return Outcome::kClean;
-
-  if (!parity_ok) {
-    // Odd number of flipped bits: with a single-error assumption the
-    // syndrome locates it.
-    if (syndrome == 0) {
-      // The overall parity bit itself flipped.
-      check = static_cast<std::uint8_t>(check ^ 0x40);
-      return Outcome::kCorrectedCheck;
-    }
-    if ((syndrome & (syndrome - 1)) == 0) {
-      // Syndrome is a power of two: a Hamming check bit flipped.
-      check = static_cast<std::uint8_t>(
-          check ^ (syndrome & 0x3F));
-      return Outcome::kCorrectedCheck;
-    }
-    // Locate the data bit whose codeword position equals the syndrome.
-    for (int d = 0; d < 32; ++d) {
-      if (kDataPos[static_cast<std::size_t>(d)] == syndrome) {
-        data ^= (1u << d);
-        return Outcome::kCorrectedData;
-      }
-    }
-    // Syndrome points outside the codeword: multi-bit corruption.
-    return Outcome::kDoubleError;
+  const std::uint8_t hamming = syndrome & 0x3F;
+  if ((hamming & (hamming - 1)) == 0) {
+    // The overall parity bit (zero Hamming syndrome) or the Hamming
+    // check bit at a power-of-two position flipped.
+    check = static_cast<std::uint8_t>(check ^ (hamming == 0 ? 0x40 : hamming));
+    return Outcome::kCorrectedCheck;
   }
-
-  // Parity even but syndrome non-zero: an even number of flips.
+  // Locate the data bit whose codeword position equals the syndrome.
+  for (std::size_t d = 0; d < 32; ++d) {
+    if (kDataPos[d] == hamming) {
+      data ^= 1u << d;
+      return Outcome::kCorrectedData;
+    }
+  }
+  // Syndrome points outside the codeword: multi-bit corruption.
   return Outcome::kDoubleError;
 }
 
@@ -118,21 +123,8 @@ ScrubReport ProtectedTensor::scrub() {
   report.words = data_.count();
   for (std::size_t i = 0; i < data_.count(); ++i) {
     std::uint32_t word = float_bits(data_[i]);
-    const SecDed::Outcome outcome = SecDed::decode(word, checks_[i]);
-    switch (outcome) {
-      case SecDed::Outcome::kClean:
-        break;
-      case SecDed::Outcome::kCorrectedData:
-        data_[i] = bits_float(word);
-        ++report.corrected_data;
-        break;
-      case SecDed::Outcome::kCorrectedCheck:
-        ++report.corrected_check;
-        break;
-      case SecDed::Outcome::kDoubleError:
-        ++report.uncorrectable;
-        break;
-    }
+    scrub_word(word, checks_[i], report);
+    data_[i] = bits_float(word);
   }
   return report;
 }
@@ -143,19 +135,24 @@ ScrubReport ProtectedTensor::verify() const {
   for (std::size_t i = 0; i < data_.count(); ++i) {
     std::uint32_t word = float_bits(data_[i]);
     std::uint8_t check = checks_[i];
-    switch (SecDed::decode(word, check)) {
-      case SecDed::Outcome::kClean:
-        break;
-      case SecDed::Outcome::kCorrectedData:
-        ++report.corrected_data;
-        break;
-      case SecDed::Outcome::kCorrectedCheck:
-        ++report.corrected_check;
-        break;
-      case SecDed::Outcome::kDoubleError:
-        ++report.uncorrectable;
-        break;
-    }
+    scrub_word(word, check, report);
+  }
+  return report;
+}
+
+ScrubReport ProtectedTensor::scrub_copy(tensor::Tensor& copy) const {
+  if (copy.count() != data_.count()) {
+    throw std::invalid_argument(
+        "ProtectedTensor::scrub_copy: element count mismatch");
+  }
+  ScrubReport report;
+  report.words = data_.count();
+  for (std::size_t i = 0; i < data_.count(); ++i) {
+    std::uint32_t word = float_bits(copy[i]);
+    if (word == float_bits(data_[i])) continue;  // decodes clean
+    std::uint8_t check = checks_[i];
+    scrub_word(word, check, report);
+    copy[i] = bits_float(word);
   }
   return report;
 }

@@ -41,7 +41,9 @@ struct ScrubReport {
 HYBRIDCNN_CONTRACT_TRIVIAL_PAYLOAD(ScrubReport);
 
 /// Hamming SEC-DED codec for one 32-bit word: 6 Hamming check bits plus
-/// an overall parity bit.
+/// an overall parity bit. The code is linear over GF(2) —
+/// `encode(a ^ b) == encode(a) ^ encode(b)` — so encode is four byte-table
+/// lookups and decode's syndrome is `check ^ encode(data)`.
 struct SecDed {
   /// Computes the 7 check bits for a data word.
   static std::uint8_t encode(std::uint32_t data) noexcept;
@@ -80,6 +82,16 @@ class ProtectedTensor {
 
   /// Verifies without correcting (read-only integrity check).
   [[nodiscard]] ScrubReport verify() const;
+
+  /// Scrubs `copy`, a copy of data() that has been faulted since, against
+  /// this tensor's check words, correcting `copy` in place. Only words
+  /// whose bits differ from data() are decoded: an unchanged word is
+  /// `(w, encode(w))` and decodes clean, so the report and the repaired
+  /// payload equal those of a full scrub() of data() replaced by `copy`.
+  /// Precondition: this tensor's own words decode clean (as after
+  /// construction or store()). Throws std::invalid_argument when `copy`
+  /// has a different element count.
+  ScrubReport scrub_copy(tensor::Tensor& copy) const;
 
  private:
   tensor::Tensor data_;

@@ -2,6 +2,11 @@
 // and sampled double-bit errors) and scrub semantics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "faultsim/bitflip.hpp"
 #include "faultsim/ecc.hpp"
 #include "faultsim/memory_faults.hpp"
@@ -13,7 +18,10 @@ namespace {
 
 using namespace hybridcnn;
 using faultsim::ProtectedTensor;
+using faultsim::ScrubReport;
 using faultsim::SecDed;
+using faultsim::bits_float;
+using faultsim::float_bits;
 using tensor::Shape;
 using tensor::Tensor;
 using util::Rng;
@@ -345,6 +353,145 @@ TEST(ProtectedTensor, ScrubbedWeightsRestoreGoldenConvolution) {
                                                bias,
                                                reliable::ConvSpec{1, 1});
   EXPECT_EQ(scrubbed_conv.reference_forward(input), golden);
+}
+
+// --------------------------------------------------------------------------
+// scrub_copy: the delta scrub against a pristine tensor's check words must
+// report and repair exactly what a full scrub of the same faulted payload
+// under the same check words does.
+
+/// A delta scrub's repaired payload and report.
+struct DeltaScrub {
+  Tensor payload;
+  ScrubReport report;
+};
+
+/// Scrubs `faulted` both ways against the check words of `pristine` and
+/// compares every report field and every payload bit.
+DeltaScrub expect_scrub_copy_matches_full(const Tensor& pristine,
+                                          const Tensor& faulted,
+                                          const char* what) {
+  DeltaScrub delta{faulted, {}};
+  delta.report = ProtectedTensor(pristine).scrub_copy(delta.payload);
+
+  ProtectedTensor full(pristine);
+  full.data() = faulted;
+  const ScrubReport want = full.scrub();
+
+  EXPECT_EQ(delta.report.words, want.words) << what;
+  EXPECT_EQ(delta.report.corrected_data, want.corrected_data) << what;
+  EXPECT_EQ(delta.report.corrected_check, want.corrected_check) << what;
+  EXPECT_EQ(delta.report.uncorrectable, want.uncorrectable) << what;
+  for (std::size_t i = 0; i < faulted.count(); ++i) {
+    EXPECT_EQ(float_bits(delta.payload[i]), float_bits(full.data()[i]))
+        << what << ", word " << i;
+  }
+  return delta;
+}
+
+/// Words a float tensor can hold whose float == and bit equality
+/// disagree: signed zeros and NaNs with distinct payloads.
+const std::vector<std::uint32_t> kEdgeWords = {
+    0x00000000u,  // +0
+    0x80000000u,  // -0
+    0x7FC00000u,  // quiet NaN
+    0x7FC00001u,  // quiet NaN, payload 1
+    0xFFC12345u,  // negative quiet NaN with payload
+    0x7F800001u,  // signalling NaN
+    0x7F800000u,  // +inf
+};
+
+Tensor random_words(Rng& rng, std::size_t n) {
+  Tensor t(Shape{n});
+  for (std::size_t i = 0; i < n; ++i) {
+    t[i] = bits_float(static_cast<std::uint32_t>(rng()));
+  }
+  for (std::size_t i = 0; i < kEdgeWords.size() && i < n; ++i) {
+    t[i * 3 % n] = bits_float(kEdgeWords[i]);
+  }
+  return t;
+}
+
+TEST(ProtectedTensor, ScrubCopyMatchesFullScrubForOneToFourFlipsInAWord) {
+  Rng rng(23);
+  constexpr std::size_t kWords = 48;
+  std::size_t miscorrected = 0;  // odd flips decoded as a wrong single error
+  std::size_t check_aliases = 0;  // data flips "corrected" as check flips
+  for (int trial = 0; trial < 400; ++trial) {
+    const Tensor pristine = random_words(rng, kWords);
+    for (int flips = 1; flips <= 4; ++flips) {
+      const auto w = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(kWords) - 1));
+      std::uint32_t mask = 0;
+      while (std::popcount(mask) < flips) {
+        mask |= 1u << rng.uniform_int(0, 31);
+      }
+      Tensor faulted = pristine;
+      faulted[w] = bits_float(float_bits(faulted[w]) ^ mask);
+      const DeltaScrub d =
+          expect_scrub_copy_matches_full(pristine, faulted, "one word");
+      const bool restored =
+          float_bits(d.payload[w]) == float_bits(pristine[w]);
+      if (flips == 1) {
+        EXPECT_TRUE(restored) << "trial " << trial;
+      }
+      if (flips > 1 && d.report.corrected() == 1) {
+        if (!restored) ++miscorrected;
+        if (d.report.corrected_check == 1) ++check_aliases;
+      }
+    }
+  }
+  // Three flips have odd parity and decode as a single error: the sweep
+  // must reach both the data-bit and the check-bit miscorrections.
+  EXPECT_GT(miscorrected, 0u);
+  EXPECT_GT(check_aliases, 0u);
+}
+
+TEST(ProtectedTensor, ScrubCopyMatchesFullScrubOnSignedZerosAndNaNs) {
+  Tensor pristine(Shape{kEdgeWords.size()});
+  for (std::size_t i = 0; i < kEdgeWords.size(); ++i) {
+    pristine[i] = bits_float(kEdgeWords[i]);
+  }
+  for (std::size_t w = 0; w < kEdgeWords.size(); ++w) {
+    for (int bit = 0; bit < 32; ++bit) {
+      Tensor faulted = pristine;
+      faulted[w] = faultsim::flip_bit(faulted[w], bit);
+      const DeltaScrub d =
+          expect_scrub_copy_matches_full(pristine, faulted, "edge word");
+      EXPECT_TRUE(tensor::bit_identical(d.payload, pristine))
+          << "single flip " << bit << " of edge word " << w;
+    }
+  }
+}
+
+TEST(ProtectedTensor, ScrubCopyMatchesFullScrubForFlipsOverManyWords) {
+  Rng rng(29);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Tensor pristine = random_words(rng, 1176);
+    Tensor faulted = pristine;
+    if (trial % 2 == 0) {
+      (void)faultsim::inject_bit_errors(faulted, 2e-3, rng);
+    } else {
+      (void)faultsim::inject_exact_flips(faulted, 200, rng);
+    }
+    (void)expect_scrub_copy_matches_full(pristine, faulted, "many words");
+  }
+}
+
+TEST(ProtectedTensor, ScrubCopyOfUnchangedPayloadIsClean) {
+  Rng rng(31);
+  const Tensor pristine = random_words(rng, 64);
+  Tensor copy = pristine;
+  const ScrubReport r = ProtectedTensor(pristine).scrub_copy(copy);
+  EXPECT_EQ(r.words, 64u);
+  EXPECT_TRUE(r.clean());
+  EXPECT_TRUE(tensor::bit_identical(copy, pristine));
+}
+
+TEST(ProtectedTensor, ScrubCopyRejectsAnotherSize) {
+  const ProtectedTensor prot(Tensor(Shape{8}, 1.0f));
+  Tensor other(Shape{9}, 1.0f);
+  EXPECT_THROW((void)prot.scrub_copy(other), std::invalid_argument);
 }
 
 }  // namespace

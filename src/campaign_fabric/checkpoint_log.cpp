@@ -1,6 +1,6 @@
 #include "campaign_fabric/checkpoint_log.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 #include "util/atomic_file.hpp"
 #include "util/crc32c.hpp"
@@ -49,6 +49,14 @@ std::uint32_t record_crc(std::uint32_t shard_index,
   return util::crc32c(payload.data(), payload.size(), crc);
 }
 
+/// Appends one record frame: index, payload size, CRC, payload.
+void put_record(std::vector<std::uint8_t>& out, const ShardRecord& r) {
+  put_u32(out, r.shard_index);
+  put_u32(out, static_cast<std::uint32_t>(r.payload.size()));
+  put_u32(out, record_crc(r.shard_index, r.payload));
+  out.insert(out.end(), r.payload.begin(), r.payload.end());
+}
+
 }  // namespace
 
 void save_checkpoint(const std::string& path, std::uint64_t fingerprint,
@@ -67,14 +75,17 @@ void save_checkpoint(const std::string& path, std::uint64_t fingerprint,
   put_u32(out, shard_count);
   put_u32(out, util::crc32c(out.data(), out.size()));
 
-  for (const ShardRecord& r : records) {
-    put_u32(out, r.shard_index);
-    put_u32(out, static_cast<std::uint32_t>(r.payload.size()));
-    put_u32(out, record_crc(r.shard_index, r.payload));
-    out.insert(out.end(), r.payload.begin(), r.payload.end());
-  }
+  for (const ShardRecord& r : records) put_record(out, r);
 
   util::atomic_write_file(path, out);
+}
+
+void append_checkpoint_record(const std::string& path,
+                              const ShardRecord& record) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kRecordHeaderBytes + record.payload.size());
+  put_record(out, record);
+  util::append_durable(path, out);
 }
 
 CheckpointLoad load_checkpoint(const std::string& path,
@@ -114,6 +125,9 @@ CheckpointLoad load_checkpoint(const std::string& path,
     result.records.push_back(std::move(rec));
     off = payload_off + size;
   }
+
+  // Appends land in completion order; callers get shard-index order.
+  std::ranges::sort(result.records, {}, &ShardRecord::shard_index);
 
   result.dropped_bytes = bytes.size() - off;
   // Count full record frames that were recognisably present but dropped

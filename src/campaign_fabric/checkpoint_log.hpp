@@ -1,8 +1,11 @@
 // Durable campaign-progress checkpoints: the crash-recovery substrate.
 //
 // The coordinator persists every completed shard's serialised partial
-// summary in one checkpoint file, rewritten atomically (write-temp,
-// fsync, rename — util::atomic_write_file) after each completion. A
+// summary in one checkpoint file, an append-only log of CRC-framed
+// records. A coordinator run's first durable write replaces the file
+// atomically (write-temp, fsync, rename — util::atomic_write_file) with
+// the header and every durable record; each later completion appends
+// one record frame and fdatasyncs it (util::append_durable). A
 // coordinator restarted after SIGKILL loads the file and re-runs only
 // the shards that were not durably recorded.
 //
@@ -25,7 +28,8 @@
 // never merge wrong results). Records are scanned sequentially; the
 // first truncated, CRC-mismatching, out-of-range or duplicate record
 // ends the scan and everything from it on is dropped — the torn-tail
-// model of a crash mid-write or corruption at rest.
+// model of a crash mid-append or corruption at rest. Records are stored
+// in completion order and returned in shard-index order.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +46,20 @@ struct ShardRecord {
   std::vector<std::uint8_t> payload;
 };
 
-/// Atomically replaces the checkpoint at `path` with the given records.
-/// Records are stored in the order given (the coordinator passes
-/// shard-index order). Throws on I/O failure; the previous checkpoint
-/// survives any failed write.
+/// Atomically replaces the checkpoint at `path` with the header and the
+/// given records, stored in the order given. Throws on I/O failure; the
+/// previous checkpoint survives any failed write.
 void save_checkpoint(const std::string& path, std::uint64_t fingerprint,
                      std::uint32_t shard_count,
                      const std::vector<ShardRecord>& records);
+
+/// Appends one record frame to the checkpoint at `path` and fdatasyncs
+/// it. The file must already hold this campaign's header (a
+/// save_checkpoint earlier in the same coordinator run); a crash
+/// mid-append leaves a torn frame that load_checkpoint drops. Throws on
+/// I/O failure, including a missing file.
+void append_checkpoint_record(const std::string& path,
+                              const ShardRecord& record);
 
 /// Result of loading a checkpoint file.
 struct CheckpointLoad {
@@ -56,7 +67,8 @@ struct CheckpointLoad {
   /// fingerprint, shard count, CRC). False means "no usable checkpoint"
   /// — never an error: the campaign simply starts fresh.
   bool usable = false;
-  /// Valid records recovered (unique shard indices < shard_count).
+  /// Valid records recovered (unique shard indices < shard_count), in
+  /// shard-index order.
   std::vector<ShardRecord> records;
   /// Records dropped at the first corruption (diagnostics only).
   std::size_t dropped_records = 0;

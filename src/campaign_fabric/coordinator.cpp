@@ -25,6 +25,7 @@ struct Scheduler {
   std::vector<std::optional<std::vector<std::uint8_t>>> payloads;
   std::size_t next = 0;     ///< lowest shard not yet claimed
   std::size_t durable = 0;  ///< resumed + completed (halt counter)
+  bool saved = false;       ///< this run's whole-file save is durable
   bool halted = false;
   std::size_t failed = 0;   ///< lowest shard that threw (size() = none)
   std::string failed_error;
@@ -47,10 +48,28 @@ struct Scheduler {
     return out;
   }
 
+  /// Makes shard `index` durable. The run's first write replaces the
+  /// file with the header and every durable record, which compacts a
+  /// resumed file's torn tail and replaces a foreign file; each later
+  /// completion appends its one record frame.
+  void persist(std::size_t index) {
+    if (config.checkpoint_path.empty()) return;
+    if (saved) {
+      append_checkpoint_record(config.checkpoint_path,
+                               {static_cast<std::uint32_t>(index),
+                                *payloads[index]});
+      return;
+    }
+    save_checkpoint(config.checkpoint_path, plan.campaign_fingerprint,
+                    static_cast<std::uint32_t>(payloads.size()), records());
+    saved = true;
+  }
+
   /// One worker thread: claim the lowest pending shard, execute it once
   /// outside the lock, record the outcome, repeat. `mu` serialises
-  /// checkpoint writers, and the atomic rename means a crash at any
-  /// point leaves the previous file intact.
+  /// checkpoint writers; a crash mid-write leaves either the previous
+  /// file (atomic replace) or a torn last frame the reader drops
+  /// (append).
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu);
     while (!halted && !persist_error) {
@@ -87,11 +106,7 @@ struct Scheduler {
       ++stats.shards_executed;
       ++durable;
       try {
-        if (!config.checkpoint_path.empty()) {
-          save_checkpoint(config.checkpoint_path, plan.campaign_fingerprint,
-                          static_cast<std::uint32_t>(payloads.size()),
-                          records());
-        }
+        persist(index);
       } catch (...) {
         persist_error = std::current_exception();
         return;

@@ -10,9 +10,12 @@
 // it again would repeat the same computation and the same error.
 //
 //   * durable checkpoints — with a checkpoint_path, every completed
-//     shard is persisted via atomic write-fsync-rename before it counts;
-//     a coordinator restarted after SIGKILL resumes from the last
-//     durable shard and re-runs only the rest.
+//     shard is persisted before it counts. A run's first durable write
+//     replaces the file atomically (write-fsync-rename) with every
+//     durable record, compacting a resumed file's torn tail; each later
+//     completion appends one record frame and fdatasyncs it. A
+//     coordinator restarted after SIGKILL resumes from the last durable
+//     shard and re-runs only the rest.
 //   * failure — a shard that throws is recorded; the remaining shards
 //     still run and persist, then FabricError reports the lowest failing
 //     shard. A restart after fixing the cause resumes from the rest.

@@ -13,8 +13,9 @@ namespace hybridcnn::util {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& what, const std::string& path) {
-  throw std::runtime_error("atomic_write_file: " + what + " failed for " +
+[[noreturn]] void fail(const char* op, const std::string& what,
+                       const std::string& path) {
+  throw std::runtime_error(std::string(op) + ": " + what + " failed for " +
                            path + ": " + std::strerror(errno));
 }
 
@@ -49,19 +50,20 @@ void atomic_write_file(const std::string& path, const void* data,
   const std::string tmp = path + ".tmp";
 
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) fail("open", tmp);
+  if (fd < 0) fail("atomic_write_file", "open", tmp);
 
   const bool wrote =
       write_all(fd, static_cast<const unsigned char*>(data), size);
   const bool synced = wrote && ::fsync(fd) == 0;
   if (::close(fd) != 0 || !synced) {
     ::unlink(tmp.c_str());
-    fail(wrote ? (synced ? "close" : "fsync") : "write", tmp);
+    fail("atomic_write_file", wrote ? (synced ? "close" : "fsync") : "write",
+         tmp);
   }
 
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     ::unlink(tmp.c_str());
-    fail("rename", path);
+    fail("atomic_write_file", "rename", path);
   }
 
   // Durability of the rename itself: fsync the directory entry. A
@@ -69,10 +71,23 @@ void atomic_write_file(const std::string& path, const void* data,
   // power loss) but the rename has already happened, so path is intact.
   const std::string dir = parent_dir(path);
   const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd < 0) fail("open directory", dir);
+  if (dfd < 0) fail("atomic_write_file", "open directory", dir);
   const bool dir_synced = ::fsync(dfd) == 0;
   ::close(dfd);
-  if (!dir_synced) fail("fsync directory", dir);
+  if (!dir_synced) fail("atomic_write_file", "fsync directory", dir);
+}
+
+void append_durable(const std::string& path, const void* data,
+                    std::size_t size) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  if (fd < 0) fail("append_durable", "open", path);
+  const bool wrote =
+      write_all(fd, static_cast<const unsigned char*>(data), size);
+  const bool synced = wrote && ::fdatasync(fd) == 0;
+  if (::close(fd) != 0 || !synced) {
+    fail("append_durable", wrote ? (synced ? "close" : "fdatasync") : "write",
+         path);
+  }
 }
 
 bool read_file(const std::string& path, std::vector<std::uint8_t>& out) {

@@ -1,5 +1,6 @@
 // Atomic, durable small-file I/O: the write-temp / fsync / rename
-// primitive under the campaign fabric's crash-tolerant checkpoints.
+// primitive and the durable append under the campaign fabric's
+// crash-tolerant checkpoints.
 //
 // atomic_write_file guarantees that after a crash at ANY instruction —
 // including SIGKILL mid-write and power loss between the data fsync and
@@ -15,6 +16,12 @@
 // serialise (the fabric coordinator persists under its state mutex). A
 // stale temp file left by a crash is simply overwritten by the next
 // write and never read.
+//
+// append_durable adds bytes at the end of an existing file and
+// fdatasyncs them: one write and one flush, with no rename and no
+// directory fsync. It is not atomic — a crash mid-append can leave any
+// prefix of the appended bytes — so it suits only formats whose reader
+// drops a torn tail (the fabric's CRC-framed checkpoint log).
 #pragma once
 
 #include <cstddef>
@@ -34,6 +41,17 @@ void atomic_write_file(const std::string& path, const void* data,
 inline void atomic_write_file(const std::string& path,
                               const std::vector<std::uint8_t>& data) {
   atomic_write_file(path, data.data(), data.size());
+}
+
+/// Appends `size` bytes from `data` to the existing file `path` and
+/// fdatasyncs it (see file comment for the crash model). Never creates
+/// the file. Throws std::runtime_error if any step fails.
+void append_durable(const std::string& path, const void* data,
+                    std::size_t size);
+
+inline void append_durable(const std::string& path,
+                           const std::vector<std::uint8_t>& data) {
+  append_durable(path, data.data(), data.size());
 }
 
 /// Reads the entire file into `out`. Returns false (leaving `out`

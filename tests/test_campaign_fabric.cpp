@@ -4,9 +4,11 @@
 // single-thread run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -325,6 +327,53 @@ TEST_F(CheckpointLog, DuplicateAndOutOfRangeRecordsStopTheScan) {
   EXPECT_EQ(oob.records.size(), 1u);
 }
 
+TEST_F(CheckpointLog, AppendedFramesTruncatedAtEveryByteRecoverAPrefix) {
+  // The coordinator saves once per run, then appends one frame per
+  // completion in completion order. A crash mid-append can leave any
+  // prefix of the appended frames: the loader must recover exactly the
+  // frames that are whole, returned in shard-index order.
+  auto records = sample_records();
+  records[0].shard_index = 3;  // completion order 3, 1, 4, 0
+  records.push_back({4, {6, 6}});
+  records.push_back({0, {}});
+  fabric::save_checkpoint(path("c.bin"), 0xABCDu, 5, {records[0]});
+  for (std::size_t k = 1; k < records.size(); ++k) {
+    fabric::append_checkpoint_record(path("c.bin"), records[k]);
+  }
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(util::read_file(path("c.bin"), bytes));
+
+  std::vector<std::size_t> frame_end;
+  std::size_t off = 24;
+  for (const ShardRecord& r : records) {
+    off += 12 + r.payload.size();
+    frame_end.push_back(off);
+  }
+  ASSERT_EQ(off, bytes.size());
+
+  for (std::size_t len = frame_end[0]; len <= bytes.size(); ++len) {
+    util::atomic_write_file(
+        path("t.bin"),
+        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + len));
+    const CheckpointLoad load =
+        fabric::load_checkpoint(path("t.bin"), 0xABCDu, 5);
+    ASSERT_TRUE(load.usable) << "truncated at " << len;
+    std::size_t whole = 0;
+    while (whole < frame_end.size() && frame_end[whole] <= len) ++whole;
+    std::vector<ShardRecord> expect(records.begin(),
+                                    records.begin() + whole);
+    std::ranges::sort(expect, {}, &ShardRecord::shard_index);
+    ASSERT_EQ(load.records.size(), expect.size()) << "truncated at " << len;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+      EXPECT_EQ(load.records[i].shard_index, expect[i].shard_index)
+          << "truncated at " << len;
+      EXPECT_EQ(load.records[i].payload, expect[i].payload)
+          << "truncated at " << len;
+    }
+    EXPECT_EQ(load.dropped_bytes, len - frame_end[whole - 1]);
+  }
+}
+
 // --------------------------------------- coordinator (synthetic shards)
 
 /// Pure synthetic workload: the "summary" of a shard is a function of
@@ -545,6 +594,67 @@ TEST_F(Coordinator, HaltLeavesExactlyKDurableShards) {
       EXPECT_EQ(load.records.size(), k);
     }
   }
+}
+
+TEST_F(Coordinator, TornResumeIsCompactedBeforeAppending) {
+  // A kill mid-append tears the last frame. The resumed run's first
+  // write replaces the file with every durable record, so the frames it
+  // appends afterwards follow whole records, not the torn bytes.
+  constexpr std::uint64_t kRuns = 30;  // 6 shards
+  const std::uint64_t fp = fabric::campaign_fingerprint(
+      fabric::SummaryCodec<CampaignSummary>::kTag, kRuns, 5, 5);
+  for (std::size_t k = 1; k <= 5; ++k) {
+    FabricConfig cfg;
+    cfg.shard_size = 5;
+    cfg.workers = 2;
+    cfg.checkpoint_path = path("torn_" + std::to_string(k) + ".bin");
+    cfg.halt_after_shards = k;
+    (void)fabric::run_fabric<CampaignSummary>(cfg, kRuns, 5, synthetic_shard);
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(util::read_file(cfg.checkpoint_path, bytes));
+    bytes.resize(bytes.size() - 3);
+    util::atomic_write_file(cfg.checkpoint_path, bytes);
+
+    cfg.halt_after_shards = std::numeric_limits<std::size_t>::max();
+    const FabricResult<CampaignSummary> r =
+        fabric::run_fabric<CampaignSummary>(cfg, kRuns, 5, synthetic_shard);
+    EXPECT_TRUE(r.complete) << "halt " << k;
+    EXPECT_EQ(r.summary, synthetic_expected(kRuns)) << "halt " << k;
+    EXPECT_EQ(r.stats.shards_resumed, k - 1) << "the torn frame is re-run";
+
+    const CheckpointLoad load =
+        fabric::load_checkpoint(cfg.checkpoint_path, fp, 6);
+    ASSERT_TRUE(load.usable) << "halt " << k;
+    ASSERT_EQ(load.records.size(), 6u) << "halt " << k;
+    EXPECT_EQ(load.dropped_bytes, 0u) << "torn tail compacted, halt " << k;
+    for (std::size_t i = 0; i < 6; ++i) {
+      EXPECT_EQ(load.records[i].shard_index, i);
+    }
+  }
+}
+
+TEST_F(Coordinator, ForeignCheckpointIsReplacedNotAppendedTo) {
+  FabricConfig cfg;
+  cfg.shard_size = 5;
+  cfg.workers = 2;
+  cfg.checkpoint_path = path("ckpt.bin");
+  constexpr std::uint64_t kRuns = 20;  // 4 shards
+  std::vector<ShardRecord> foreign(1);
+  foreign[0].shard_index = 0;
+  foreign[0].payload.assign(40, 0xEE);
+  fabric::save_checkpoint(cfg.checkpoint_path, 0xDEADu, 4, foreign);
+
+  const FabricResult<CampaignSummary> r =
+      fabric::run_fabric<CampaignSummary>(cfg, kRuns, 5, synthetic_shard);
+  ASSERT_TRUE(r.complete);
+  const std::uint64_t fp = fabric::campaign_fingerprint(
+      fabric::SummaryCodec<CampaignSummary>::kTag, kRuns, cfg.shard_size, 5);
+  const CheckpointLoad load =
+      fabric::load_checkpoint(cfg.checkpoint_path, fp, 4);
+  ASSERT_TRUE(load.usable) << "the campaign's own header replaced the file";
+  EXPECT_EQ(load.records.size(), 4u);
+  EXPECT_EQ(load.dropped_bytes, 0u) << "no foreign bytes left behind";
+  EXPECT_FALSE(fabric::load_checkpoint(cfg.checkpoint_path, 0xDEADu, 4).usable);
 }
 
 // --------------------------------------- fabric vs monolithic campaigns

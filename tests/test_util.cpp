@@ -465,4 +465,23 @@ TEST(AtomicFile, WriteIntoMissingDirectoryThrows) {
                std::runtime_error);
 }
 
+TEST(AtomicFile, AppendDurableExtendsTheFile) {
+  const std::string path = "/tmp/hybridcnn_append_test.bin";
+  hybridcnn::util::atomic_write_file(path, std::vector<std::uint8_t>{1, 2});
+  hybridcnn::util::append_durable(path, std::vector<std::uint8_t>{3});
+  hybridcnn::util::append_durable(path, std::vector<std::uint8_t>{4, 5});
+  std::vector<std::uint8_t> back;
+  ASSERT_TRUE(hybridcnn::util::read_file(path, back));
+  EXPECT_EQ(back, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  std::remove(path.c_str());
+}
+
+TEST(AtomicFile, AppendDurableNeverCreatesTheFile) {
+  const std::string path = "/tmp/definitely_missing_append_991.bin";
+  EXPECT_THROW(hybridcnn::util::append_durable(
+                   path, std::vector<std::uint8_t>{1}),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
 }  // namespace

@@ -7,7 +7,8 @@
 # reruns with --resume --verify. The rerun's exit code asserts the
 # resumed summary is bit-identical to an uninterrupted monolithic run;
 # this script additionally asserts that the resume actually adopted
-# durable shards instead of silently starting over.
+# durable shards instead of silently starting over, and that a second
+# resume adopts all of them (the appended records read back).
 #
 # Usage: fabric_crash_test.sh <path-to-campaign_fabric-binary>
 set -euo pipefail
@@ -50,7 +51,17 @@ if ! echo "$OUT" | grep -Eq "resumed shards: [1-9]"; then
   exit 1
 fi
 
-echo "== phase 4: corrupt one checkpoint byte, resume again =="
+echo "== phase 4: resume the completed campaign, adopt every shard =="
+# Phase 3's first write compacted the torn file; every later shard was
+# appended to it. All 12 records must read back whole.
+OUT=$("$BIN" "${FLAGS[@]}" --resume --verify)
+echo "$OUT"
+if ! echo "$OUT" | grep -qx "resumed shards: 12"; then
+  echo "FAIL: records appended after the compaction did not read back"
+  exit 1
+fi
+
+echo "== phase 5: corrupt one checkpoint byte, resume again =="
 # Offset 40 sits inside the first record's payload; the CRC must drop
 # that record (and everything after it) and the rerun must still verify.
 printf '\xff' | dd of="$CKPT" bs=1 seek=40 conv=notrunc status=none

@@ -80,11 +80,15 @@ void save_checkpoint(const std::string& path, std::uint64_t fingerprint,
   util::atomic_write_file(path, out);
 }
 
-void append_checkpoint_record(const std::string& path,
-                              const ShardRecord& record) {
+void append_checkpoint_records(const std::string& path,
+                               const std::vector<ShardRecord>& records) {
   std::vector<std::uint8_t> out;
-  out.reserve(kRecordHeaderBytes + record.payload.size());
-  put_record(out, record);
+  std::size_t bytes = 0;
+  for (const ShardRecord& r : records) {
+    bytes += kRecordHeaderBytes + r.payload.size();
+  }
+  out.reserve(bytes);
+  for (const ShardRecord& r : records) put_record(out, r);
   util::append_durable(path, out);
 }
 

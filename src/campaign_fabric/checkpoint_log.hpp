@@ -2,12 +2,13 @@
 //
 // The coordinator persists every completed shard's serialised partial
 // summary in one checkpoint file, an append-only log of CRC-framed
-// records. A coordinator run's first durable write replaces the file
-// atomically (write-temp, fsync, rename — util::atomic_write_file) with
-// the header and every durable record; each later completion appends
-// one record frame and fdatasyncs it (util::append_durable). A
-// coordinator restarted after SIGKILL loads the file and re-runs only
-// the shards that were not durably recorded.
+// records. A coordinator run writes the file from its caller thread
+// only. As the workers start, it replaces the file atomically
+// (write-temp, fsync, rename — util::atomic_write_file) with the header
+// and every resumed record; then each batch of completions queued since
+// its last write is appended with one write and one fdatasync
+// (util::append_durable). A coordinator restarted after SIGKILL loads
+// the file and re-runs only the shards that were not durably recorded.
 //
 // On-disk format (all integers little-endian):
 //
@@ -53,13 +54,15 @@ void save_checkpoint(const std::string& path, std::uint64_t fingerprint,
                      std::uint32_t shard_count,
                      const std::vector<ShardRecord>& records);
 
-/// Appends one record frame to the checkpoint at `path` and fdatasyncs
-/// it. The file must already hold this campaign's header (a
+/// Appends the given record frames, in the order given, to the
+/// checkpoint at `path` with one write and one fdatasync (a group
+/// commit). The file must already hold this campaign's header (a
 /// save_checkpoint earlier in the same coordinator run); a crash
-/// mid-append leaves a torn frame that load_checkpoint drops. Throws on
-/// I/O failure, including a missing file.
-void append_checkpoint_record(const std::string& path,
-                              const ShardRecord& record);
+/// mid-append leaves whole frames followed by at most one torn frame,
+/// which load_checkpoint drops. Throws on I/O failure, including a
+/// missing file.
+void append_checkpoint_records(const std::string& path,
+                               const std::vector<ShardRecord>& records);
 
 /// Result of loading a checkpoint file.
 struct CheckpointLoad {

@@ -1,6 +1,7 @@
 #include "campaign_fabric/coordinator.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -15,28 +16,39 @@ namespace {
 // cursor over the plan is the whole dispatch queue. Every shard is a
 // pure function of its descriptor and the merge order is fixed by the
 // plan, so which worker ran which shard cannot reach the merged summary.
+//
+// Workers never touch the checkpoint: they queue each completion and
+// claim the next shard at once. The caller thread, which would otherwise
+// idle in join(), is the only writer (write-behind with group commit).
+// A completion counts (payloads, durable, shards_executed) only once
+// the caller has made its frame durable.
 struct Scheduler {
   const FabricConfig& config;
   const ShardPlan& plan;
   const ShardRunner& runner;
 
   std::mutex mu;
-  /// Payload of every durable shard (resumed or completed this run).
+  std::condition_variable ready;  ///< a completion queued or a worker left
+  /// Payload of every durable shard (resumed or committed this run).
+  /// Only the caller thread writes it.
   std::vector<std::optional<std::vector<std::uint8_t>>> payloads;
+  std::vector<ShardRecord> queued;  ///< completed, not yet durable
+  std::size_t active = 0;   ///< workers still claiming or running
   std::size_t next = 0;     ///< lowest shard not yet claimed
-  std::size_t durable = 0;  ///< resumed + completed (halt counter)
-  bool saved = false;       ///< this run's whole-file save is durable
+  std::size_t durable = 0;  ///< resumed + committed (halt counter)
   bool halted = false;
   std::size_t failed = 0;   ///< lowest shard that threw (size() = none)
   std::string failed_error;
-  std::exception_ptr persist_error;  ///< checkpoint write failure
+  /// Caller-side failure (a checkpoint write or a worker start); it
+  /// stops claims and is rethrown once the workers are joined.
+  std::exception_ptr caller_error;
   FabricStats stats;
 
   Scheduler(const FabricConfig& cfg, const ShardPlan& p, const ShardRunner& r)
       : config(cfg), plan(p), runner(r), payloads(p.shards.size()),
         failed(p.shards.size()) {}
 
-  /// Completed shards as checkpoint records, in shard-index order.
+  /// Durable shards as checkpoint records, in shard-index order.
   [[nodiscard]] std::vector<ShardRecord> records() const {
     std::vector<ShardRecord> out;
     out.reserve(durable);
@@ -48,33 +60,13 @@ struct Scheduler {
     return out;
   }
 
-  /// Makes shard `index` durable. The run's first write replaces the
-  /// file with the header and every durable record, which compacts a
-  /// resumed file's torn tail and replaces a foreign file; each later
-  /// completion appends its one record frame.
-  void persist(std::size_t index) {
-    if (config.checkpoint_path.empty()) return;
-    if (saved) {
-      append_checkpoint_record(config.checkpoint_path,
-                               {static_cast<std::uint32_t>(index),
-                                *payloads[index]});
-      return;
-    }
-    save_checkpoint(config.checkpoint_path, plan.campaign_fingerprint,
-                    static_cast<std::uint32_t>(payloads.size()), records());
-    saved = true;
-  }
-
   /// One worker thread: claim the lowest pending shard, execute it once
-  /// outside the lock, record the outcome, repeat. `mu` serialises
-  /// checkpoint writers; a crash mid-write leaves either the previous
-  /// file (atomic replace) or a torn last frame the reader drops
-  /// (append).
+  /// outside the lock, queue the outcome for the caller, repeat.
   void worker_loop() {
     std::unique_lock<std::mutex> lock(mu);
-    while (!halted && !persist_error) {
+    while (!halted && !caller_error) {
       while (next < payloads.size() && payloads[next]) ++next;
-      if (next == payloads.size()) return;
+      if (next == payloads.size()) break;
       const std::size_t index = next++;
       ++stats.attempts;
       const ShardDescriptor descriptor = plan.shards[index];
@@ -99,20 +91,91 @@ struct Scheduler {
         }
         continue;
       }
-      // Completed after the simulated crash point or a failed write:
-      // never durable.
-      if (halted || persist_error) return;
-      payloads[index] = std::move(payload);
-      ++stats.shards_executed;
-      ++durable;
-      try {
-        persist(index);
-      } catch (...) {
-        persist_error = std::current_exception();
-        return;
-      }
-      if (durable >= config.halt_after_shards) halted = true;
+      // Completed after the simulated crash point or a caller-side
+      // failure: never durable.
+      if (halted || caller_error) break;
+      queued.push_back({static_cast<std::uint32_t>(index), std::move(payload)});
+      ready.notify_one();
     }
+    --active;
+    ready.notify_one();
+  }
+
+  /// The next group commit: every completion queued since the last one,
+  /// cut at the halt (the cut batch is the last; later completions are
+  /// discarded). A lone completion waits for a second while a worker
+  /// still runs, so every batch but the last holds at least two frames:
+  /// n >= 2 executed shards cost at most n - 1 appends. Empty once
+  /// nothing more will become durable.
+  std::vector<ShardRecord> next_batch() {
+    std::unique_lock<std::mutex> lock(mu);
+    ready.wait(lock, [this] {
+      return halted || active == 0 || queued.size() >= 2 ||
+             durable + queued.size() >= config.halt_after_shards;
+    });
+    if (halted) return {};
+    std::vector<ShardRecord> batch = std::move(queued);
+    queued.clear();
+    if (durable + batch.size() >= config.halt_after_shards) {
+      batch.resize(config.halt_after_shards - durable);
+      halted = true;
+    }
+    return batch;
+  }
+
+  /// Counts a batch whose frames are durable.
+  void commit(std::vector<ShardRecord>& batch) {
+    const std::lock_guard<std::mutex> lock(mu);
+    for (ShardRecord& record : batch) {
+      payloads[record.shard_index] = std::move(record.payload);
+    }
+    durable += batch.size();
+    stats.shards_executed += batch.size();
+  }
+
+  /// The caller's half of a run. Its first write replaces the file with
+  /// the header and every resumed record, which compacts a resumed
+  /// file's torn tail and replaces a foreign file; it depends on no
+  /// result, so it overlaps the first shards. Each later batch is one
+  /// append and one fdatasync. With one shard pending there is nothing
+  /// to overlap a separate append with, so its record rides in the
+  /// replace. A crash mid-write leaves either the previous file (atomic
+  /// replace) or whole frames and a torn last frame the reader drops
+  /// (append).
+  void write_behind() {
+    const std::string& path = config.checkpoint_path;
+    std::vector<ShardRecord> batch;
+    if (payloads.size() - durable == 1) batch = next_batch();
+    if (!path.empty()) {
+      std::vector<ShardRecord> file = records();
+      file.insert(file.end(), batch.begin(), batch.end());
+      save_checkpoint(path, plan.campaign_fingerprint,
+                      static_cast<std::uint32_t>(payloads.size()), file);
+    }
+    commit(batch);
+    while (!(batch = next_batch()).empty()) {
+      if (!path.empty()) append_checkpoint_records(path, batch);
+      commit(batch);
+    }
+  }
+
+  /// Runs the pending shards on the workers while the caller writes
+  /// behind them; returns once every worker has stopped.
+  void run() {
+    const std::size_t workers = std::max<std::size_t>(1, config.workers);
+    active = workers;
+    std::vector<std::thread> threads;
+    try {
+      threads.reserve(workers);
+      for (std::size_t w = 0; w < workers; ++w) {
+        threads.emplace_back([this] { worker_loop(); });
+      }
+      write_behind();
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(mu);
+      caller_error = std::current_exception();
+    }
+    for (std::thread& t : threads) t.join();
   }
 };
 
@@ -142,15 +205,9 @@ RunOutcome run_shards(
   if (sched.durable >= config.halt_after_shards) sched.halted = true;
 
   if (!sched.halted && sched.durable < sched.payloads.size()) {
-    const std::size_t workers = std::max<std::size_t>(1, config.workers);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&sched] { sched.worker_loop(); });
-    }
-    for (std::thread& t : threads) t.join();
+    sched.run();
   }
-  if (sched.persist_error) std::rethrow_exception(sched.persist_error);
+  if (sched.caller_error) std::rethrow_exception(sched.caller_error);
   if (!sched.halted && sched.failed < sched.payloads.size()) {
     throw FabricError(static_cast<std::uint32_t>(sched.failed),
                       "fabric: shard " + std::to_string(sched.failed) +

@@ -10,12 +10,14 @@
 // it again would repeat the same computation and the same error.
 //
 //   * durable checkpoints — with a checkpoint_path, every completed
-//     shard is persisted before it counts. A run's first durable write
-//     replaces the file atomically (write-fsync-rename) with every
-//     durable record, compacting a resumed file's torn tail; each later
-//     completion appends one record frame and fdatasyncs it. A
-//     coordinator restarted after SIGKILL resumes from the last durable
-//     shard and re-runs only the rest.
+//     shard is persisted before it counts. The caller thread is the
+//     only writer: as the workers start it replaces the file atomically
+//     (write-fsync-rename) with the header and every resumed record,
+//     compacting a resumed file's torn tail; then it appends each batch
+//     of completions queued since its last write with one fdatasync
+//     (group commit). Workers never wait for the disk. A coordinator
+//     restarted after SIGKILL resumes from the last durable shard and
+//     re-runs only the rest.
 //   * failure — a shard that throws is recorded; the remaining shards
 //     still run and persist, then FabricError reports the lowest failing
 //     shard. A restart after fixing the cause resumes from the rest.
@@ -46,7 +48,8 @@ struct FabricConfig {
   std::size_t workers = 1;
   /// Durable checkpoint file. Empty disables durability (pure in-memory
   /// run). The file's parent directory must exist; a failed checkpoint
-  /// write stops the run and rethrows in the caller's thread.
+  /// write (the header at run start or a later batch) stops the run and
+  /// rethrows in the caller's thread.
   std::string checkpoint_path;
   /// Crash simulation: stop dispatching once this many shards are
   /// durable (resumed + newly completed) and discard any later
@@ -100,7 +103,8 @@ struct RunOutcome {
   bool complete = false;
 };
 
-/// The scheduling core (coordinator.cpp): resume, dispatch, persist.
+/// The scheduling core (coordinator.cpp): resume, dispatch on worker
+/// threads, persist from the calling thread.
 /// `payload_valid` vets resumed checkpoint payloads (records failing it
 /// are re-run, not merged). Throws FabricError when a shard fails and
 /// rethrows a checkpoint write failure; a halt returns normally with

@@ -14,7 +14,9 @@
 //     kFloatLanes-wide blocks (never the reduction axis, so every lane
 //     reproduces the scalar operation order bit for bit);
 //   * util/rng.cpp — the Bernoulli scan steps kU64Lanes PCG32 stream
-//     positions per VecU64 (the same register width as VecF).
+//     positions per VecU64 (the same register width as VecF); on the
+//     AVX-512 tier it takes PCG32's output rotation from rotr32().
+//     Both test lanes with any_sign().
 //
 // When HYBRIDCNN_ISA_SIMD is not defined (non-GNU compilers), VecF, VecU64
 // and the load/store helpers do not exist; consumers must provide a scalar
@@ -23,6 +25,10 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#if defined(__GNUC__) && defined(__AVX512F__)
+#include <immintrin.h>
+#endif
 
 #include "util/contracts.hpp"
 
@@ -89,5 +95,34 @@ inline void storeu(float* p, const VecF& v) noexcept {
 }
 
 #endif  // HYBRIDCNN_ISA_SIMD
+
+// Integer helpers the vector extensions do not lower well. GCC emits
+// neither vprorvd from the shift-or rotate idiom nor a mask test from a
+// lane-by-lane OR, so the AVX-512 tier names the instructions.
+#if defined(__GNUC__) && defined(__AVX512F__)
+#define HYBRIDCNN_ISA_ROTR32 1
+/// Every 32-bit half of `x` rotated right by the matching half of `n`
+/// (mod 32): one vprorvd. (The all-lanes zero-mask form: GCC 12's
+/// unmasked intrinsic reads an undefined vector that
+/// -Wmaybe-uninitialized reports.)
+inline VecU64 rotr32(VecU64 x, VecU64 n) noexcept {
+  return reinterpret_cast<VecU64>(_mm512_maskz_rorv_epi32(
+      static_cast<__mmask16>(0xFFFF), reinterpret_cast<__m512i>(x),
+      reinterpret_cast<__m512i>(n)));
+}
+
+/// True if some lane of `m` has its sign bit set: one vptestmq.
+inline bool any_sign(VecU64 m) noexcept {
+  return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(m),
+                                _mm512_set1_epi64(INT64_MIN)) != 0;
+}
+#elif defined(HYBRIDCNN_ISA_SIMD)
+/// True if some lane of `m` has its sign bit set.
+inline bool any_sign(VecU64 m) noexcept {
+  std::uint64_t any = 0;
+  for (std::size_t l = 0; l < kU64Lanes; ++l) any |= m[l];
+  return (any >> 63) != 0;
+}
+#endif
 
 }  // namespace hybridcnn::runtime::isa

@@ -68,9 +68,6 @@ using detail::kScanLanes;
 using detail::kScanVecs;
 using runtime::isa::kU64Lanes;
 using runtime::isa::VecU64;
-/// What a VecU64 comparison yields: all-ones or zero per lane.
-using LaneMask =
-    std::int64_t __attribute__((vector_size(sizeof(VecU64))));
 
 /// Lane i starts 2i draws (i trials) past the scan's origin: the state
 /// there is `origin * kLaneMul[i] + kLaneAdd[i] * inc`.
@@ -93,28 +90,33 @@ VecU64 load_lanes(const std::uint64_t* p) noexcept {
   return v;
 }
 
-/// The top 21 bits of detail::pcg_output on every lane, `hi >> 11`. The
-/// 32-bit rotation is one 64-bit shift of the xorshifted word held twice:
-/// the high half of `(x:x) << (32 - rot)` is x rotated right by rot.
-VecU64 lane_hi21(VecU64 old) noexcept {
+/// detail::pcg_output on every lane, in the lane's low dword and zero
+/// above it.
+VecU64 lane_output(VecU64 old) noexcept {
+#ifdef HYBRIDCNN_ISA_ROTR32
+  // The xorshift leaves the xorshifted word in the low dword and rot
+  // (bits 59-63 of the state) in the high one; swapping the dwords puts
+  // rot beside it as the rotate count.
+  const VecU64 y = ((old >> 18) ^ old) >> 27;
+  return runtime::isa::rotr32(y, (y >> 32) | (y << 32)) & 0xFFFFFFFFu;
+#else
+  // The 32-bit rotation is one 64-bit shift of the xorshifted word held
+  // twice: the high half of `(x:x) << (32 - rot)` is x rotated right by
+  // rot.
   const VecU64 x = (((old >> 18) ^ old) >> 27) & 0xFFFFFFFFu;
-  return ((x | (x << 32)) << (32 - (old >> 59))) >> 43;
-}
-
-bool any_lane(LaneMask m) noexcept {
-  std::uint64_t any = 0;
-  for (std::size_t l = 0; l < kU64Lanes; ++l) {
-    any |= static_cast<std::uint64_t>(m[l]);
-  }
-  return any != 0;
+  return ((x | (x << 32)) << (32 - (old >> 59))) >> 32;
+#endif
 }
 
 /// scan_scalar() at kScanLanes trials per step: all lanes test their high
 /// draw, and a step where some lane lands in the boundary bucket is run
-/// again by trial_hits() lane by lane, in trial order.
+/// again by trial_hits() lane by lane, in trial order. A lane is in the
+/// bucket iff `hi < ((threshold >> 32) + 1) << 11`, i.e. iff `hi` minus
+/// that bound wraps below zero, so a step ORs the differences of all
+/// lanes and tests their sign bits once.
 std::uint64_t scan_lanes(std::uint64_t origin, std::uint64_t inc,
                          std::uint64_t threshold, std::uint64_t cap) noexcept {
-  const std::uint64_t hi_bound = threshold >> 32;
+  const std::uint64_t bucket_end = ((threshold >> 32) + 1) << 11;
   VecU64 lanes[kScanVecs]{};
   for (std::size_t v = 0; v < kScanVecs; ++v) {
     lanes[v] = origin * load_lanes(&kLaneMul[v * kU64Lanes]) +
@@ -122,9 +124,9 @@ std::uint64_t scan_lanes(std::uint64_t origin, std::uint64_t inc,
   }
   const std::uint64_t step_add = kLaneStep.add * inc;
   for (std::uint64_t base = 0; base < cap; base += kScanLanes) {
-    LaneMask any{};
-    for (const VecU64& lane : lanes) any |= lane_hi21(lane) <= hi_bound;
-    if (any_lane(any)) [[unlikely]] {
+    VecU64 below{};
+    for (const VecU64& lane : lanes) below |= lane_output(lane) - bucket_end;
+    if (runtime::isa::any_sign(below)) [[unlikely]] {
       std::uint64_t states[kScanLanes];
       __builtin_memcpy(states, lanes, sizeof states);
       for (std::size_t i = 0; i < kScanLanes && base + i < cap; ++i) {

@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -328,49 +330,59 @@ TEST_F(CheckpointLog, DuplicateAndOutOfRangeRecordsStopTheScan) {
 }
 
 TEST_F(CheckpointLog, AppendedFramesTruncatedAtEveryByteRecoverAPrefix) {
-  // The coordinator saves once per run, then appends one frame per
-  // completion in completion order. A crash mid-append can leave any
-  // prefix of the appended frames: the loader must recover exactly the
-  // frames that are whole, returned in shard-index order.
+  // The coordinator saves once per run, then appends batches of frames
+  // in completion order, one frame per call or several in one group
+  // commit. A crash mid-append can leave any prefix of the appended
+  // frames: the loader must recover exactly the frames that are whole,
+  // returned in shard-index order.
   auto records = sample_records();
   records[0].shard_index = 3;  // completion order 3, 1, 4, 0
   records.push_back({4, {6, 6}});
   records.push_back({0, {}});
-  fabric::save_checkpoint(path("c.bin"), 0xABCDu, 5, {records[0]});
-  for (std::size_t k = 1; k < records.size(); ++k) {
-    fabric::append_checkpoint_record(path("c.bin"), records[k]);
-  }
-  std::vector<std::uint8_t> bytes;
-  ASSERT_TRUE(util::read_file(path("c.bin"), bytes));
-
-  std::vector<std::size_t> frame_end;
-  std::size_t off = 24;
-  for (const ShardRecord& r : records) {
-    off += 12 + r.payload.size();
-    frame_end.push_back(off);
-  }
-  ASSERT_EQ(off, bytes.size());
-
-  for (std::size_t len = frame_end[0]; len <= bytes.size(); ++len) {
-    util::atomic_write_file(
-        path("t.bin"),
-        std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + len));
-    const CheckpointLoad load =
-        fabric::load_checkpoint(path("t.bin"), 0xABCDu, 5);
-    ASSERT_TRUE(load.usable) << "truncated at " << len;
-    std::size_t whole = 0;
-    while (whole < frame_end.size() && frame_end[whole] <= len) ++whole;
-    std::vector<ShardRecord> expect(records.begin(),
-                                    records.begin() + whole);
-    std::ranges::sort(expect, {}, &ShardRecord::shard_index);
-    ASSERT_EQ(load.records.size(), expect.size()) << "truncated at " << len;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(load.records[i].shard_index, expect[i].shard_index)
-          << "truncated at " << len;
-      EXPECT_EQ(load.records[i].payload, expect[i].payload)
-          << "truncated at " << len;
+  for (const bool group : {false, true}) {
+    SCOPED_TRACE(group ? "one group append" : "one append per frame");
+    fabric::save_checkpoint(path("c.bin"), 0xABCDu, 5, {records[0]});
+    if (group) {
+      fabric::append_checkpoint_records(
+          path("c.bin"), std::vector<ShardRecord>(records.begin() + 1,
+                                                  records.end()));
+    } else {
+      for (std::size_t k = 1; k < records.size(); ++k) {
+        fabric::append_checkpoint_records(path("c.bin"), {records[k]});
+      }
     }
-    EXPECT_EQ(load.dropped_bytes, len - frame_end[whole - 1]);
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(util::read_file(path("c.bin"), bytes));
+
+    std::vector<std::size_t> frame_end;
+    std::size_t off = 24;
+    for (const ShardRecord& r : records) {
+      off += 12 + r.payload.size();
+      frame_end.push_back(off);
+    }
+    ASSERT_EQ(off, bytes.size());
+
+    for (std::size_t len = frame_end[0]; len <= bytes.size(); ++len) {
+      util::atomic_write_file(
+          path("t.bin"),
+          std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + len));
+      const CheckpointLoad load =
+          fabric::load_checkpoint(path("t.bin"), 0xABCDu, 5);
+      ASSERT_TRUE(load.usable) << "truncated at " << len;
+      std::size_t whole = 0;
+      while (whole < frame_end.size() && frame_end[whole] <= len) ++whole;
+      std::vector<ShardRecord> expect(records.begin(),
+                                      records.begin() + whole);
+      std::ranges::sort(expect, {}, &ShardRecord::shard_index);
+      ASSERT_EQ(load.records.size(), expect.size()) << "truncated at " << len;
+      for (std::size_t i = 0; i < expect.size(); ++i) {
+        EXPECT_EQ(load.records[i].shard_index, expect[i].shard_index)
+            << "truncated at " << len;
+        EXPECT_EQ(load.records[i].payload, expect[i].payload)
+            << "truncated at " << len;
+      }
+      EXPECT_EQ(load.dropped_bytes, len - frame_end[whole - 1]);
+    }
   }
 }
 
@@ -480,9 +492,10 @@ TEST_F(Coordinator, PermanentFailureThrowsTheLowestFailingShard) {
 }
 
 TEST_F(Coordinator, CheckpointWriteFailureThrowsInTheCaller) {
-  // The checkpoint's parent directory does not exist, so the first
-  // durable write fails on a worker thread; the error must surface in
-  // the caller's thread instead of terminating the process.
+  // The checkpoint's parent directory does not exist, so the run's first
+  // durable write fails while workers run shards; the error must stop
+  // them and surface in the caller's thread instead of terminating the
+  // process.
   FabricConfig cfg;
   cfg.shard_size = 4;
   cfg.workers = 2;
@@ -490,6 +503,20 @@ TEST_F(Coordinator, CheckpointWriteFailureThrowsInTheCaller) {
   EXPECT_THROW(
       (void)fabric::run_fabric<CampaignSummary>(cfg, 24, 5, synthetic_shard),
       std::runtime_error);
+
+  // One worker and slow shards: the header write fails before any shard
+  // completes, so the worker stops claiming instead of finishing the
+  // plan, and the caller still rethrows.
+  cfg.workers = 1;
+  std::atomic<int> attempts{0};
+  cfg.attempt_hook = [&attempts](const ShardDescriptor&) {
+    attempts.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  EXPECT_THROW(
+      (void)fabric::run_fabric<CampaignSummary>(cfg, 24, 5, synthetic_shard),
+      std::runtime_error);
+  EXPECT_LT(attempts.load(), 6) << "a failed write stops claims";
 }
 
 TEST_F(Coordinator, CheckpointFileHoldsEveryShardAfterCompletion) {
@@ -566,32 +593,46 @@ TEST_F(Coordinator, UndecodableResumedPayloadIsReRun) {
 
 TEST_F(Coordinator, HaltLeavesExactlyKDurableShards) {
   // halt_after_shards=k models SIGKILL at a shard boundary: the
-  // checkpoint must hold exactly the first k durable completions.
+  // checkpoint must hold exactly the first k durable completions. With
+  // 1-run shards completions queue faster than they are written, so a
+  // group commit can straddle the halt and must be cut there.
   constexpr std::uint64_t kRuns = 20;
-  for (std::size_t k = 0; k <= 4; ++k) {
-    FabricConfig cfg;
-    cfg.shard_size = 5;
-    cfg.workers = 2;
-    cfg.checkpoint_path = path("halt_" + std::to_string(k) + ".bin");
-    cfg.halt_after_shards = k;
-    const FabricResult<CampaignSummary> r =
-        fabric::run_fabric<CampaignSummary>(cfg, kRuns, 5, synthetic_shard);
-    if (k < 4) {
-      EXPECT_FALSE(r.complete) << "halt " << k;
-      EXPECT_TRUE(r.stats.halted) << "halt " << k;
-    } else {
-      EXPECT_TRUE(r.complete) << "halt at the end completes";
-    }
-    const std::uint64_t fp = fabric::campaign_fingerprint(
-        fabric::SummaryCodec<CampaignSummary>::kTag, kRuns, cfg.shard_size,
-        5);
-    const CheckpointLoad load =
-        fabric::load_checkpoint(cfg.checkpoint_path, fp, 4);
-    if (k == 0) {
-      EXPECT_FALSE(load.usable) << "no completion, no checkpoint file";
-    } else {
-      ASSERT_TRUE(load.usable) << "halt " << k;
-      EXPECT_EQ(load.records.size(), k);
+  for (const auto& [shard_size, workers] :
+       std::vector<std::pair<std::uint64_t, std::size_t>>{
+           {5, 2}, {1, 1}, {1, 4}}) {
+    const std::size_t shards = kRuns / shard_size;
+    for (std::size_t k = 0; k <= shards; ++k) {
+      SCOPED_TRACE("shard size " + std::to_string(shard_size) + ", " +
+                   std::to_string(workers) + " workers, halt " +
+                   std::to_string(k));
+      FabricConfig cfg;
+      cfg.shard_size = shard_size;
+      cfg.workers = workers;
+      cfg.checkpoint_path = path("halt_" + std::to_string(shard_size) + "_" +
+                                 std::to_string(workers) + "_" +
+                                 std::to_string(k) + ".bin");
+      cfg.halt_after_shards = k;
+      const FabricResult<CampaignSummary> r =
+          fabric::run_fabric<CampaignSummary>(cfg, kRuns, 5, synthetic_shard);
+      if (k < shards) {
+        EXPECT_FALSE(r.complete);
+        EXPECT_TRUE(r.stats.halted);
+      } else {
+        EXPECT_TRUE(r.complete) << "halt at the end completes";
+      }
+      EXPECT_EQ(r.stats.shards_executed, k);
+      const std::uint64_t fp = fabric::campaign_fingerprint(
+          fabric::SummaryCodec<CampaignSummary>::kTag, kRuns, cfg.shard_size,
+          5);
+      const CheckpointLoad load = fabric::load_checkpoint(
+          cfg.checkpoint_path, fp, static_cast<std::uint32_t>(shards));
+      if (k == 0) {
+        EXPECT_FALSE(load.usable) << "no completion, no checkpoint file";
+      } else {
+        ASSERT_TRUE(load.usable);
+        EXPECT_EQ(load.records.size(), k);
+        EXPECT_EQ(load.dropped_bytes, 0u);
+      }
     }
   }
 }
@@ -767,28 +808,37 @@ TEST_F(FabricEquivalence, EveryKillPointResumesBitIdentically) {
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ComputeContext::set_global_threads(threads);
-      for (std::size_t kill = 0; kill <= 5; ++kill) {
-        FabricConfig cfg;
-        cfg.shard_size = kShardSize;
-        cfg.workers = 2;
-        cfg.checkpoint_path = path("kill.bin");
-        std::filesystem::remove(cfg.checkpoint_path);
+      // 1-run shards let completions queue up behind the checkpoint
+      // writer, so the kill points fall inside group commits.
+      for (const auto& [shard_size, workers] :
+           std::vector<std::pair<std::uint64_t, std::size_t>>{
+               {kShardSize, 2}, {1, 1}, {1, 4}}) {
+        const std::size_t shards = kRuns / shard_size;
+        for (std::size_t kill = 0; kill <= shards; ++kill) {
+          FabricConfig cfg;
+          cfg.shard_size = shard_size;
+          cfg.workers = workers;
+          cfg.checkpoint_path = path("kill.bin");
+          std::filesystem::remove(cfg.checkpoint_path);
 
-        FabricConfig killed = cfg;
-        killed.halt_after_shards = kill;
-        const FabricResult<MemoryCampaignSummary> first =
-            fabric::run_memory_campaign(campaign, img, kRuns, seed_base,
-                                        killed);
-        EXPECT_EQ(first.complete, kill >= 5);
+          FabricConfig killed = cfg;
+          killed.halt_after_shards = kill;
+          const FabricResult<MemoryCampaignSummary> first =
+              fabric::run_memory_campaign(campaign, img, kRuns, seed_base,
+                                          killed);
+          EXPECT_EQ(first.complete, kill >= shards);
 
-        const FabricResult<MemoryCampaignSummary> resumed =
-            fabric::run_memory_campaign(campaign, img, kRuns, seed_base, cfg);
-        ASSERT_TRUE(resumed.complete);
-        EXPECT_EQ(resumed.summary, mono)
-            << "kill after " << kill << " shards at " << threads
-            << " threads";
-        EXPECT_EQ(resumed.stats.shards_resumed, kill);
-        EXPECT_EQ(resumed.stats.shards_executed, 5 - kill);
+          const FabricResult<MemoryCampaignSummary> resumed =
+              fabric::run_memory_campaign(campaign, img, kRuns, seed_base,
+                                          cfg);
+          ASSERT_TRUE(resumed.complete);
+          EXPECT_EQ(resumed.summary, mono)
+              << "kill after " << kill << " shards at " << threads
+              << " threads, shard size " << shard_size << ", " << workers
+              << " workers";
+          EXPECT_EQ(resumed.stats.shards_resumed, kill);
+          EXPECT_EQ(resumed.stats.shards_executed, shards - kill);
+        }
       }
     }
   }

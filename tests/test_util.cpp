@@ -195,7 +195,8 @@ TEST(Rng, BernoulliMissesMatchesScalarScanAndPerCallLoop) {
     Rng rng(seed, 0xFA17);
     (void)rng();  // odd draw offset: trials straddle the two-draw grid
     std::vector<double> ps = {std::nan(""), -1.0, 0.0, 1e-300, 1e-6,
-                              1e-4, 0.3, 1.0 - 0x1p-53, 1.0, 2.0};
+                              1e-4, 0.3, 1.0 - 0x1p-30, 1.0 - 0x1p-53,
+                              1.0, 2.0};
     // Boundary-bucket probabilities: trial k (0 or inside the scan) lands
     // exactly on T (a miss) or T - 1 (a hit), so only its low draw decides.
     for (const std::uint64_t k : {std::uint64_t{0}, seed % (4 * lanes + 3)}) {

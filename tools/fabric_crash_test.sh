@@ -24,13 +24,17 @@ echo "== phase 1: start campaign, kill -9 mid-flight =="
 "$BIN" "${FLAGS[@]}" --shard-ms 150 &
 PID=$!
 
-# Wait until at least one shard is durable, then let a few more land.
+# The coordinator writes the 24-byte checkpoint header as the workers
+# start, so a file larger than the header is the sign that at least one
+# shard is durable. Wait for it, then let a few more land.
+HEADER_BYTES=24
+ckpt_bytes() { stat -c %s "$CKPT" 2>/dev/null || echo 0; }
 for _ in $(seq 1 100); do
-  [ -s "$CKPT" ] && break
+  [ "$(ckpt_bytes)" -gt "$HEADER_BYTES" ] && break
   sleep 0.1
 done
-if ! [ -s "$CKPT" ]; then
-  echo "FAIL: no checkpoint appeared before timeout"
+if ! [ "$(ckpt_bytes)" -gt "$HEADER_BYTES" ]; then
+  echo "FAIL: no durable shard appeared before timeout"
   kill -9 "$PID" 2>/dev/null || true
   exit 1
 fi

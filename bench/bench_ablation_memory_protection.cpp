@@ -14,10 +14,10 @@
 //                  plus intermittent (checkpointed) execution under
 //                  power-cycle traces.
 //
-// Emits bench_results/BENCH_memory_protection.json for CI artefacts.
+// Prints one table per surface and writes the kernel sweep to
+// bench_results/memory_protection.csv.
 #include <cstdio>
 #include <memory>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "core/hybrid_network.hpp"
@@ -81,20 +81,6 @@ SamplerRow measure_sampler(double rate) {
   return row;
 }
 
-struct CampaignRow {
-  double rate = 0.0;
-  bool ecc = false;
-  faultsim::MemoryCampaignSummary summary;
-};
-
-struct IntermittentRow {
-  const char* trace_name = "";
-  std::size_t power_cycles = 0;
-  std::size_t steps_committed = 0;
-  std::size_t steps_executed = 0;
-  bool bit_identical = false;
-};
-
 std::unique_ptr<nn::Sequential> make_benchnet() {
   auto net = std::make_unique<nn::Sequential>();
   net->emplace<nn::Conv2d>(3, 8, 7, 2, 0);  // 128 -> 61
@@ -104,77 +90,6 @@ std::unique_ptr<nn::Sequential> make_benchnet() {
   net->emplace<nn::Linear>(8 * 30 * 30, 5);
   nn::init_network(*net, 3);
   return net;
-}
-
-void write_json(const std::string& path,
-                const std::vector<SamplerRow>& sampler,
-                const std::vector<CampaignRow>& campaigns,
-                const std::vector<IntermittentRow>& intermittent,
-                std::size_t runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"memory_protection\",\n");
-  std::fprintf(f, "  \"runs_per_cell\": %zu,\n", runs);
-  std::fprintf(f, "  \"sampler\": [\n");
-  for (std::size_t i = 0; i < sampler.size(); ++i) {
-    const SamplerRow& r = sampler[i];
-    std::fprintf(f,
-                 "    {\"rate\": %.3g, \"bits\": %llu, \"flips\": %llu, "
-                 "\"draws\": %llu, \"draw_reduction\": %.6g, "
-                 "\"geometric_sec\": %.6g, \"bernoulli_sec\": %.6g}%s\n",
-                 r.rate, static_cast<unsigned long long>(r.bits),
-                 static_cast<unsigned long long>(r.flips),
-                 static_cast<unsigned long long>(r.draws),
-                 r.draws != 0 ? static_cast<double>(r.bits) /
-                                    static_cast<double>(r.draws)
-                              : 0.0,
-                 r.geometric_s, r.bernoulli_s,
-                 i + 1 < sampler.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"campaigns\": [\n");
-  for (std::size_t i = 0; i < campaigns.size(); ++i) {
-    const CampaignRow& r = campaigns[i];
-    const auto& s = r.summary;
-    std::fprintf(
-        f,
-        "    {\"rate\": %.3g, \"protection\": \"%s\", \"runs\": %llu, "
-        "\"intact\": %llu, \"corrected\": %llu, \"uncorrectable\": %llu, "
-        "\"qualifier_caught\": %llu, \"silent_corruption\": %llu, "
-        "\"bits_flipped\": %llu, \"ecc_corrected_data\": %llu, "
-        "\"ecc_corrected_check\": %llu, \"availability\": %.6g, "
-        "\"safety\": %.6g, \"sdc_rate\": %.6g}%s\n",
-        r.rate, r.ecc ? "secded" : "none",
-        static_cast<unsigned long long>(s.runs),
-        static_cast<unsigned long long>(s.intact),
-        static_cast<unsigned long long>(s.corrected),
-        static_cast<unsigned long long>(s.uncorrectable),
-        static_cast<unsigned long long>(s.qualifier_caught),
-        static_cast<unsigned long long>(s.silent_corruption),
-        static_cast<unsigned long long>(s.bits_flipped),
-        static_cast<unsigned long long>(s.ecc_corrected_data),
-        static_cast<unsigned long long>(s.ecc_corrected_check),
-        s.availability(), s.safety(), s.sdc_rate(),
-        i + 1 < campaigns.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"intermittent\": [\n");
-  for (std::size_t i = 0; i < intermittent.size(); ++i) {
-    const IntermittentRow& r = intermittent[i];
-    std::fprintf(f,
-                 "    {\"trace\": \"%s\", \"power_cycles\": %zu, "
-                 "\"steps_committed\": %zu, \"steps_executed\": %zu, "
-                 "\"bit_identical\": %s}%s\n",
-                 r.trace_name, r.power_cycles, r.steps_committed,
-                 r.steps_executed, r.bit_identical ? "true" : "false",
-                 i + 1 < intermittent.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
 }
 
 bool same_classification(const core::HybridClassification& a,
@@ -195,10 +110,8 @@ int main() {
       "inject_bit_errors sampling cost (2 Mbit tensor)",
       {"bit error rate", "flips", "rng draws", "draw reduction",
        "geometric", "per-bit Bernoulli"});
-  std::vector<SamplerRow> sampler_rows;
   for (const double rate : {1e-6, 1e-5, 1e-4, 1e-3}) {
     const SamplerRow row = measure_sampler(rate);
-    sampler_rows.push_back(row);
     sampler_table.row(
         {util::CsvWriter::num(rate), std::to_string(row.flips),
          std::to_string(row.draws),
@@ -284,7 +197,6 @@ int main() {
       "memory-fault campaign outcomes (hybrid classify)",
       {"bit error rate", "protection", "intact", "corrected",
        "uncorrectable", "caught", "silent", "availability", "safety"});
-  std::vector<CampaignRow> campaign_rows;
   for (const double rate : {1e-5, 1e-4}) {
     for (const bool ecc : {false, true}) {
       core::MemoryCampaignConfig cfg;
@@ -292,12 +204,7 @@ int main() {
       cfg.ecc = ecc;
       const core::MemoryFaultCampaign campaign(net, cfg);
       core::FaultSeedStream seeds(9000);
-      CampaignRow row;
-      row.rate = rate;
-      row.ecc = ecc;
-      row.summary = campaign.run(image, campaign_runs, seeds);
-      campaign_rows.push_back(row);
-      const auto& s = row.summary;
+      const auto s = campaign.run(image, campaign_runs, seeds);
       campaign_table.row(
           {util::CsvWriter::num(rate), ecc ? "SEC-DED scrub" : "unprotected",
            std::to_string(s.intact), std::to_string(s.corrected),
@@ -318,7 +225,6 @@ int main() {
   util::Table int_table("intermittent (checkpointed) execution",
                         {"trace", "power cycles", "steps committed",
                          "steps executed", "bit identical"});
-  std::vector<IntermittentRow> int_rows;
   util::Rng trace_rng(31);
   const struct {
     const char* name;
@@ -333,24 +239,13 @@ int main() {
   for (const auto& sc : scenarios) {
     core::FaultSeedStream seeds = net.seed_stream();
     const auto r = net.classify_intermittent(image, seeds, sc.trace);
-    IntermittentRow row;
-    row.trace_name = sc.name;
-    row.power_cycles = r.power_cycles;
-    row.steps_committed = r.steps_committed;
-    row.steps_executed = r.steps_executed;
-    row.bit_identical = same_classification(r.classification, reference);
-    int_rows.push_back(row);
-    int_table.row({sc.name, std::to_string(row.power_cycles),
-                   std::to_string(row.steps_committed),
-                   std::to_string(row.steps_executed),
-                   row.bit_identical ? "yes" : "NO"});
+    int_table.row({sc.name, std::to_string(r.power_cycles),
+                   std::to_string(r.steps_committed),
+                   std::to_string(r.steps_executed),
+                   same_classification(r.classification, reference) ? "yes"
+                                                                     : "NO"});
   }
   int_table.print();
-
-  const std::string json_path = util::results_path(
-      bench::results_dir(), "BENCH_memory_protection.json");
-  write_json(json_path, sampler_rows, campaign_rows, int_rows,
-             campaign_runs);
 
   std::printf("\nexpected shape: unprotected weights corrupt the output as "
               "soon as any bit flips (the execution-level guarantee cannot "
@@ -359,6 +254,5 @@ int main() {
               "detects rather than hides. Checkpointed execution survives "
               "every power trace bit-identically.\n");
   std::printf("CSV written to %s\n", csv.path().c_str());
-  std::printf("JSON written to %s\n", json_path.c_str());
   return 0;
 }

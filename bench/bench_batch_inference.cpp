@@ -13,15 +13,14 @@
 //                  the same fanned path
 // All three are bit-identical (verified here before timing): submitter t
 // opens its session at seed base 1 + first-slice-index, so every image
-// consumes exactly the seed the classify() loop gives it. Alongside the
-// stdout table the bench emits BENCH_batch_inference.json so the perf
-// trajectory can be tracked across PRs.
+// consumes exactly the seed the classify() loop gives it. The bench
+// prints the table, writes bench_results/batch_inference.csv, and exits 1
+// if any result differs.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,45 +125,6 @@ std::vector<core::HybridClassification> run_service(
   return results;
 }
 
-struct Row {
-  std::size_t threads = 0;
-  double loop_ips = 0.0;
-  double fanned_ips = 0.0;
-  double service_ips = 0.0;
-};
-
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                std::size_t count, std::size_t size, bool all_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw std::runtime_error("cannot write " + path);
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"batch_inference\",\n");
-  std::fprintf(f, "  \"workload\": {\"images\": %zu, \"size\": %zu, "
-              "\"pipeline\": \"dmr_conv1+full_resolution_qualifier\"},\n",
-              count, size);
-  std::fprintf(f, "  \"hardware_threads\": %u,\n",
-              std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"bit_identical\": %s,\n",
-              all_identical ? "true" : "false");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(
-        f,
-        "    {\"threads\": %zu, \"loop_images_per_sec\": %.6g, "
-        "\"batch_fanned_remainder_images_per_sec\": %.6g, "
-        "\"service_images_per_sec\": %.6g, "
-        "\"fanned_speedup_vs_loop\": %.6g, "
-        "\"service_speedup_vs_loop\": %.6g, "
-        "\"service_speedup_vs_fanned\": %.6g}%s\n",
-        r.threads, r.loop_ips, r.fanned_ips, r.service_ips,
-        r.fanned_ips / r.loop_ips, r.service_ips / r.loop_ips, r.service_ips / r.fanned_ips,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -190,7 +150,6 @@ int main() {
       {"threads", "loop_images_per_sec", "batch_fanned_images_per_sec", "service_images_per_sec",
        "fanned_speedup_vs_loop"});
 
-  std::vector<Row> rows;
   bool all_identical = true;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     runtime::ComputeContext::set_global_threads(threads);
@@ -224,21 +183,18 @@ int main() {
                       identical(loop_results[i], service_results[i]);
     }
 
-    Row row;
-    row.threads = threads;
-    row.loop_ips = static_cast<double>(count) / loop_s;
-    row.fanned_ips = static_cast<double>(count) / fanned_s;
-    row.service_ips = static_cast<double>(count) / service_s;
-    rows.push_back(row);
-    table.row({std::to_string(threads), util::Table::fixed(row.loop_ips, 2),
-               util::Table::fixed(row.fanned_ips, 2),
-               util::Table::fixed(row.service_ips, 2),
-               util::Table::fixed(row.fanned_ips / row.loop_ips, 2),
-               util::Table::fixed(row.service_ips / row.fanned_ips, 2)});
-    csv.row({std::to_string(threads), util::CsvWriter::num(row.loop_ips),
-             util::CsvWriter::num(row.fanned_ips),
-             util::CsvWriter::num(row.service_ips),
-             util::CsvWriter::num(row.fanned_ips / row.loop_ips)});
+    const double loop_ips = static_cast<double>(count) / loop_s;
+    const double fanned_ips = static_cast<double>(count) / fanned_s;
+    const double service_ips = static_cast<double>(count) / service_s;
+    table.row({std::to_string(threads), util::Table::fixed(loop_ips, 2),
+               util::Table::fixed(fanned_ips, 2),
+               util::Table::fixed(service_ips, 2),
+               util::Table::fixed(fanned_ips / loop_ips, 2),
+               util::Table::fixed(service_ips / fanned_ips, 2)});
+    csv.row({std::to_string(threads), util::CsvWriter::num(loop_ips),
+             util::CsvWriter::num(fanned_ips),
+             util::CsvWriter::num(service_ips),
+             util::CsvWriter::num(fanned_ips / loop_ips)});
   }
   table.print();
 
@@ -249,10 +205,6 @@ int main() {
               "so the fanned path approaches linear scaling and the "
               "service path matches it (same compute, plus queueing) "
               "while absorbing 4 concurrent submitters.\n");
-  const std::string json_path =
-      util::results_path(bench::results_dir(), "BENCH_batch_inference.json");
-  write_json(json_path, rows, count, size, all_identical);
-  std::printf("CSV written to %s\nJSON written to %s\n", csv.path().c_str(),
-              json_path.c_str());
+  std::printf("CSV written to %s\n", csv.path().c_str());
   return all_identical ? 0 : 1;
 }

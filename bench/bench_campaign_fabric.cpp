@@ -6,13 +6,10 @@
 // must be bit-identical to the monolithic run, and the process exit
 // code reports any violation — the bench doubles as the fabric's
 // perf-regression and contract gate in CI.
-//
-// Emits bench_results/BENCH_campaign_fabric.json for CI artefacts.
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "campaign_fabric/campaigns.hpp"
@@ -51,43 +48,6 @@ faultsim::Outcome judge(std::size_t, const core::HybridClassification& r) {
   return faultsim::classify(faults, aborted, !aborted);
 }
 
-struct Row {
-  std::uint64_t shard_size = 0;
-  std::size_t workers = 0;
-  bool durable = false;
-  double seconds = 0.0;
-  double runs_per_sec = 0.0;
-  bool bit_identical = false;
-};
-
-void write_json(const std::string& path, std::size_t runs,
-                double mono_seconds, const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"campaign_fabric\",\n");
-  std::fprintf(f, "  \"runs\": %zu,\n", runs);
-  std::fprintf(f, "  \"monolithic_sec\": %.6g,\n", mono_seconds);
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f,
-                 "    {\"shard_size\": %llu, \"workers\": %zu, "
-                 "\"durable\": %s, \"seconds\": %.6g, "
-                 "\"runs_per_sec\": %.6g, \"bit_identical\": %s}%s\n",
-                 static_cast<unsigned long long>(r.shard_size), r.workers,
-                 r.durable ? "true" : "false", r.seconds, r.runs_per_sec,
-                 r.bit_identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-}
-
 }  // namespace
 
 int main() {
@@ -116,7 +76,6 @@ int main() {
   util::Table table("campaign fabric throughput",
                     {"shard size", "workers", "durable", "seconds",
                      "runs/s", "bit-identical"});
-  std::vector<Row> rows;
   bool all_identical = true;
 
   const std::string ckpt =
@@ -137,29 +96,18 @@ int main() {
         const fabric::FabricResult<faultsim::CampaignSummary> result =
             fabric::run_classify_campaign(net, image, runs, seed_base, judge,
                                           cfg);
-        Row row;
-        row.shard_size = shard_size;
-        row.workers = workers;
-        row.durable = durable;
-        row.seconds = watch.seconds();
-        row.runs_per_sec = static_cast<double>(runs) / row.seconds;
-        row.bit_identical = result.complete && result.summary == mono;
-        all_identical = all_identical && row.bit_identical;
-        rows.push_back(row);
+        const double seconds = watch.seconds();
+        const bool bit_identical = result.complete && result.summary == mono;
+        all_identical = all_identical && bit_identical;
         table.row({std::to_string(shard_size), std::to_string(workers),
-                   durable ? "yes" : "no", util::Table::fixed(row.seconds),
-                   util::Table::fixed(row.runs_per_sec, 1),
-                   row.bit_identical ? "yes" : "NO"});
+                   durable ? "yes" : "no", util::Table::fixed(seconds),
+                   util::Table::fixed(static_cast<double>(runs) / seconds, 1),
+                   bit_identical ? "yes" : "NO"});
       }
     }
   }
   std::remove(ckpt.c_str());
   table.print();
-
-  const std::string json_path = util::results_path(
-      bench::results_dir(), "BENCH_campaign_fabric.json");
-  write_json(json_path, runs, mono_seconds, rows);
-  std::printf("JSON written to %s\n", json_path.c_str());
 
   if (!all_identical) {
     std::printf("FABRIC BIT-IDENTITY VIOLATION: see table above\n");

@@ -8,10 +8,9 @@
 
 namespace hybridcnn::bench {
 
-/// Directory all benches write CSV/JSON artefacts into. Every bench
-/// routes its files through util::results_path(results_dir(), ...), so
-/// HYBRIDCNN_RESULTS_DIR redirects the whole artefact set at once (CI
-/// collects the JSON trajectory files from a workspace-relative dir).
+/// Directory all benches write CSV artefacts into. Every bench routes its
+/// files through util::results_path(results_dir(), ...), so
+/// HYBRIDCNN_RESULTS_DIR redirects the whole artefact set at once.
 inline std::string results_dir() {
   const char* v = std::getenv("HYBRIDCNN_RESULTS_DIR");
   return (v != nullptr && v[0] != '\0') ? std::string(v)

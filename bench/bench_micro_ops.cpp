@@ -4,7 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-
+#include <utility>
 #include <vector>
 
 #include "faultsim/injector.hpp"
@@ -14,7 +14,7 @@
 #include "reliable/executor.hpp"
 #include "reliable/leaky_bucket.hpp"
 #include "reliable/reliable_conv.hpp"
-#include "reliable/static_dispatch.hpp"
+#include "reliable/reliable_linear.hpp"
 #include "runtime/compute_context.hpp"
 #include "sax/sax_word.hpp"
 #include "util/rng.hpp"
@@ -162,48 +162,37 @@ void BM_Conv2dForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_Conv2dForwardBatch)->Arg(1)->Arg(4);
 
 // ------------------------------------------------- dense fast path
-// The repacked [in][padded_out] neuron-lane kernel behind
-// ReliableLinear's fault-free fast path, and the repack it needs.
-// items/sec reads as MACs.
-constexpr std::size_t kLinOut = 128;
-constexpr std::size_t kLinIn = 1024;
-
-struct LinearData {
-  std::vector<float> w, b, x, y;
-  LinearData() : w(kLinOut * kLinIn), b(kLinOut), x(kLinIn), y(kLinOut) {
-    util::Rng rng(7);
-    for (auto& v : w) v = static_cast<float>(rng.normal()) * 0.1f;
-    for (auto& v : b) v = static_cast<float>(rng.normal()) * 0.1f;
-    for (auto& v : x) v = static_cast<float>(rng.normal());
-  }
-};
-
-#ifdef HYBRIDCNN_ISA_SIMD
-
-void BM_LinearFastPathPacked(benchmark::State& state) {
-  LinearData d;
-  const auto pack = reliable::detail::build_linear_pack(
-      kLinOut, kLinIn, d.w.data(), d.b.data(), 0);
+// ReliableLinear's fault-free path through the public API: the dense
+// layer runs as a 1 x in conv on the channel-lane kernel, fanned across
+// the pool. Args are (out, in, threads); items/sec reads as MACs.
+void BM_LinearReference(benchmark::State& state) {
+  const std::size_t prior = runtime::ComputeContext::global().slot_count();
+  const auto out_n = static_cast<std::size_t>(state.range(0));
+  const auto in_n = static_cast<std::size_t>(state.range(1));
+  runtime::ComputeContext::set_global_threads(
+      static_cast<std::size_t>(state.range(2)));
+  util::Rng rng(7);
+  tensor::Tensor weights(tensor::Shape{out_n, in_n});
+  weights.fill_normal(rng, 0.0f, 0.1f);
+  tensor::Tensor bias(tensor::Shape{out_n});
+  bias.fill_normal(rng, 0.0f, 0.1f);
+  tensor::Tensor input(tensor::Shape{in_n});
+  input.fill_normal(rng, 0.0f, 1.0f);
+  const reliable::ReliableLinear linear(std::move(weights), std::move(bias));
+  linear.prepare_fast_path();
   for (auto _ : state) {
-    reliable::detail::linear_raw_compute_packed(pack, d.x.data(), d.y.data());
-    benchmark::DoNotOptimize(d.y.data());
+    const auto out = linear.reference_forward(input);
+    benchmark::DoNotOptimize(out.data().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLinOut * kLinIn));
+                          static_cast<std::int64_t>(out_n * in_n));
+  runtime::ComputeContext::set_global_threads(prior);
 }
-BENCHMARK(BM_LinearFastPathPacked);
-
-void BM_LinearPackBuild(benchmark::State& state) {
-  LinearData d;
-  for (auto _ : state) {
-    const auto pack = reliable::detail::build_linear_pack(
-        kLinOut, kLinIn, d.w.data(), d.b.data(), 0);
-    benchmark::DoNotOptimize(pack.weights.data());
-  }
-}
-BENCHMARK(BM_LinearPackBuild);
-
-#endif  // HYBRIDCNN_ISA_SIMD
+BENCHMARK(BM_LinearReference)
+    ->Args({128, 1024, 1})
+    ->Args({128, 1024, 4})
+    ->Args({1024, 4096, 1})
+    ->Args({1024, 4096, 4});
 
 void BM_SaxWord(benchmark::State& state) {
   util::Rng rng(2);

@@ -18,13 +18,9 @@
 // scalar fast path (SIMD kill-switch closed), and the SIMD fast path (the
 // kernel the conv's shape picks: channel lanes for this strided conv) at
 // 1/2/8 pool threads, checks bit-identity of outputs and reports across
-// every cell, and emits bench_results/BENCH_reliable_conv.json —
-// including the gap to the unqualified im2col/GEMM conv on the same
-// geometry — so the hot path's perf trajectory is tracked over time
-// like BENCH_batch_inference.json. The legacy JSON fields
-// (simd_images_per_sec, gap_vs_unqualified) stay pinned to 1 thread so
-// the trajectory stays comparable; the full sweep lands in the
-// per-scheme "thread_sweep" array.
+// every cell, and prints the 1-thread columns (with the gap to the
+// unqualified im2col/GEMM conv on the same geometry) and the thread sweep
+// as tables next to bench_results/table1_reliable_conv.csv.
 // Exit code 1 on any bit-identity failure.
 #include <cstdio>
 #include <string>
@@ -104,75 +100,19 @@ struct SchemeRow {
   const char* scheme = nullptr;
   double generic_s = 0.0;
   double scalar_s = 0.0;
-  /// Legacy trajectory column: the SIMD fast path at 1 thread — the
-  /// default single-threaded configuration.
+  /// The SIMD fast path at 1 thread — the default single-threaded
+  /// configuration.
   double simd_s = 0.0;
   /// Unqualified im2col/GEMM conv on the same geometry; the gap the
   /// qualified fast path still pays for reliability bookkeeping.
   double unqualified_s = 0.0;
   std::vector<ThreadCell> cells;  ///< one cell per kThreadAxis entry
   [[nodiscard]] double simd_ips() const { return 1.0 / simd_s; }
-  [[nodiscard]] double speedup_vs_generic() const {
-    return generic_s / simd_s;
-  }
   [[nodiscard]] double speedup_vs_scalar() const { return scalar_s / simd_s; }
   [[nodiscard]] double gap_vs_unqualified() const {
     return simd_s / unqualified_s;
   }
 };
-
-void write_json(const std::string& path, const std::vector<SchemeRow>& rows,
-                std::uint64_t macs, std::size_t image_size,
-                double unqualified_s, bool bit_identical) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"reliable_conv\",\n");
-  std::fprintf(f,
-               "  \"workload\": {\"layer\": \"alexnet_conv1\", \"input\": "
-               "%zu, \"macs\": %llu, \"fault_free\": true, \"threads\": "
-               "[1, 2, 8], \"isa\": \"%s\"},\n",
-               image_size, static_cast<unsigned long long>(macs),
-               runtime::isa::kIsaName);
-  std::fprintf(f, "  \"bit_identical\": %s,\n",
-               bit_identical ? "true" : "false");
-  // Baseline row: the unqualified im2col/GEMM conv on the exact same
-  // geometry — the reliability tax is measured against this.
-  std::fprintf(f,
-               "  \"unqualified\": {\"images_per_sec\": %.6g},\n",
-               1.0 / unqualified_s);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SchemeRow& r = rows[i];
-    // Legacy trajectory fields first (simd_* = 1 thread), then the
-    // thread sweep.
-    std::fprintf(f,
-                 "    {\"scheme\": \"%s\", "
-                 "\"generic_images_per_sec\": %.6g, "
-                 "\"scalar_images_per_sec\": %.6g, "
-                 "\"simd_images_per_sec\": %.6g, "
-                 "\"speedup_vs_generic\": %.6g, "
-                 "\"simd_speedup_vs_scalar\": %.6g, "
-                 "\"gap_vs_unqualified\": %.6g,\n",
-                 r.scheme, 1.0 / r.generic_s, 1.0 / r.scalar_s, r.simd_ips(),
-                 r.speedup_vs_generic(), r.speedup_vs_scalar(),
-                 r.gap_vs_unqualified());
-    std::fprintf(f, "     \"thread_sweep\": [\n");
-    for (std::size_t c = 0; c < r.cells.size(); ++c) {
-      const ThreadCell& cell = r.cells[c];
-      std::fprintf(f,
-                   "       {\"threads\": %zu, \"images_per_sec\": %.6g}%s\n",
-                   cell.threads, cell.ips(),
-                   c + 1 < r.cells.size() ? "," : "");
-    }
-    std::fprintf(f, "     ]}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-}
 
 }  // namespace
 
@@ -336,11 +276,7 @@ int main() {
            util::CsvWriter::num(t_tmr / t_simplex)});
   csv.row({"sax_qualifier", util::CsvWriter::num(t_sax), "1.942",
            util::CsvWriter::num(t_sax / t_simplex)});
-  const std::string json_path =
-      util::results_path(bench::results_dir(), "BENCH_reliable_conv.json");
-  write_json(json_path, rows, macs, image_size, t_native, bit_identical);
-  std::printf("\nCSV written to %s\nJSON written to %s\n", csv.path().c_str(),
-              json_path.c_str());
+  std::printf("\nCSV written to %s\n", csv.path().c_str());
 
   // Keep the native output alive so the compiler cannot elide it.
   const bool native_ok =

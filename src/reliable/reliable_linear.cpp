@@ -2,9 +2,11 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "reliable/checkpoint.hpp"
-#include "reliable/static_dispatch.hpp"
+#include "reliable/leaky_bucket.hpp"
 
 namespace hybridcnn::reliable {
 
@@ -17,103 +19,67 @@ void validate_linear_input(const tensor::Tensor& input, std::size_t in_n) {
   }
 }
 
+/// The dense layer as a conv: weights [out, in] become the 1 x in kernel
+/// [out, 1, 1, in], stride 1, no padding.
+ReliableConv2d as_conv(tensor::Tensor weights, tensor::Tensor bias,
+                       ReliabilityPolicy policy) {
+  if (weights.shape().rank() != 2) {
+    throw std::invalid_argument("ReliableLinear: weights must be [out, in]");
+  }
+  if (bias.shape().rank() != 1 || bias.shape()[0] != weights.shape()[0]) {
+    throw std::invalid_argument("ReliableLinear: bias must be [out]");
+  }
+  weights.reshape(tensor::Shape{weights.shape()[0], 1, 1, weights.shape()[1]});
+  return ReliableConv2d(std::move(weights), std::move(bias), ConvSpec{1, 0},
+                        policy);
+}
+
+/// The conv's [out, 1, 1] result as the dense layer's [out].
+ReliableResult as_linear(ReliableResult result) {
+  result.output.reshape(tensor::Shape{result.output.count()});
+  result.report.stage = "reliable_linear";
+  return result;
+}
+
 }  // namespace
 
 ReliableLinear::ReliableLinear(tensor::Tensor weights, tensor::Tensor bias,
                                ReliabilityPolicy policy)
-    : weights_(std::move(weights)),
-      bias_(std::move(bias)),
-      policy_(policy) {
-  if (weights_.shape().rank() != 2) {
-    throw std::invalid_argument("ReliableLinear: weights must be [out, in]");
-  }
-  if (bias_.shape().rank() != 1 || bias_.shape()[0] != weights_.shape()[0]) {
-    throw std::invalid_argument("ReliableLinear: bias must be [out]");
-  }
-  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
-}
+    : conv_(as_conv(std::move(weights), std::move(bias), policy)) {}
 
 void ReliableLinear::set_weights(tensor::Tensor weights) {
-  if (!(weights.shape() == weights_.shape())) {
+  const tensor::Shape& w = conv_.weights().shape();
+  const tensor::Shape expected{w[0], w[3]};
+  if (!(weights.shape() == expected)) {
     throw std::invalid_argument(
         "ReliableLinear::set_weights: shape mismatch, expected " +
-        weights_.shape().str() + " got " + weights.shape().str());
+        expected.str() + " got " + weights.shape().str());
   }
-  weights_ = std::move(weights);
-  ++weight_generation_;
-  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
+  weights.reshape(w);
+  conv_.set_weights(std::move(weights));
 }
 
-std::shared_ptr<const detail::LinearWeightPack> ReliableLinear::neuron_pack()
-    const {
-#ifdef HYBRIDCNN_ISA_SIMD
-  std::lock_guard<std::mutex> lock(pack_mutex_);
-  if (!pack_ || pack_->generation != weight_generation_) {
-    pack_ = std::make_shared<const detail::LinearWeightPack>(
-        detail::build_linear_pack(weights_.shape()[0], weights_.shape()[1],
-                                  weights_.data().data(),
-                                  bias_.data().data(), weight_generation_));
-  }
-  return pack_;
-#else
-  return nullptr;
-#endif
+tensor::Tensor ReliableLinear::conv_input(const tensor::Tensor& input) const {
+  const std::size_t in_n = conv_.weights().shape()[3];
+  validate_linear_input(input, in_n);
+  tensor::Tensor view = input;
+  view.reshape(tensor::Shape{1, 1, in_n});
+  return view;
 }
 
 ReliableResult ReliableLinear::forward(const tensor::Tensor& input,
                                        Executor& exec,
                                        ReportMode mode) const {
-  const Scheme scheme = exec.scheme_kind();
-  if (scheme == Scheme::kCustom) return forward_generic(input, exec);
-
-  const std::size_t out_n = weights_.shape()[0];
-  const std::size_t in_n = weights_.shape()[1];
-  validate_linear_input(input, in_n);
-
-  ReliableResult result{tensor::Tensor(tensor::Shape{out_n}), {}};
-  result.report.stage = "reliable_linear";
-  result.report.scheme = exec.name();
-
-  const float* in = input.data().data();
-  const float* wgt = weights_.data().data();
-  const float* b = bias_.data().data();
-
-  // One gate, as in ReliableConv2d::forward: the whole forward granted,
-  // else a fault-to-fault walk over the output neurons from the granted
-  // prefix on; no window when the input, weights or bias hold a NaN.
-  const auto pack = neuron_pack();
-  const std::uint64_t ops = 2 * static_cast<std::uint64_t>(out_n) * in_n;
-  const bool windows =
-      !params_hold_nan_ && !detail::holds_nan(in, input.count());
-  const std::uint64_t granted = windows ? exec.take_clean(ops) : 0;
-  if (windows && granted == ops) {
-    detail::linear_raw_compute(out_n, in_n, pack.get(), in, wgt, b,
-                               result.output.data().data());
-    if (mode == ReportMode::kFull) {
-      result.report.logical_ops = ops;
-      result.report.commits = ops;
-    }
-    return result;
-  }
-
-  detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-    if (mode == ReportMode::kFull) {
-      detail::linear_forward_qualified<true>(out_n, in_n, pack.get(), in, wgt,
-                                             b, policy_, windows, granted,
-                                             concrete, result);
-    } else {
-      detail::linear_forward_qualified<false>(out_n, in_n, pack.get(), in,
-                                              wgt, b, policy_, windows,
-                                              granted, concrete, result);
-    }
-  });
-  return result;
+  return as_linear(conv_.forward(conv_input(input), exec, mode));
 }
 
 ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
                                                Executor& exec) const {
-  const std::size_t out_n = weights_.shape()[0];
-  const std::size_t in_n = weights_.shape()[1];
+  const tensor::Tensor& weights = conv_.weights();
+  const tensor::Tensor& bias = conv_.bias();
+  const ReliabilityPolicy& policy = conv_.policy();
+  const std::size_t out_n = weights.shape()[0];
+  const std::size_t in_n = weights.shape()[3];
   validate_linear_input(input, in_n);
 
   ReliableResult result{tensor::Tensor(tensor::Shape{out_n}), {}};
@@ -121,7 +87,7 @@ ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
   report.stage = "reliable_linear";
   report.scheme = exec.name();
 
-  LeakyBucket bucket(policy_.bucket_factor, policy_.bucket_ceiling);
+  LeakyBucket bucket(policy.bucket_factor, policy.bucket_ceiling);
   std::int64_t op_index = 0;
 
   const auto run_qualified =
@@ -140,16 +106,16 @@ ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
       (void)cp.rollback();
       ++report.rollbacks;
       if (bucket.record_error()) return std::nullopt;
-      if (attempt + 1 >= policy_.max_retries_per_op) return std::nullopt;
+      if (attempt + 1 >= policy.max_retries_per_op) return std::nullopt;
       ++report.retries;
     }
   };
 
   for (std::size_t o = 0; o < out_n; ++o) {
-    ScalarCheckpoint acc(bias_[o]);
+    ScalarCheckpoint acc(bias[o]);
     for (std::size_t i = 0; i < in_n; ++i) {
       const float x = input[i];
-      const float w = weights_[o * in_n + i];
+      const float w = weights[o * in_n + i];
 
       ScalarCheckpoint prod(0.0f);
       const auto p = run_qualified([&] { return exec.mul(x, w); }, prod);
@@ -186,14 +152,8 @@ ReliableResult ReliableLinear::forward_generic(const tensor::Tensor& input,
 
 tensor::Tensor ReliableLinear::reference_forward(
     const tensor::Tensor& input) const {
-  const std::size_t out_n = weights_.shape()[0];
-  const std::size_t in_n = weights_.shape()[1];
-  validate_linear_input(input, in_n);
-  tensor::Tensor out(tensor::Shape{out_n});
-  const auto pack = neuron_pack();
-  detail::linear_raw_compute(out_n, in_n, pack.get(), input.data().data(),
-                             weights_.data().data(), bias_.data().data(),
-                             out.data().data());
+  tensor::Tensor out = conv_.reference_forward(conv_input(input));
+  out.reshape(tensor::Shape{out.count()});
   return out;
 }
 

@@ -14,10 +14,11 @@
 //     split into an always-inline success fast path and a cold noinline
 //     slow path (rollback / retry / leaky-bucket escalation). Counter
 //     updates replicate the generic retry loop step for step.
-//   * conv_forward_qualified / linear_forward_qualified /
-//     conv_unqualified_inline — inner kernels templated over the concrete
-//     executor type (Simplex/Dmr/Tmr are final), so mul/add fold into the
-//     loop with no virtual calls or per-op lambdas surviving to codegen.
+//   * conv_forward_qualified / conv_unqualified_inline — inner kernels
+//     templated over the concrete executor type (Simplex/Dmr/Tmr are
+//     final), so mul/add fold into the loop with no virtual calls or
+//     per-op lambdas surviving to codegen. ReliableLinear runs on them
+//     as a 1 x in conv, so there is no separate dense kernel.
 //     The public forward() entry points first ask the one execution
 //     gate, the counting Executor::take_clean, for the whole forward's
 //     ops, which is answered in O(1) when no fault can land. When it
@@ -28,12 +29,12 @@
 //     per-op envelope, after which the rest of the forward is asked for
 //     again. A forward whose input, weights or bias hold a NaN takes no
 //     window at all (holds_nan, params_hold_nan).
-//   * conv_raw_compute / linear_raw_compute — raw arithmetic in the
-//     identical operation order for granted windows, whose values never
-//     depend on the fault stream. On SIMD-capable targets
-//     (runtime/isa.hpp) two vector strategies exist, both vectorizing
-//     across *independent outputs* — never the (c, ky, kx) reduction — so
-//     bit-identity with the scalar loop holds by construction:
+//   * conv_raw_compute — raw arithmetic in the identical operation order
+//     for granted windows, whose values never depend on the fault
+//     stream. On SIMD-capable targets (runtime/isa.hpp) two vector
+//     strategies exist, both vectorizing across *independent outputs* —
+//     never the (c, ky, kx) reduction — so bit-identity with the scalar
+//     loop holds by construction:
 //       - pixel lanes (conv_simd_rows): kFloatLanes adjacent interior
 //         output pixels of one row per vector on stride-1 convs, weights
 //         re-broadcast per tap; border pixels stay scalar.
@@ -1149,174 +1150,6 @@ void conv_unqualified_inline(const ConvPlan& plan, const WeightPack* pack,
   assemble_windowed(out, count, count, per_op, [&](float* raw_out) {
     conv_raw_compute(plan, pack, input, weights, bias, raw_out);
   });
-}
-
-/// Fault-free dense fast path, scalar form: same operation order as the
-/// qualified kernel. Kept callable directly for A/B tests and benches.
-inline void linear_raw_compute_scalar(std::size_t out_n, std::size_t in_n,
-                                      const float* input,
-                                      const float* weights, const float* bias,
-                                      float* out) noexcept {
-  for (std::size_t o = 0; o < out_n; ++o) {
-    float acc = bias[o];
-    const float* w_row = weights + o * in_n;
-    for (std::size_t i = 0; i < in_n; ++i) {
-      acc = acc + input[i] * w_row[i];
-    }
-    out[o] = acc;
-  }
-}
-
-/// Neuron-lane weight layout for the dense fast path: [out, in] weights
-/// transposed into [in][padded_out] rows so each input step issues
-/// contiguous weight-vector loads across adjacent output neurons. Same
-/// lifetime rule
-/// as the conv WeightPack: cached by the owner, keyed on `generation`.
-struct LinearWeightPack {
-  std::vector<float> weights;  ///< [in][padded_out]
-  std::vector<float> bias;     ///< [padded_out], zero beyond out_n
-  std::size_t out_n = 0;
-  std::size_t padded_out = 0;
-  std::size_t in_n = 0;
-  std::uint64_t generation = 0;
-};
-
-inline LinearWeightPack build_linear_pack(std::size_t out_n, std::size_t in_n,
-                                          const float* weights,
-                                          const float* bias,
-                                          std::uint64_t generation) {
-  LinearWeightPack pack;
-  pack.out_n = out_n;
-  pack.padded_out = channel_pack_width(out_n);
-  pack.in_n = in_n;
-  pack.generation = generation;
-  pack.weights.assign(in_n * pack.padded_out, 0.0f);
-  pack.bias.assign(pack.padded_out, 0.0f);
-  for (std::size_t o = 0; o < out_n; ++o) {
-    pack.bias[o] = bias[o];
-    for (std::size_t i = 0; i < in_n; ++i) {
-      pack.weights[i * pack.padded_out + o] = weights[o * in_n + i];
-    }
-  }
-  return pack;
-}
-
-#ifdef HYBRIDCNN_ISA_SIMD
-
-/// Vectorized fault-free dense fast path, packed form: the channel-lane
-/// idea applied to the dense layer. Lane l of block b accumulates neuron
-/// b*lanes + l; every input element is one broadcast against contiguous
-/// weight vectors, blocks grouped like the conv channel blocks. Adjacent
-/// lanes are adjacent output neurons, so full blocks store straight to
-/// the output; only the padded tail block scatters its valid lanes. Per
-/// lane the reduction is the exact scalar index order.
-inline void linear_raw_compute_packed(const LinearWeightPack& pack,
-                                      const float* input,
-                                      float* out) noexcept {
-  namespace isa = runtime::isa;
-  constexpr std::size_t kLanes = isa::kFloatLanes;
-  const std::size_t blocks = pack.padded_out / kLanes;
-  const auto run_group = [&](std::size_t blk, auto b_tag) {
-    constexpr std::size_t B = decltype(b_tag)::value;
-    const std::size_t o0 = blk * kLanes;
-    isa::VecF acc[B];
-    for (std::size_t b = 0; b < B; ++b) {
-      acc[b] = isa::loadu(pack.bias.data() + o0 + b * kLanes);
-    }
-    for (std::size_t i = 0; i < pack.in_n; ++i) {
-      const isa::VecF xv = isa::splat(input[i]);
-      const float* w = pack.weights.data() + i * pack.padded_out + o0;
-      for (std::size_t b = 0; b < B; ++b) {
-        acc[b] = acc[b] + xv * isa::loadu(w + b * kLanes);
-      }
-    }
-    for (std::size_t b = 0; b < B; ++b) {
-      const std::size_t ob = o0 + b * kLanes;
-      const std::size_t valid = std::min(kLanes, pack.out_n - ob);
-      if (valid == kLanes) {
-        isa::storeu(out + ob, acc[b]);
-      } else {
-        for (std::size_t l = 0; l < valid; ++l) out[ob + l] = acc[b][l];
-      }
-    }
-  };
-  std::size_t blk = 0;
-  while (blk < blocks) {
-    const std::size_t group = std::min(kChannelBlockUnroll, blocks - blk);
-    switch (group) {
-      case 4:
-        run_group(blk, std::integral_constant<std::size_t, 4>{});
-        break;
-      case 3:
-        run_group(blk, std::integral_constant<std::size_t, 3>{});
-        break;
-      case 2:
-        run_group(blk, std::integral_constant<std::size_t, 2>{});
-        break;
-      default:
-        run_group(blk, std::integral_constant<std::size_t, 1>{});
-        break;
-    }
-    blk += group;
-  }
-}
-
-#endif  // HYBRIDCNN_ISA_SIMD
-
-/// Fault-free dense fast path: the packed neuron-lane kernel when a pack
-/// is supplied and the kill-switch is open, scalar otherwise.
-inline void linear_raw_compute(std::size_t out_n, std::size_t in_n,
-                               const LinearWeightPack* pack,
-                               const float* input, const float* weights,
-                               const float* bias, float* out) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
-  if (reliable_simd_enabled() && pack != nullptr) {
-    linear_raw_compute_packed(*pack, input, out);
-    return;
-  }
-#else
-  (void)pack;
-#endif
-  linear_raw_compute_scalar(out_n, in_n, input, weights, bias, out);
-}
-
-/// Qualified dense kernel over a concrete executor type: the linear
-/// analogue of conv_forward_qualified, the same fault-to-fault walk over
-/// output neurons of 2 * in_n ops each.
-template <bool WithReport = true, typename Exec>
-void linear_forward_qualified(std::size_t out_n, std::size_t in_n,
-                              const LinearWeightPack* pack,
-                              const float* input, const float* weights,
-                              const float* bias,
-                              const ReliabilityPolicy& policy, bool windows,
-                              std::uint64_t granted, Exec& exec,
-                              ReliableResult& result) {
-  const std::uint64_t neuron_ops = 2 * static_cast<std::uint64_t>(in_n);
-  QualifiedOpRunner<Exec, WithReport> runner(
-      exec, result.report, policy, windows ? neuron_ops * out_n : 0,
-      granted);
-  std::vector<PerOpOutput> per_op;
-  std::size_t end = out_n;
-  bool aborted = false;
-  for (std::size_t o = 0; o < out_n && !aborted; ++o) {
-    if (runner.spend(neuron_ops)) continue;
-    ScalarCheckpoint acc(bias[o]);
-    const float* w_row = weights + o * in_n;
-    for (std::size_t i = 0; i < in_n; ++i) {
-      if (!qualified_mac(input[i], w_row[i], runner, acc)) {
-        aborted = true;
-        end = o + 1;
-        break;
-      }
-    }
-    per_op.push_back({o, acc.value()});
-  }
-  runner.finish(aborted);
-  assemble_windowed(result.output.data().data(), out_n, end, per_op,
-                    [&](float* out) {
-                      linear_raw_compute(out_n, in_n, pack, input, weights,
-                                         bias, out);
-                    });
 }
 
 }  // namespace hybridcnn::reliable::detail

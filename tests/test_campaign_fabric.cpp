@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
@@ -55,6 +56,18 @@ using faultsim::CampaignSummary;
 using faultsim::MemoryCampaignSummary;
 using runtime::ComputeContext;
 using tensor::Tensor;
+
+/// A new, empty directory of this process's own under the system temp
+/// dir. Test binaries of two builds running at once on one host each get
+/// their own, so neither removes the other's checkpoints.
+std::string make_temp_dir(const std::string& prefix) {
+  std::string dir =
+      (std::filesystem::temp_directory_path() / (prefix + ".XXXXXX")).string();
+  if (::mkdtemp(dir.data()) == nullptr) {
+    throw std::runtime_error("mkdtemp failed for " + dir);
+  }
+  return dir;
+}
 
 std::unique_ptr<nn::Sequential> make_testnet(std::uint64_t seed = 3) {
   auto net = std::make_unique<nn::Sequential>();
@@ -167,9 +180,7 @@ TEST(SummaryCodec, MemorySummaryRoundTrips) {
 class CheckpointLog : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/hybridcnn_fabric_ckpt_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = make_temp_dir("hybridcnn_fabric_ckpt_test");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -414,9 +425,7 @@ CampaignSummary synthetic_expected(std::uint64_t runs) {
 class Coordinator : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/hybridcnn_fabric_coord_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = make_temp_dir("hybridcnn_fabric_coord_test");
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
@@ -703,9 +712,7 @@ TEST_F(Coordinator, ForeignCheckpointIsReplacedNotAppendedTo) {
 class FabricEquivalence : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = "/tmp/hybridcnn_fabric_equiv_test";
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
+    dir_ = make_temp_dir("hybridcnn_fabric_equiv_test");
   }
   void TearDown() override {
     ComputeContext::set_global_threads(1);

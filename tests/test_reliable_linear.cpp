@@ -43,6 +43,12 @@ TEST(ReliableLinear, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(layer.reference_forward(Tensor(Shape{4, 2})),
                std::invalid_argument);
+  // Right element count, wrong rank: the layer must not read it as the
+  // conv's CHW view.
+  const Tensor column(Shape{8, 1});
+  EXPECT_THROW(layer.forward(column, *exec), std::invalid_argument);
+  EXPECT_THROW(layer.forward_generic(column, *exec), std::invalid_argument);
+  EXPECT_THROW(layer.reference_forward(column), std::invalid_argument);
 }
 
 class LinearSchemes : public ::testing::TestWithParam<const char*> {};

@@ -497,18 +497,12 @@ TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
   input.fill_normal(rng, 0.0f, 1.0f);
 
   linear.prepare_fast_path();
-  const auto pack_before = linear.neuron_pack();
   const std::uint64_t gen_before = linear.weight_generation();
 
   Tensor new_weights(Shape{out_n, in_n});
   new_weights.fill_normal(rng, 0.0f, 0.4f);
   linear.set_weights(new_weights);
   EXPECT_EQ(linear.weight_generation(), gen_before + 1);
-  const auto pack_after = linear.neuron_pack();
-  if (pack_after != nullptr) {
-    EXPECT_NE(pack_before.get(), pack_after.get());
-    EXPECT_EQ(pack_after->generation, gen_before + 1);
-  }
 
   const ReliableLinear fresh(new_weights, bias);
   const auto updated_exec = make_executor("simplex", nullptr);
@@ -520,6 +514,10 @@ TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
 
   Tensor bad(Shape{out_n, in_n + 1});
   EXPECT_THROW(linear.set_weights(bad), std::invalid_argument);
+  // Same element count, transposed: must not pass as the conv's kernel.
+  EXPECT_THROW(linear.set_weights(Tensor(Shape{in_n, out_n})),
+               std::invalid_argument);
+  EXPECT_EQ(linear.weight_generation(), gen_before + 1);
 }
 
 }  // namespace

@@ -300,6 +300,26 @@ TEST(StaticDispatchConv, CustomExecutorFallsBackToGenericPath) {
   EXPECT_EQ(result.report.scheme, "custom");
   expect_outputs_bit_identical(result.output, conv.reference_forward(input));
   EXPECT_EQ(exec.stats().logical_ops, 2 * conv.mac_count(input.shape()));
+
+  // A dense layer runs on the conv engine, so the custom executor reaches
+  // the conv's generic path through it; the result must still equal the
+  // dense oracle and carry the dense stage.
+  Rng rng(13);
+  Tensor weights(Shape{5, 11});
+  weights.fill_normal(rng, 0.0f, 0.4f);
+  Tensor bias(Shape{5});
+  bias.fill_normal(rng, 0.0f, 0.1f);
+  const ReliableLinear linear(weights, bias);
+  Tensor vec(Shape{11});
+  vec.fill_normal(rng, 0.0f, 1.0f);
+  CustomExecutor linear_exec(nullptr);
+  CustomExecutor oracle_exec(nullptr);
+  const ReliableResult dense = linear.forward(vec, linear_exec);
+  const ReliableResult oracle = linear.forward_generic(vec, oracle_exec);
+  EXPECT_EQ(dense.report.stage, "reliable_linear");
+  expect_outputs_bit_identical(dense.output, oracle.output);
+  expect_reports_equal(dense.report, oracle.report);
+  expect_executors_equal(linear_exec, oracle_exec);
 }
 
 TEST(StaticDispatchConv, MacCountClosedFormMatchesTapWalk) {

@@ -66,9 +66,8 @@ int main() {
 
   // Monolithic baseline: one coordinator, the pool's thread fan-out.
   util::Stopwatch mono_watch;
-  core::FaultSeedStream seeds = net.seed_stream();
   const faultsim::CampaignSummary mono =
-      net.classify_campaign(image, runs, judge, seeds);
+      net.classify_campaign_range(image, 0, runs, seed_base, judge);
   const double mono_seconds = mono_watch.seconds();
   std::printf("monolithic: %zu runs in %.3fs (%.1f runs/s)\n\n", runs,
               mono_seconds, static_cast<double>(runs) / mono_seconds);

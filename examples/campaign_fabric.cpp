@@ -146,9 +146,8 @@ int main(int argc, char** argv) {
   }
 
   if (verify) {
-    core::FaultSeedStream seeds = net.seed_stream();
     const faultsim::CampaignSummary mono =
-        net.classify_campaign(image, runs, judge, seeds);
+        net.classify_campaign_range(image, 0, runs, seed_base, judge);
     print_summary("monolithic summary", mono);
     if (!(result.summary == mono)) {
       std::fprintf(stderr,

@@ -55,12 +55,12 @@ int main() {
 
   for (const double rate : {1e-7, 1e-6, 1e-5, 1e-4}) {
     constexpr std::size_t kRuns = 12;
-    // One hybrid network serves the whole campaign: classify_campaign
-    // gives run i the fault seed fault_seed + i (the same per-run streams
-    // the old build-a-network-per-run pattern used), fans the reliable
-    // stage across the pool, and reduces outcomes in run order — the
-    // summary stays bit-identical at every thread count while the
-    // network/kernel construction is amortised.
+    // One hybrid network serves the whole campaign:
+    // classify_campaign_range gives run i the fault seed fault_seed + i
+    // (the same per-run streams the old build-a-network-per-run pattern
+    // used), fans the reliable stage across the pool, and reduces
+    // outcomes in run order — the summary stays bit-identical at every
+    // thread count while the network/kernel construction is amortised.
     core::HybridConfig cfg;
     cfg.fault_config.kind = faultsim::FaultKind::kTransient;
     cfg.fault_config.probability = rate;
@@ -69,9 +69,8 @@ int main() {
     core::HybridNetwork hybrid(make_net(), 0, cfg);
 
     std::vector<std::uint64_t> detected_per_run(kRuns, 0);
-    core::FaultSeedStream seeds = hybrid.seed_stream();
-    const faultsim::CampaignSummary summary = hybrid.classify_campaign(
-        image, kRuns,
+    const faultsim::CampaignSummary summary = hybrid.classify_campaign_range(
+        image, 0, kRuns, hybrid.seed_stream().peek(),
         [&](std::size_t run, const core::HybridClassification& r) {
           const bool aborted = !r.conv1_report.ok || !r.qualifier.report.ok;
           const bool faults = aborted || r.conv1_report.detected_errors > 0 ||
@@ -82,8 +81,7 @@ int main() {
           detected_per_run[run] = r.conv1_report.detected_errors +
                                   r.qualifier.report.detected_errors;
           return faultsim::classify(faults, aborted, matches);
-        },
-        seeds);
+        });
     double detected = 0.0;
     for (const std::uint64_t d : detected_per_run) {
       detected += static_cast<double>(d);

@@ -7,7 +7,8 @@
 // with one call. Both entry points take GLOBAL run indices and the campaign
 // seed base, which is exactly what a ShardDescriptor carries; the
 // merged summary is bit-identical to the monolithic
-// classify_campaign / run() call with the same (runs, seed_base).
+// classify_campaign_range(image, 0, runs, seed_base, ...) / run() call
+// with the same (runs, seed_base).
 #pragma once
 
 #include <functional>
@@ -21,8 +22,8 @@ namespace hybridcnn::fabric {
 
 /// Sharded compute-fault classify campaign. `judge` must be
 /// thread-safe: shards execute concurrently on fabric workers. The
-/// monolithic equivalent is `net.classify_campaign(image, total_runs,
-/// judge, seeds)` with `seeds.peek() == seed_base`.
+/// monolithic equivalent is `net.classify_campaign_range(image, 0,
+/// total_runs, seed_base, judge)`.
 inline FabricResult<faultsim::CampaignSummary> run_classify_campaign(
     const core::HybridNetwork& net, const tensor::Tensor& image,
     std::uint64_t total_runs, std::uint64_t seed_base,

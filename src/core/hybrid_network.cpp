@@ -352,19 +352,6 @@ std::vector<HybridClassification> HybridNetwork::classify_repeat(
                           options);
 }
 
-faultsim::CampaignSummary HybridNetwork::classify_campaign(
-    const tensor::Tensor& image, std::size_t runs,
-    const std::function<faultsim::Outcome(
-        std::size_t, const HybridClassification&)>& judge,
-    FaultSeedStream& seeds, BatchOptions options) const {
-  if (image.shape().rank() != 3) {
-    throw std::invalid_argument(
-        "HybridNetwork::classify_campaign: expected CHW");
-  }
-  const std::uint64_t seed_base = seeds.take_block(runs);
-  return classify_campaign_range(image, 0, runs, seed_base, judge, options);
-}
-
 faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
     const tensor::Tensor& image, std::size_t run_begin, std::size_t run_end,
     std::uint64_t seed_base,

@@ -144,27 +144,18 @@ class HybridNetwork {
       const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
       BatchOptions options = {}) const;
 
-  /// Fault-injection campaign over the full hybrid classify path:
-  /// classify_repeat(image, runs, seeds), then `judge(run, result)` maps
-  /// each classification to a dependability outcome, reduced in run
-  /// order. Construction (network, reliable kernel, qualifier templates)
-  /// is amortised across the whole campaign.
-  [[nodiscard]] faultsim::CampaignSummary classify_campaign(
-      const tensor::Tensor& image, std::size_t runs,
-      const std::function<faultsim::Outcome(
-          std::size_t, const HybridClassification&)>& judge,
-      FaultSeedStream& seeds, BatchOptions options = {}) const;
-
-  /// Shard/resume form of classify_campaign over an explicit run range:
-  /// run i in [run_begin, run_end) classifies with fault seed
-  /// `seed_base + i` and is judged as `judge(i, result)` — the very
-  /// seeds and judge indices the monolithic campaign gives those runs,
-  /// so summing the partial summaries of any disjoint cover of
-  /// [0, runs) equals the classify_campaign summary exactly. This is
-  /// the campaign-fabric shard entry point; it consumes no stream (the
-  /// caller's coordinator owns the seed base) and is const/re-entrant,
-  /// so shards may execute concurrently from worker threads. `judge`
-  /// must be thread-safe under that concurrency.
+  /// Fault-injection campaign over the full hybrid classify path, over
+  /// an explicit run range: run i in [run_begin, run_end) classifies the
+  /// image with fault seed `seed_base + i`, and `judge(i, result)` maps
+  /// it to a dependability outcome, reduced in run order. Construction
+  /// (network, reliable kernel, qualifier templates) is amortised across
+  /// the range. A whole campaign of `runs` over a seed stream is
+  /// `classify_campaign_range(image, 0, runs, seeds.take_block(runs),
+  /// judge)`, and summing the partial summaries of any disjoint cover of
+  /// [0, runs) equals it exactly. This is also the campaign-fabric shard
+  /// entry point; it consumes no stream (the caller owns the seed base)
+  /// and is const/re-entrant, so shards may execute concurrently from
+  /// worker threads. `judge` must be thread-safe under that concurrency.
   [[nodiscard]] faultsim::CampaignSummary classify_campaign_range(
       const tensor::Tensor& image, std::size_t run_begin,
       std::size_t run_end, std::uint64_t seed_base,

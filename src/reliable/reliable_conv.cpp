@@ -315,157 +315,4 @@ tensor::Tensor ReliableConv2d::reference_forward(
   return out;
 }
 
-// ------------------------------------------------------------ layer DMR
-
-LayerDmrConv2d::LayerDmrConv2d(tensor::Tensor weights, tensor::Tensor bias,
-                               ConvSpec spec, ReliabilityPolicy policy)
-    : inner_(std::move(weights), std::move(bias), spec, policy) {}
-
-namespace {
-
-/// Runs the layer once through the executor's (possibly faulty) raw
-/// arithmetic with no per-op qualification — the execution style that
-/// layer-granular redundancy wraps. Virtual-dispatch variant; writes into
-/// the caller's buffer so attempts reuse their allocations.
-void unqualified_forward_generic(const detail::ConvPlan& plan,
-                                 const float* input, const float* weights,
-                                 const float* bias, Executor& exec,
-                                 ExecutionReport& report, float* out) {
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    const float b = bias[o];
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      const detail::TapRange ry = plan.row_taps[oy];
-      for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-        const detail::TapRange rx = plan.col_taps[ox];
-        float acc = b;
-        for (std::size_t c = 0; c < plan.in_c; ++c) {
-          for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-            const std::size_t iy = oy * plan.stride + ky - plan.pad;
-            const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-            const float* w_row =
-                weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-            for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-              const std::size_t ix = ox * plan.stride + kx - plan.pad;
-              const float p = exec.mul(input[in_base + ix], w_row[kx]).value;
-              acc = exec.add(acc, p).value;
-              report.logical_ops += 2;
-            }
-          }
-        }
-        out[(o * plan.out_h + oy) * plan.out_w + ox] = acc;
-      }
-    }
-  }
-}
-
-/// Shared layer-DMR control loop: `pass(buffer, report)` executes one
-/// unqualified layer attempt into the buffer, accounting into the
-/// result's report. Attempt buffers are allocated once and reused; the
-/// agreeing (or best-effort) attempt is moved into the result.
-template <typename Pass>
-ReliableResult layer_dmr_loop(const ReliableConv2d& inner,
-                              const tensor::Shape& out_shape,
-                              const std::string& scheme_label,
-                              const Pass& pass) {
-  ReliableResult result{tensor::Tensor(), {}};
-  ExecutionReport& report = result.report;
-  report.stage = "layer_dmr_conv2d";
-  report.scheme = scheme_label;
-
-  LeakyBucket bucket(inner.policy().bucket_factor,
-                     inner.policy().bucket_ceiling);
-
-  tensor::Tensor first(out_shape);
-  tensor::Tensor second(out_shape);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    pass(first, report);
-    pass(second, report);
-    if (tensor::bit_identical(first, second)) {
-      bucket.record_success();
-      if (attempt > 0) ++report.corrected_errors;
-      ++report.commits;
-      result.output = std::move(first);
-      report.bucket_peak = bucket.peak();
-      return result;
-    }
-    ++report.detected_errors;
-    ++report.rollbacks;  // rollback distance: the entire layer
-    if (bucket.record_error() ||
-        attempt + 1 >= inner.policy().max_retries_per_op) {
-      report.ok = false;
-      report.bucket_peak = bucket.peak();
-      report.bucket_exhausted = bucket.exhausted();
-      report.failed_op_index = 0;
-      result.output = std::move(first);  // best effort; marked failed
-      return result;
-    }
-    ++report.retries;
-  }
-}
-
-}  // namespace
-
-ReliableResult LayerDmrConv2d::forward(const tensor::Tensor& input,
-                                       Executor& exec) const {
-  const Scheme scheme = exec.scheme_kind();
-  if (scheme == Scheme::kCustom) return forward_generic(input, exec);
-
-  const tensor::Shape out_shape = inner_.output_shape(input.shape());
-  const detail::ConvPlan plan(out_shape, input.shape(),
-                              inner_.weights().shape(), inner_.spec().stride,
-                              inner_.spec().pad);
-  const float* in = input.data().data();
-  const float* wgt = inner_.weights().data().data();
-  const float* b = inner_.bias().data().data();
-
-  const auto pack = inner_.channel_pack();
-  const bool windows =
-      !inner_.params_hold_nan() && !detail::holds_nan(in, input.count());
-  const std::uint64_t ops = 2 * (2 * plan.macs());  // two layer passes
-  std::uint64_t credit = windows ? exec.take_clean(ops) : 0;
-  if (windows && credit == ops) {
-    // Both attempts are granted clean windows: they agree by
-    // construction, so one raw computation serves as the committed layer.
-    ReliableResult result{tensor::Tensor(out_shape), {}};
-    ExecutionReport& report = result.report;
-    report.stage = "layer_dmr_conv2d";
-    report.scheme = "layer-dmr(" + exec.name() + ")";
-    detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
-                             result.output.data().data());
-    report.logical_ops = ops;
-    ++report.commits;
-    return result;
-  }
-
-  // The granted prefix is the first pass's credit (and the second's, if
-  // it reaches past the first).
-  return layer_dmr_loop(
-      inner_, out_shape, "layer-dmr(" + exec.name() + ")",
-      [&](tensor::Tensor& buffer, ExecutionReport& report) {
-        detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
-          detail::conv_unqualified_inline(plan, pack.get(), in, wgt, b,
-                                          windows, credit, concrete, report,
-                                          buffer.data().data());
-        });
-      });
-}
-
-ReliableResult LayerDmrConv2d::forward_generic(const tensor::Tensor& input,
-                                               Executor& exec) const {
-  const tensor::Shape out_shape = inner_.output_shape(input.shape());
-  const detail::ConvPlan plan(out_shape, input.shape(),
-                              inner_.weights().shape(), inner_.spec().stride,
-                              inner_.spec().pad);
-  const float* in = input.data().data();
-  const float* wgt = inner_.weights().data().data();
-  const float* b = inner_.bias().data().data();
-
-  return layer_dmr_loop(
-      inner_, out_shape, "layer-dmr(" + exec.name() + ")",
-      [&](tensor::Tensor& buffer, ExecutionReport& report) {
-        unqualified_forward_generic(plan, in, wgt, b, exec, report,
-                                    buffer.data().data());
-      });
-}
-
 }  // namespace hybridcnn::reliable

@@ -8,11 +8,6 @@
 // distance = one operation) and feeds the leaky-bucket error counter.
 // Exit conditions are success or failure: failure is reported once the
 // bucket reaches its ceiling, i.e. the error is considered persistent.
-//
-// A layer-granular DMR variant (LayerDmrConv2d) is provided for the
-// rollback-distance ablation: it re-executes the *entire* layer on
-// mismatch, the strategy the paper argues against for deadline-bound
-// systems.
 #pragma once
 
 #include <cstdint>
@@ -168,7 +163,7 @@ class ReliableConv2d {
   /// for this conv (detail::channel_lanes_selected): stride-1 convs with
   /// fewer maps than a vector, targets without vectors, and the closed
   /// kill-switch; those calls take no lock. Engine-internal; exposed for
-  /// the dispatch tests and layer-granular wrappers.
+  /// the dispatch tests.
   [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
       const;
 
@@ -186,31 +181,6 @@ class ReliableConv2d {
   bool params_hold_nan_ = false;
   mutable std::mutex pack_mutex_;
   mutable std::shared_ptr<const detail::WeightPack> pack_;
-};
-
-/// Layer-granular DMR: runs the whole (unqualified) layer twice through
-/// the faulty compute unit and compares; on mismatch rolls back and
-/// re-executes the entire layer. Used by the rollback-distance ablation.
-class LayerDmrConv2d {
- public:
-  LayerDmrConv2d(tensor::Tensor weights, tensor::Tensor bias, ConvSpec spec,
-                 ReliabilityPolicy policy = {});
-
-  /// `exec` supplies the faulty raw arithmetic via a SimplexExecutor-style
-  /// single execution; redundancy is applied at layer granularity.
-  /// Scheme-dispatched like ReliableConv2d::forward; the two attempt
-  /// buffers are allocated once and reused across retries, and the
-  /// agreeing attempt is moved (not copied) into the result.
-  [[nodiscard]] ReliableResult forward(const tensor::Tensor& input,
-                                       Executor& exec) const;
-
-  /// Virtual-dispatch oracle path (same buffer-reuse shape, raw ops go
-  /// through Executor's virtual mul/add).
-  [[nodiscard]] ReliableResult forward_generic(const tensor::Tensor& input,
-                                               Executor& exec) const;
-
- private:
-  ReliableConv2d inner_;
 };
 
 }  // namespace hybridcnn::reliable

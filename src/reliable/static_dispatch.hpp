@@ -14,11 +14,11 @@
 //     split into an always-inline success fast path and a cold noinline
 //     slow path (rollback / retry / leaky-bucket escalation). Counter
 //     updates replicate the generic retry loop step for step.
-//   * conv_forward_qualified / conv_unqualified_inline — inner kernels
-//     templated over the concrete executor type (Simplex/Dmr/Tmr are
-//     final), so mul/add fold into the loop with no virtual calls or
-//     per-op lambdas surviving to codegen. ReliableLinear runs on them
-//     as a 1 x in conv, so there is no separate dense kernel.
+//   * conv_forward_qualified — the inner kernel templated over the
+//     concrete executor type (Simplex/Dmr/Tmr are final), so mul/add
+//     fold into the loop with no virtual calls or per-op lambdas
+//     surviving to codegen. ReliableLinear runs on it as a 1 x in conv,
+//     so there is no separate dense kernel.
 //     The public forward() entry points first ask the one execution
 //     gate, the counting Executor::take_clean, for the whole forward's
 //     ops, which is answered in O(1) when no fault can land. When it
@@ -1071,85 +1071,6 @@ void conv_forward_qualified(const ConvPlan& plan, const WeightPack* pack,
                     [&](float* out) {
                       conv_raw_compute(plan, pack, input, weights, bias, out);
                     });
-}
-
-/// Unqualified (raw-arithmetic) convolution pass through a concrete
-/// executor — the execution style layer-granular redundancy wraps — on
-/// the same fault-to-fault walk. `credit` carries granted ops in and out,
-/// so a grant that reaches into the next pass serves it. The pass asks
-/// the gate for its ops past the credit, and again for the rest of the
-/// pass after each op the credit does not cover; that op runs through the
-/// (possibly faulty) executor, and a partly granted pixel computes its
-/// granted ops with clean_mul/clean_add. Pixels the credit covers come
-/// from the fault-free kernel. With `windows` false every op runs through
-/// the executor. Writes into a caller-owned output buffer so retry
-/// attempts reuse their two comparison buffers instead of reallocating.
-template <typename Exec>
-void conv_unqualified_inline(const ConvPlan& plan, const WeightPack* pack,
-                             const float* input, const float* weights,
-                             const float* bias, bool windows,
-                             std::uint64_t& credit, Exec& exec,
-                             ExecutionReport& report, float* out) {
-  const std::size_t count = plan.out_c * plan.out_h * plan.out_w;
-  std::uint64_t left = 2 * plan.macs();  // ops of the pass not yet walked
-  if (windows && credit < left) credit += exec.take_clean(left - credit);
-  // Walks one op: true while the credit covers it.
-  const auto spend = [&] {
-    --left;
-    if (credit == 0) return false;
-    --credit;
-    return true;
-  };
-  // After an op the credit did not cover: asks for the rest of the pass.
-  const auto ask_again = [&] {
-    if (windows && left != 0) credit = exec.take_clean(left);
-  };
-  std::vector<PerOpOutput> per_op;
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t ox = i % plan.out_w;
-    const std::size_t oy = i / plan.out_w % plan.out_h;
-    const std::uint64_t ops = conv_pixel_ops(plan, oy, ox);
-    report.logical_ops += ops;
-    if (credit >= ops) {
-      credit -= ops;
-      left -= ops;
-      continue;
-    }
-    const std::size_t o = i / (plan.out_w * plan.out_h);
-    const TapRange ry = plan.row_taps[oy];
-    const TapRange rx = plan.col_taps[ox];
-    float acc = bias[o];
-    for (std::size_t c = 0; c < plan.in_c; ++c) {
-      for (std::size_t ky = ry.begin; ky < ry.end; ++ky) {
-        const std::size_t iy = oy * plan.stride + ky - plan.pad;
-        const std::size_t in_base = (c * plan.in_h + iy) * plan.in_w;
-        const float* w_row =
-            weights + ((o * plan.in_c + c) * plan.kh + ky) * plan.kw;
-        for (std::size_t kx = rx.begin; kx < rx.end; ++kx) {
-          const std::size_t ix = ox * plan.stride + kx - plan.pad;
-          const float x = input[in_base + ix];
-          const float w = w_row[kx];
-          float p;
-          if (spend()) {
-            p = clean_mul(x, w);
-          } else {
-            p = exec.mul_inline(x, w).value;
-            ask_again();
-          }
-          if (spend()) {
-            acc = clean_add(acc, p);
-          } else {
-            acc = exec.add_inline(acc, p).value;
-            ask_again();
-          }
-        }
-      }
-    }
-    per_op.push_back({i, acc});
-  }
-  assemble_windowed(out, count, count, per_op, [&](float* raw_out) {
-    conv_raw_compute(plan, pack, input, weights, bias, raw_out);
-  });
 }
 
 }  // namespace hybridcnn::reliable::detail

@@ -220,10 +220,10 @@ TEST(BatchInference, StatsOnlyReportModeKeepsDecisionsAndSummaries) {
   };
   FaultSeedStream a = net.seed_stream();
   FaultSeedStream b = net.seed_stream();
-  const faultsim::CampaignSummary sa =
-      net.classify_campaign(image, kRuns, judge, a);
-  const faultsim::CampaignSummary sb =
-      net.classify_campaign(image, kRuns, judge, b, lean_opts);
+  const faultsim::CampaignSummary sa = net.classify_campaign_range(
+      image, 0, kRuns, a.take_block(kRuns), judge);
+  const faultsim::CampaignSummary sb = net.classify_campaign_range(
+      image, 0, kRuns, b.take_block(kRuns), judge, lean_opts);
   EXPECT_EQ(sa.runs, sb.runs);
   EXPECT_EQ(sa.correct, sb.correct);
   EXPECT_EQ(sa.corrected, sb.corrected);
@@ -321,7 +321,7 @@ TEST(BatchInference, RejectsBatchedTensorInputWithoutConsumingSeeds) {
 }
 
 TEST(BatchInference, CampaignSummaryMatchesPerRunConstructionAtAnyThreads) {
-  // The amortised classify_campaign must reproduce the legacy pattern —
+  // The amortised classify_campaign_range must reproduce the legacy pattern —
   // a fresh network per run with fault_seed = base + run — summary for
   // summary, and be thread-count independent.
   const Tensor image = data::render_stop_sign(96, 4.0);
@@ -358,10 +358,12 @@ TEST(BatchInference, CampaignSummaryMatchesPerRunConstructionAtAnyThreads) {
     batch_cfg.fault_seed = 1;
     HybridNetwork amortised(make_testnet(37), 0, batch_cfg);
     FaultSeedStream campaign_seeds = amortised.seed_stream();
-    const faultsim::CampaignSummary summary = amortised.classify_campaign(
-        image, kRuns,
-        [&](std::size_t, const HybridClassification& r) { return judge(r); },
-        campaign_seeds);
+    const faultsim::CampaignSummary summary =
+        amortised.classify_campaign_range(
+            image, 0, kRuns, campaign_seeds.take_block(kRuns),
+            [&](std::size_t, const HybridClassification& r) {
+              return judge(r);
+            });
     EXPECT_EQ(summary.runs, legacy.runs) << threads;
     EXPECT_EQ(summary.correct, legacy.correct) << threads;
     EXPECT_EQ(summary.corrected, legacy.corrected) << threads;

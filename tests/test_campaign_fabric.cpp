@@ -737,9 +737,9 @@ TEST_F(FabricEquivalence, ShardedClassifyCampaignMatchesMonolithic) {
   constexpr std::size_t kRuns = 24;
 
   FaultSeedStream seeds = net.seed_stream();
-  const std::uint64_t seed_base = seeds.peek();
+  const std::uint64_t seed_base = seeds.take_block(kRuns);
   const CampaignSummary mono =
-      net.classify_campaign(img, kRuns, judge_result, seeds);
+      net.classify_campaign_range(img, 0, kRuns, seed_base, judge_result);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ComputeContext::set_global_threads(threads);
@@ -861,9 +861,9 @@ TEST_F(FabricEquivalence, ClassifyCampaignKillPointsResumeBitIdentically) {
   constexpr std::uint64_t kShardSize = 3;  // 4 shards
 
   FaultSeedStream seeds = net.seed_stream();
-  const std::uint64_t seed_base = seeds.peek();
+  const std::uint64_t seed_base = seeds.take_block(kRuns);
   const CampaignSummary mono =
-      net.classify_campaign(img, kRuns, judge_result, seeds);
+      net.classify_campaign_range(img, 0, kRuns, seed_base, judge_result);
 
   ComputeContext::set_global_threads(2);
   for (std::size_t kill = 0; kill <= 4; ++kill) {

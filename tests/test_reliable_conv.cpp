@@ -15,11 +15,9 @@ using hybridcnn::faultsim::FaultConfig;
 using hybridcnn::faultsim::FaultInjector;
 using hybridcnn::faultsim::FaultKind;
 using hybridcnn::reliable::ConvSpec;
-using hybridcnn::reliable::LayerDmrConv2d;
 using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::ReliabilityPolicy;
 using hybridcnn::reliable::ReliableConv2d;
-using hybridcnn::reliable::SimplexExecutor;
 using hybridcnn::tensor::Shape;
 using hybridcnn::tensor::Tensor;
 using hybridcnn::util::Rng;
@@ -299,38 +297,5 @@ INSTANTIATE_TEST_SUITE_P(
                       GuaranteeParam{"tmr", 1e-5}, GuaranteeParam{"tmr", 1e-4},
                       GuaranteeParam{"tmr", 5e-4},
                       GuaranteeParam{"tmr", 2e-3}));
-
-// ------------------------------------------------------------- layer DMR
-
-TEST(LayerDmrConv2d, FaultFreeMatchesReference) {
-  const ReliableConv2d ref = make_conv(3, 2, 3, ConvSpec{1, 1});
-  const LayerDmrConv2d layer(ref.weights(), ref.bias(), ref.spec());
-  const Tensor input = make_input(2, 9, 9);
-  SimplexExecutor exec(nullptr);
-  const auto result = layer.forward(input, exec);
-  ASSERT_TRUE(result.report.ok);
-  EXPECT_EQ(result.output, ref.reference_forward(input));
-}
-
-TEST(LayerDmrConv2d, DetectsAndRetriesWholeLayer) {
-  FaultConfig cfg;
-  cfg.kind = FaultKind::kTransient;
-  cfg.probability = 1e-4;
-  cfg.bit = -1;
-  auto inj = std::make_shared<FaultInjector>(cfg, 77);
-
-  const ReliableConv2d ref = make_conv(3, 2, 3, ConvSpec{1, 1});
-  hybridcnn::reliable::ReliabilityPolicy policy;
-  policy.max_retries_per_op = 64;  // layer attempts
-  policy.bucket_ceiling = 200;
-  const LayerDmrConv2d layer(ref.weights(), ref.bias(), ref.spec(), policy);
-  const Tensor input = make_input(2, 9, 9);
-  SimplexExecutor exec(inj);
-  const auto result = layer.forward(input, exec);
-  if (result.report.ok) {
-    EXPECT_EQ(result.output, ref.reference_forward(input));
-    EXPECT_GT(result.report.detected_errors + result.report.commits, 0u);
-  }
-}
 
 }  // namespace

@@ -14,7 +14,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,7 +37,6 @@ using hybridcnn::reliable::ConvSpec;
 using hybridcnn::reliable::ExecutionReport;
 using hybridcnn::reliable::Executor;
 using hybridcnn::reliable::ExecutorStats;
-using hybridcnn::reliable::LayerDmrConv2d;
 using hybridcnn::reliable::make_executor;
 using hybridcnn::reliable::Qualified;
 using hybridcnn::reliable::ReliabilityPolicy;
@@ -409,49 +407,6 @@ TEST(StaticDispatchLinear, FaultFreeFastPathMatchesReference) {
   EXPECT_EQ(exec->stats().executions, 2u * result.report.logical_ops);
 }
 
-// ----------------------------------------------------------- layer DMR
-
-TEST(StaticDispatchLayerDmr, MatchesGenericFaultFreeAndFaulty) {
-  const Geometry& g = kGeometries[0];
-  const ReliableConv2d ref = make_conv(g);
-  ReliabilityPolicy policy;
-  policy.max_retries_per_op = 64;
-  policy.bucket_ceiling = 200;
-  const LayerDmrConv2d layer(ref.weights(), ref.bias(), ref.spec(), policy);
-  const Tensor input = make_input(g);
-
-  for (const FaultKind kind :
-       {FaultKind::kNone, FaultKind::kTransient, FaultKind::kPermanent}) {
-    SCOPED_TRACE(static_cast<int>(kind));
-    const FaultConfig cfg = config_for(kind);
-    const auto fast_exec =
-        make_executor("simplex", std::make_shared<FaultInjector>(cfg, 77));
-    const auto oracle_exec =
-        make_executor("simplex", std::make_shared<FaultInjector>(cfg, 77));
-    const ReliableResult fast = layer.forward(input, *fast_exec);
-    const ReliableResult oracle = layer.forward_generic(input, *oracle_exec);
-    expect_outputs_bit_identical(fast.output, oracle.output);
-    expect_reports_equal(fast.report, oracle.report);
-    expect_executors_equal(*fast_exec, *oracle_exec);
-  }
-}
-
-TEST(StaticDispatchLayerDmr, FaultFreeFastPathMatchesReference) {
-  const Geometry& g = kGeometries[1];
-  const ReliableConv2d ref = make_conv(g);
-  const LayerDmrConv2d layer(ref.weights(), ref.bias(), ref.spec());
-  const Tensor input = make_input(g);
-  const auto exec = make_executor("simplex", nullptr);
-  const ReliableResult result = layer.forward(input, *exec);
-  ASSERT_TRUE(result.report.ok);
-  expect_outputs_bit_identical(result.output, ref.reference_forward(input));
-  // Two unqualified layer passes, two logical ops per MAC each.
-  EXPECT_EQ(result.report.logical_ops,
-            4 * ref.mac_count(input.shape()));
-  EXPECT_EQ(exec->stats().logical_ops, result.report.logical_ops);
-  EXPECT_EQ(result.report.commits, 1u);
-}
-
 // ------------------------------------------ campaigns: 1/2/8 threads
 
 CampaignSummary dispatch_campaign(const ReliableConv2d& conv,
@@ -620,30 +575,27 @@ TEST(StaticDispatchCampaign, SummariesMatchGenericAtEveryThreadCount) {
 
 // Layers of the matrix: the conv geometries above plus sign96 conv1
 // (3->8, 7x7, s2) on a small input, the qualifier's Sobel (1->2, 3x3,
-// s1, p1) and a single-output conv (1x1 output, one map), linear layers
-// with ten outputs and with one, and layer-granular DMR. The `nan`
-// layers feed inputs with two different NaN payloads in one receptive
-// field, and the `nanw` layers hold them in their weights. `fast` is the
-// dispatched forward (with its report mode), `oracle` the per-op generic
-// path, `unit_starts` the flat op index each output's ops start at (in
-// one pass, for layer DMR), to tell an abort in the middle of an output
-// from one at its first op, and one in the last output, and `ops` the op
-// count of one forward (one pass). A `nanw` layer runs per-op in every
-// cell, so it runs only in the fault-free cells, which catch a gate that
-// ignores the NaN-weight flag, and in one armed cell (see runs_in_cell).
-// `family` names the layers whose fault-to-fault walk the matrix must be
-// seen to cover (see WalkCoverage); `unqualified` marks layer DMR, whose
-// passes retry whole layers, not ops.
+// s1, p1) and a single-output conv (1x1 output, one map), and linear
+// layers with ten outputs and with one. The `nan` layers feed inputs
+// with two different NaN payloads in one receptive field, and the `nanw`
+// layers hold them in their weights. `fast` is the dispatched forward
+// (with its report mode), `oracle` the per-op generic path,
+// `unit_starts` the flat op index each output's ops start at, to tell an
+// abort in the middle of an output from one at its first op, and one in
+// the last output, and `ops` the op count of one forward. A `nanw` layer
+// runs per-op in every cell, so it runs only in the fault-free cells,
+// which catch a gate that ignores the NaN-weight flag, and in one armed
+// cell (see runs_in_cell). `family` names the layers whose
+// fault-to-fault walk the matrix must be seen to cover (see
+// WalkCoverage).
 struct WindowedLayer {
   std::string name;
   std::function<ReliableResult(Executor&, ReportMode)> fast;
   std::function<ReliableResult(Executor&)> oracle;
-  bool has_report_mode = true;
   std::vector<std::int64_t> unit_starts;
   std::int64_t ops = 0;
   bool nan_weights = false;
   std::string family;
-  bool unqualified = false;
 };
 
 /// Flat op index each output pixel's ops start at, and the total, last.
@@ -707,7 +659,6 @@ WindowedLayer conv_layer(const std::string& name, const Geometry& g,
           [conv, input](Executor& e) {
             return conv->forward_generic(*input, e);
           },
-          true,
           std::move(starts),
           ops,
           nan == NanSite::kWeights,
@@ -738,7 +689,6 @@ WindowedLayer linear_layer(const std::string& name, std::size_t out_n,
           [linear, vec](Executor& e) {
             return linear->forward_generic(*vec, e);
           },
-          true,
           neuron_starts,
           static_cast<std::int64_t>(2 * kIn * out_n),
           nan == NanSite::kWeights,
@@ -772,39 +722,6 @@ std::vector<WindowedLayer> windowed_layers() {
       linear_layer("linear_out1", 1, NanSite::kNone, "linear"));
   layers.push_back(linear_layer("linear_nan", 10, NanSite::kInput));
   layers.push_back(linear_layer("linear_nanw", 10, NanSite::kWeights));
-
-  // A loose bucket lets whole-layer retries run up to the retry cap.
-  ReliabilityPolicy loose;
-  loose.max_retries_per_op = 6;
-  loose.bucket_ceiling = 200;
-  for (const auto& [g, policy, nan] :
-       {std::tuple{kGeometries[0], loose, NanSite::kNone},
-        std::tuple{conv1_13, ReliabilityPolicy{}, NanSite::kNone},
-        std::tuple{kGeometries[0], ReliabilityPolicy{}, NanSite::kWeights}}) {
-    const ReliableConv2d ref = make_conv(g);
-    Tensor weights = ref.weights();
-    if (nan == NanSite::kWeights) plant_nans(weights, 0);
-    auto layer = std::make_shared<LayerDmrConv2d>(weights, ref.bias(),
-                                                  ref.spec(), policy);
-    auto input = std::make_shared<Tensor>(make_input(g));
-    std::vector<std::int64_t> starts = conv_unit_starts(ref, input->shape());
-    const std::int64_t pass_ops = starts.back();
-    starts.pop_back();
-    layers.push_back({"layer_dmr" + std::to_string(g.out_c) +
-                          (nan == NanSite::kWeights ? "_nanw" : ""),
-                      [layer, input](Executor& e, ReportMode) {
-                        return layer->forward(*input, e);
-                      },
-                      [layer, input](Executor& e) {
-                        return layer->forward_generic(*input, e);
-                      },
-                      false,
-                      std::move(starts),
-                      pass_ops,
-                      nan == NanSite::kWeights,
-                      nan == NanSite::kWeights ? "" : "layer_dmr",
-                      true});
-  }
   return layers;
 }
 
@@ -864,16 +781,14 @@ std::string fault_label(const MatrixFault& f) {
 
 /// Where faults land, traced on the per-op oracle: forwards to a library
 /// executor and records the op index of every mul/add call during which
-/// its injector fired. In a qualified forward a call that follows a
-/// failed one retries the same op; an unqualified pass never retries, so
-/// there every call is the next op (counted on across passes).
+/// its injector fired. A call that follows a failed one retries the same
+/// op.
 class FaultTrace final : public Executor {
  public:
-  FaultTrace(Executor& inner, bool unqualified)
+  explicit FaultTrace(Executor& inner)
       : Executor(nullptr),
         exec_(inner),
-        faults_(inner.injector()->stats().faults),
-        unqualified_(unqualified) {}
+        faults_(inner.injector()->stats().faults) {}
 
   // Plain calls and a cached reference to the fault count keep the trace
   // cheap in unoptimised sanitizer builds.
@@ -895,7 +810,7 @@ class FaultTrace final : public Executor {
 
  private:
   std::uint64_t start_op() {
-    if (unqualified_ || last_ok_) ++op_;
+    if (last_ok_) ++op_;
     return faults_;
   }
   Qualified<float> record(Qualified<float> q, std::uint64_t faults_before) {
@@ -909,7 +824,6 @@ class FaultTrace final : public Executor {
 
   Executor& exec_;
   const std::uint64_t& faults_;  ///< the inner injector's fault count
-  bool unqualified_;
   std::int64_t op_ = -1;
   std::int64_t last_faulty_ = -1;
   bool last_ok_ = true;
@@ -939,14 +853,11 @@ WalkCoverage walk_coverage(const WindowedLayer& layer, const FaultTrace& trace,
   WalkCoverage cov;
   const std::vector<std::int64_t>& faulty = trace.faulty_ops();
   const std::vector<std::int64_t>& starts = layer.unit_starts;
-  // Faulty ops ascend, so the unit each lands in only moves forward
-  // within a pass.
+  // Faulty ops ascend, so the unit each lands in only moves forward.
   std::size_t unit = 0;
   for (std::size_t i = 0; i < faulty.size(); ++i) {
-    const std::int64_t op = faulty[i];
-    const bool after_clean = op > 0 && (i == 0 || faulty[i - 1] != op - 1);
-    const std::int64_t at = op % layer.ops;  // op index within its pass
-    if (at < starts[unit]) unit = 0;         // the next pass
+    const std::int64_t at = faulty[i];
+    const bool after_clean = at > 0 && (i == 0 || faulty[i - 1] != at - 1);
     while (unit + 1 < starts.size() && starts[unit + 1] <= at) ++unit;
     const std::int64_t end =
         unit + 1 < starts.size() ? starts[unit + 1] : layer.ops;
@@ -957,7 +868,7 @@ WalkCoverage walk_coverage(const WindowedLayer& layer, const FaultTrace& trace,
     if (at == end - 1) ++cov.fault_on_last_op;
   }
   const std::int64_t failed = report.failed_op_index;
-  if (!layer.unqualified && !report.ok && failed > 0 &&
+  if (!report.ok && failed > 0 &&
       !std::binary_search(faulty.begin(), faulty.end(), failed - 1)) {
     ++cov.abort_after_grant;
   }
@@ -988,17 +899,17 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
         if (layer.family.empty()) {
           result = layer.oracle(*exec);
         } else {
-          FaultTrace trace(*exec, layer.unqualified);
+          FaultTrace trace(*exec);
           result = layer.oracle(trace);
           coverage = walk_coverage(layer, trace, result.report);
         }
-        if (!result.report.ok && !layer.unqualified &&
+        if (!result.report.ok &&
             !std::binary_search(layer.unit_starts.begin(),
                                 layer.unit_starts.end(),
                                 result.report.failed_op_index)) {
           ++mid_unit_aborts;
         }
-        if (!result.report.ok && !layer.unqualified &&
+        if (!result.report.ok &&
             result.report.failed_op_index >= layer.unit_starts.back()) {
           ++last_unit_aborts;
         }
@@ -1029,9 +940,6 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
                        std::to_string(threads));
           for (const ReportMode mode :
                {ReportMode::kFull, ReportMode::kStatsOnly}) {
-            if (!layer.has_report_mode && mode == ReportMode::kStatsOnly) {
-              continue;
-            }
             SCOPED_TRACE(mode == ReportMode::kFull ? "full" : "stats-only");
             const auto exec =
                 make_executor(scheme, matrix_injector(faults[fi], fi));
@@ -1056,21 +964,17 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
     }
   }
   ComputeContext::set_global_threads(1);
-  // The matrix must reach each boundary of the walk on conv1, the Sobel,
-  // linear and layer DMR, in every report mode they run in. Layer DMR
-  // aborts whole layers, never on an op.
-  for (const std::string family : {"conv1", "sobel", "linear", "layer_dmr"}) {
+  // The matrix must reach each boundary of the walk on conv1, the Sobel
+  // and linear, in both report modes.
+  for (const std::string family : {"conv1", "sobel", "linear"}) {
     for (const ReportMode mode : {ReportMode::kFull, ReportMode::kStatsOnly}) {
-      if (family == "layer_dmr" && mode == ReportMode::kStatsOnly) continue;
       SCOPED_TRACE(family +
                    (mode == ReportMode::kFull ? " full" : " stats-only"));
       const WalkCoverage& cov = walk[{family, mode}];
       EXPECT_GT(cov.credit_ends_on_mul, 0u);
       EXPECT_GT(cov.fault_on_first_op, 0u);
       EXPECT_GT(cov.fault_on_last_op, 0u);
-      if (family != "layer_dmr") {
-        EXPECT_GT(cov.abort_after_grant, 0u);
-      }
+      EXPECT_GT(cov.abort_after_grant, 0u);
     }
   }
 }

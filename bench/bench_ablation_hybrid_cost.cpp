@@ -11,6 +11,7 @@
 //   full-reliable  — every conv/fc op through DMR operators
 //   duplicated     — two parallel independent executions + compare
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/hybrid_network.hpp"
@@ -108,12 +109,14 @@ int main() {
   static_cast<void>(small_hybrid.classify(img, seeds));
   const double t_hybrid = sw.seconds();
 
-  // hybrid, amortised: classify_repeat builds the reliable kernel once
-  // and fans the dependable stage across the pool — the per-inference
-  // cost a batched deployment pays.
+  // hybrid, amortised: classify_batch builds the reliable kernel once and
+  // fans the whole per-image pipeline across the pool — the per-inference
+  // cost a batched deployment pays. The batch's image copies are made
+  // before the clock starts.
   constexpr std::size_t kAmortisedRuns = 4;
+  const std::vector<tensor::Tensor> batch(kAmortisedRuns, img);
   sw.reset();
-  static_cast<void>(small_hybrid.classify_repeat(img, kAmortisedRuns, seeds));
+  static_cast<void>(small_hybrid.classify_batch(batch, seeds));
   const double t_hybrid_batch =
       sw.seconds() / static_cast<double>(kAmortisedRuns);
 
@@ -158,7 +161,7 @@ int main() {
   timing.row({"hybrid (conv1 DMR + qualifier)",
               util::Table::fixed(t_hybrid, 4),
               util::Table::fixed(t_hybrid / t_plain, 2)});
-  timing.row({"hybrid, batched (classify_repeat x4, per img)",
+  timing.row({"hybrid, batched (classify_batch x4, per img)",
               util::Table::fixed(t_hybrid_batch, 4),
               util::Table::fixed(t_hybrid_batch / t_plain, 2)});
   timing.row({"fully reliable (all convs DMR)",

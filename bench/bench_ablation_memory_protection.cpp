@@ -203,8 +203,7 @@ int main() {
       cfg.model.bit_error_rate = rate;
       cfg.ecc = ecc;
       const core::MemoryFaultCampaign campaign(net, cfg);
-      core::FaultSeedStream seeds(9000);
-      const auto s = campaign.run(image, campaign_runs, seeds);
+      const auto s = campaign.run_range(image, 0, campaign_runs, 9000);
       campaign_table.row(
           {util::CsvWriter::num(rate), ecc ? "SEC-DED scrub" : "unprotected",
            std::to_string(s.intact), std::to_string(s.corrected),

@@ -6,6 +6,13 @@
 // rates: op-level recovery cost stays flat while layer-level recovery
 // cost multiplies with every retry — the paper's deadline argument.
 //
+// One pass of the layer is about 1.2M ops. At 1e-7 and 1e-6 per op a
+// layer attempt (two passes) meets about 0.25 and 2.5 faults, so layer
+// DMR still completes its runs and its rollbacks grow with the rate (0.15
+// and 6.8 a run in full mode; not every fault changes the layer output).
+// From 1e-5 up nearly every attempt faults and the layer row reads the
+// 64-retry cap.
+//
 // Deterministic claims, checked on every run; the bench exits 1 if one
 // fails:
 //   * every completed run of either strategy is bit-identical to the
@@ -111,7 +118,7 @@ int main() {
     }
   };
 
-  for (const double rate : {0.0, 1e-5, 1e-4, 1e-3}) {
+  for (const double rate : {0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3}) {
     double op_ms = 0.0;
     double layer_ms = 0.0;
     std::size_t op_done = 0;

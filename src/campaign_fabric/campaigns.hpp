@@ -6,9 +6,8 @@
 // full coordinator — sharded dispatch, durable checkpoints, resume —
 // with one call. Both entry points take GLOBAL run indices and the campaign
 // seed base, which is exactly what a ShardDescriptor carries; the
-// merged summary is bit-identical to the monolithic
-// classify_campaign_range(image, 0, runs, seed_base, ...) / run() call
-// with the same (runs, seed_base).
+// merged summary is bit-identical to the same entry point called once
+// over the whole range [0, runs) with the same seed_base.
 #pragma once
 
 #include <functional>
@@ -21,9 +20,9 @@
 namespace hybridcnn::fabric {
 
 /// Sharded compute-fault classify campaign. `judge` must be
-/// thread-safe: shards execute concurrently on fabric workers. The
-/// monolithic equivalent is `net.classify_campaign_range(image, 0,
-/// total_runs, seed_base, judge)`.
+/// thread-safe: shards execute concurrently on fabric workers, and each
+/// shard's runs on pool workers. The whole-range equivalent is
+/// `net.classify_campaign_range(image, 0, total_runs, seed_base, judge)`.
 inline FabricResult<faultsim::CampaignSummary> run_classify_campaign(
     const core::HybridNetwork& net, const tensor::Tensor& image,
     std::uint64_t total_runs, std::uint64_t seed_base,
@@ -41,9 +40,8 @@ inline FabricResult<faultsim::CampaignSummary> run_classify_campaign(
                                                runner);
 }
 
-/// Sharded memory-fault campaign. The monolithic equivalent is
-/// `campaign.run(image, total_runs, seeds)` with
-/// `seeds.peek() == seed_base`.
+/// Sharded memory-fault campaign. The whole-range equivalent is
+/// `campaign.run_range(image, 0, total_runs, seed_base)`.
 inline FabricResult<faultsim::MemoryCampaignSummary> run_memory_campaign(
     const core::MemoryFaultCampaign& campaign, const tensor::Tensor& image,
     std::uint64_t total_runs, std::uint64_t seed_base,

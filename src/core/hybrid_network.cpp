@@ -1,6 +1,7 @@
 #include "core/hybrid_network.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -171,12 +172,11 @@ HybridClassification HybridNetwork::finalize_classification(
 
 HybridClassification HybridNetwork::classify(const tensor::Tensor& image,
                                              FaultSeedStream& seeds) const {
+  // Checked before the seed is drawn: a refused image consumes none.
   if (image.shape().rank() != 3) {
     throw std::invalid_argument("HybridNetwork::classify: expected CHW");
   }
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  return run_remainder(dependable_stage(rconv, image, seeds.take()),
-                       runtime::ComputeContext::global().workspace());
+  return classify_with_conv1(make_reliable_conv1(), image, seeds.take());
 }
 
 HybridClassification HybridNetwork::classify_with_conv1(
@@ -280,8 +280,7 @@ HybridNetwork::IntermittentResult HybridNetwork::classify_intermittent(
 namespace {
 
 /// Rejects non-CHW images up front — before any seed is consumed, so a
-/// refused batch leaves the caller's stream untouched. Every public
-/// batched entry point validates here; classify_indexed trusts them.
+/// refused batch leaves the caller's stream untouched.
 void validate_chw(std::size_t count, const tensor::Tensor* const* images,
                   const char* entry_point) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -294,37 +293,6 @@ void validate_chw(std::size_t count, const tensor::Tensor* const* images,
 
 }  // namespace
 
-std::vector<HybridClassification> HybridNetwork::classify_indexed(
-    std::size_t count, const tensor::Tensor* const* images,
-    std::uint64_t seed_base, const std::uint64_t* seeds,
-    BatchOptions options) const {
-  if (count == 0) return {};
-
-  // One reliable kernel (weight copy) for the whole batch; the fault-free
-  // fast path's weight pack is built once here rather than under the
-  // pack mutex inside the first concurrent forward.
-  const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  rconv.prepare_fast_path();
-  const auto seed_of = [&](std::size_t i) {
-    return seeds != nullptr ? seeds[i] : seed_base + i;
-  };
-
-  auto& ctx = runtime::ComputeContext::global();
-  std::vector<HybridClassification> results(count);
-  // The whole per-image pipeline — reliable DCNN, qualifier and CNN
-  // remainder — is a pure function of (weights, image, seed) now that the
-  // remainder runs through the const inference path. One parallel region
-  // covers everything; each chunk writes only its own result slot, so
-  // outputs are bit-identical at every thread count. Nested parallel
-  // regions inside the reliable/vision/GEMM code serialise inline.
-  ctx.pool().parallel_for(0, count, [&](std::size_t i) {
-    results[i] = run_remainder(
-        dependable_stage(rconv, *images[i], seed_of(i), options.report),
-        ctx.workspace());
-  });
-  return results;
-}
-
 std::vector<HybridClassification> HybridNetwork::classify_batch(
     const std::vector<tensor::Tensor>& images, FaultSeedStream& seeds,
     BatchOptions options) const {
@@ -336,20 +304,9 @@ std::vector<HybridClassification> HybridNetwork::classify_batch(
   // classify() loop would consume — image i gets seeds.peek() + i — and
   // an empty batch consumes nothing.
   validate_chw(ptrs.size(), ptrs.data(), "classify_batch");
-  const std::uint64_t seed_base = seeds.take_block(ptrs.size());
-  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr,
-                          options);
-}
-
-std::vector<HybridClassification> HybridNetwork::classify_repeat(
-    const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
-    BatchOptions options) const {
-  const tensor::Tensor* one = &image;
-  validate_chw(1, &one, "classify_repeat");
-  std::vector<const tensor::Tensor*> ptrs(runs, &image);
-  const std::uint64_t seed_base = seeds.take_block(runs);
-  return classify_indexed(ptrs.size(), ptrs.data(), seed_base, nullptr,
-                          options);
+  std::vector<std::uint64_t> block(ptrs.size());
+  std::iota(block.begin(), block.end(), seeds.take_block(ptrs.size()));
+  return classify_seeded(ptrs.size(), ptrs.data(), block.data(), options);
 }
 
 faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
@@ -362,19 +319,13 @@ faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
     throw std::invalid_argument(
         "HybridNetwork::classify_campaign_range: expected CHW");
   }
-  if (run_end < run_begin) {
-    throw std::invalid_argument(
-        "HybridNetwork::classify_campaign_range: run_end < run_begin");
-  }
-  const std::size_t count = run_end - run_begin;
-  const std::vector<const tensor::Tensor*> ptrs(count, &image);
-  const std::vector<HybridClassification> results = classify_indexed(
-      count, ptrs.data(), seed_base + run_begin, nullptr, options);
-  faultsim::CampaignSummary summary;
-  for (std::size_t i = 0; i < count; ++i) {
-    summary.add(judge(run_begin + i, results[i]));
-  }
-  return summary;
+  // One kernel and one fast-path pack for the whole range; each run
+  // classifies and is judged on the worker that executes it.
+  const reliable::ReliableConv2d rconv = make_reliable_conv1();
+  rconv.prepare_fast_path();
+  return faultsim::run_campaign(run_begin, run_end, [&](std::size_t i) {
+    return judge(i, classify_with_conv1(rconv, image, seed_base + i, options));
+  });
 }
 
 std::vector<HybridClassification> HybridNetwork::classify_seeded(
@@ -385,7 +336,26 @@ std::vector<HybridClassification> HybridNetwork::classify_seeded(
         "HybridNetwork::classify_seeded: null images/seeds");
   }
   validate_chw(count, images, "classify_seeded");
-  return classify_indexed(count, images, /*seed_base=*/0, seeds, options);
+  if (count == 0) return {};
+
+  // One reliable kernel (weight copy) for the whole batch; the fault-free
+  // fast path's weight pack is built once here rather than under the
+  // pack mutex inside the first concurrent forward.
+  const reliable::ReliableConv2d rconv = make_reliable_conv1();
+  rconv.prepare_fast_path();
+  std::vector<HybridClassification> results(count);
+  // The whole per-image pipeline — reliable DCNN, qualifier and CNN
+  // remainder — is a pure function of (weights, image, seed). One
+  // parallel region covers everything; each index writes only its own
+  // result slot, so outputs are bit-identical at every thread count.
+  // Nested parallel regions inside the reliable/vision/GEMM code
+  // serialise inline.
+  runtime::ComputeContext::global().pool().parallel_for(
+      0, count, [&](std::size_t i) {
+        results[i] =
+            classify_with_conv1(rconv, *images[i], seeds[i], options);
+      });
+  return results;
 }
 
 HybridNetwork::CostSplit HybridNetwork::cost_split(

@@ -123,39 +123,31 @@ class HybridNetwork {
   [[nodiscard]] HybridClassification classify(const tensor::Tensor& image,
                                               FaultSeedStream& seeds) const;
 
-  /// Batched classification: the reliable conv1 kernel is built once for
-  /// the whole batch and the complete per-image pipeline — reliable DCNN,
-  /// qualifier AND the non-reliable CNN remainder, which is a const
-  /// re-entrant inference since the layer-cache refactor — fans out
-  /// across the global runtime::ThreadPool, each image drawing scratch
-  /// from the executing slot's Workspace arena. Image i consumes seed
+  /// Batched classification: validates every image, draws one block of
+  /// consecutive seeds and runs classify_seeded. Image i consumes seed
   /// `seeds.peek() + i` — exactly the stream a loop of classify() calls
   /// would consume — so the returned results are bit-identical to looped
-  /// single-image classify at every thread count. An empty batch does
-  /// not advance the stream.
+  /// single-image classify at every thread count. A refused batch or an
+  /// empty one does not advance the stream.
   [[nodiscard]] std::vector<HybridClassification> classify_batch(
       const std::vector<tensor::Tensor>& images, FaultSeedStream& seeds,
-      BatchOptions options = {}) const;
-
-  /// Campaign form of classify_batch: `runs` classifications of the same
-  /// image with consecutive seeds from `seeds`, without copying the
-  /// image.
-  [[nodiscard]] std::vector<HybridClassification> classify_repeat(
-      const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
       BatchOptions options = {}) const;
 
   /// Fault-injection campaign over the full hybrid classify path, over
   /// an explicit run range: run i in [run_begin, run_end) classifies the
   /// image with fault seed `seed_base + i`, and `judge(i, result)` maps
-  /// it to a dependability outcome, reduced in run order. Construction
-  /// (network, reliable kernel, qualifier templates) is amortised across
-  /// the range. A whole campaign of `runs` over a seed stream is
+  /// it to a dependability outcome. The runs go through
+  /// faultsim::run_campaign with one prepared reliable kernel for the
+  /// whole range, so each run and its `judge` call execute on a pool
+  /// worker: `judge` is called exactly once per index, in any order, and
+  /// must be thread-safe. Outcomes are reduced in run order. A whole
+  /// campaign of `runs` over a seed stream is
   /// `classify_campaign_range(image, 0, runs, seeds.take_block(runs),
   /// judge)`, and summing the partial summaries of any disjoint cover of
   /// [0, runs) equals it exactly. This is also the campaign-fabric shard
   /// entry point; it consumes no stream (the caller owns the seed base)
   /// and is const/re-entrant, so shards may execute concurrently from
-  /// worker threads. `judge` must be thread-safe under that concurrency.
+  /// fabric worker threads.
   [[nodiscard]] faultsim::CampaignSummary classify_campaign_range(
       const tensor::Tensor& image, std::size_t run_begin,
       std::size_t run_end, std::uint64_t seed_base,
@@ -163,12 +155,17 @@ class HybridNetwork {
           std::size_t, const HybridClassification&)>& judge,
       BatchOptions options = {}) const;
 
-  /// Explicit-seed batch: image i uses seeds[i], with no consecutiveness
-  /// requirement. This is the serving entry point — a dispatcher
-  /// coalescing requests from several sessions hands each image the seed
-  /// its session stream assigned at submit time, so per-session results
-  /// are independent of how requests were batched. `seeds` must have
-  /// `count` entries.
+  /// The batched core, with explicit seeds: image i uses seeds[i], with
+  /// no consecutiveness requirement. The reliable conv1 kernel is built
+  /// once for the whole batch and the complete per-image pipeline —
+  /// reliable DCNN, qualifier and the non-reliable CNN remainder, a const
+  /// re-entrant inference — fans out across the global
+  /// runtime::ThreadPool, each image drawing scratch from the executing
+  /// slot's Workspace arena. This is also the serving entry point: a
+  /// dispatcher coalescing requests from several sessions hands each
+  /// image the seed its session stream assigned at submit time, so
+  /// per-session results are independent of how requests were batched.
+  /// `seeds` must have `count` entries.
   [[nodiscard]] std::vector<HybridClassification> classify_seeded(
       std::size_t count, const tensor::Tensor* const* images,
       const std::uint64_t* seeds, BatchOptions options = {}) const;
@@ -277,14 +274,6 @@ class HybridNetwork {
   /// layer-stepping path.
   [[nodiscard]] HybridClassification finalize_classification(
       DependableStage&& stage, const tensor::Tensor& logits) const;
-
-  /// Shared core of the batched entry points over an index->image mapping
-  /// (avoids copying a repeated campaign image `runs` times). Image i
-  /// uses `seeds ? seeds[i] : seed_base + i`.
-  [[nodiscard]] std::vector<HybridClassification> classify_indexed(
-      std::size_t count, const tensor::Tensor* const* images,
-      std::uint64_t seed_base, const std::uint64_t* seeds,
-      BatchOptions options) const;
 
   std::unique_ptr<nn::Sequential> cnn_;
   std::size_t conv1_index_;

@@ -4,8 +4,8 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "faultsim/campaign.hpp"
 #include "faultsim/ecc.hpp"
 #include "nn/conv2d.hpp"
 #include "util/rng.hpp"
@@ -38,15 +38,6 @@ bool targets_input(faultsim::MemoryTarget t) noexcept {
   return t == faultsim::MemoryTarget::kInput ||
          t == faultsim::MemoryTarget::kWeightsAndInput;
 }
-
-/// Per-run record, reduced in run-index order after the parallel fill.
-struct RunRecord {
-  faultsim::MemoryOutcome outcome = faultsim::MemoryOutcome::kIntact;
-  std::uint64_t bits_flipped = 0;
-  std::uint64_t ecc_corrected_data = 0;
-  std::uint64_t ecc_corrected_check = 0;
-  std::uint64_t ecc_uncorrectable_words = 0;
-};
 
 /// The hybrid evidence chain flagged the run at runtime: the decision
 /// demoted or fail-stopped the prediction, or the dependable qualifier
@@ -82,26 +73,14 @@ MemoryFaultCampaign::MemoryFaultCampaign(const HybridNetwork& net,
   }
 }
 
-faultsim::MemoryCampaignSummary MemoryFaultCampaign::run(
-    const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
-    runtime::ComputeContext& ctx) const {
-  const std::uint64_t seed_base = seeds.take_block(runs);
-  return run_range(image, 0, runs, seed_base, ctx);
-}
-
 faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     const tensor::Tensor& image, std::size_t run_begin, std::size_t run_end,
-    std::uint64_t seed_base, runtime::ComputeContext& ctx) const {
+    std::uint64_t seed_base) const {
   if (image.shape().rank() != 3 ||
       image.shape()[0] != weights_.data().shape()[1]) {
     throw std::invalid_argument(
         "MemoryFaultCampaign::run_range: expected CHW with conv1's channels");
   }
-  if (run_end < run_begin) {
-    throw std::invalid_argument(
-        "MemoryFaultCampaign::run_range: run_end < run_begin");
-  }
-  const std::size_t count = run_end - run_begin;
   const reliable::ReliabilityPolicy& policy = net_->config().policy;
   const BatchOptions opts{RemainderMode::kFanned, config_.report};
 
@@ -129,13 +108,13 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
     return *pristine_rconv;
   };
 
-  std::vector<RunRecord> records(count);
-  ctx.pool().parallel_for(0, count, [&](std::size_t idx) {
-    RunRecord& rec = records[idx];
-    // Global run index: seeds AND the scrub cadence key on it, so a
-    // shard reproduces exactly the runs the monolithic campaign would
-    // execute at these indices.
-    const std::size_t i = run_begin + idx;
+  // Run i's outcome; its injected bits and ECC repairs go into `rec`.
+  // i is the global run index: seeds AND the scrub cadence key on it, so
+  // a shard reproduces exactly the runs the whole campaign executes at
+  // these indices.
+  const auto outcome_of =
+      [&](std::size_t i,
+          faultsim::MemoryCampaignSummary& rec) -> faultsim::MemoryOutcome {
     const std::uint64_t seed = seed_base + i;
     util::Rng rng(seed, kMemoryStream);
     // Scrub cadence: run i has accumulated this many exposure epochs of
@@ -176,10 +155,7 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
 
     // An uncorrectable ECC word is data loss the platform must fail-stop
     // on; the inference does not run.
-    if (ecc_uncorrectable) {
-      rec.outcome = faultsim::MemoryOutcome::kUncorrectable;
-      return;
-    }
+    if (ecc_uncorrectable) return faultsim::MemoryOutcome::kUncorrectable;
 
     // A masked run — weights and input bit-identical to the pristine ones
     // after corruption and scrub — computes exactly what its golden
@@ -201,28 +177,24 @@ faultsim::MemoryCampaignSummary MemoryFaultCampaign::run_range(
               ? net_->classify_with_conv1(pristine_conv, image, seed, opts)
               : shared_golden;
       if (!same_result(result, golden)) {
-        rec.outcome = evidence_flags(result)
-                          ? faultsim::MemoryOutcome::kQualifierCaught
-                          : faultsim::MemoryOutcome::kSilentCorruption;
-        return;
+        return evidence_flags(result)
+                   ? faultsim::MemoryOutcome::kQualifierCaught
+                   : faultsim::MemoryOutcome::kSilentCorruption;
       }
     }
     const bool ecc_repaired =
         rec.ecc_corrected_data + rec.ecc_corrected_check != 0;
-    rec.outcome = (rec.bits_flipped != 0 && ecc_repaired)
-                      ? faultsim::MemoryOutcome::kCorrected
-                      : faultsim::MemoryOutcome::kIntact;
-  });
+    return (rec.bits_flipped != 0 && ecc_repaired)
+               ? faultsim::MemoryOutcome::kCorrected
+               : faultsim::MemoryOutcome::kIntact;
+  };
 
-  faultsim::MemoryCampaignSummary summary;
-  for (const RunRecord& rec : records) {
-    summary.add(rec.outcome);
-    summary.bits_flipped += rec.bits_flipped;
-    summary.ecc_corrected_data += rec.ecc_corrected_data;
-    summary.ecc_corrected_check += rec.ecc_corrected_check;
-    summary.ecc_uncorrectable_words += rec.ecc_uncorrectable_words;
-  }
-  return summary;
+  return faultsim::run_campaign<faultsim::MemoryCampaignSummary>(
+      run_begin, run_end, [&](std::size_t i) {
+        faultsim::MemoryCampaignSummary rec;
+        rec.add(outcome_of(i, rec));
+        return rec;
+      });
 }
 
 }  // namespace hybridcnn::core

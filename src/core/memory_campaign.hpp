@@ -11,7 +11,7 @@
 // the hybrid evidence chain / silent corruption.
 //
 // Determinism contract: run i derives ALL stochastic state (memory-fault
-// Rng, compute-fault injector seed) from `seeds.peek() + i` alone, runs
+// Rng, compute-fault injector seed) from `seed_base + i` alone, runs
 // fan across the thread pool, and outcomes reduce in run-index order —
 // so the returned summary is bit-identical at every thread count
 // (tests/test_memory_campaign.cpp locks 1/2/8 threads and the fabric
@@ -42,11 +42,9 @@
 
 #include <cstddef>
 
-#include "core/fault_seed_stream.hpp"
 #include "core/hybrid_network.hpp"
 #include "faultsim/ecc.hpp"
 #include "faultsim/memory_faults.hpp"
-#include "runtime/compute_context.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hybridcnn::core {
@@ -84,35 +82,27 @@ class MemoryFaultCampaign {
   /// is zero.
   MemoryFaultCampaign(const HybridNetwork& net, MemoryCampaignConfig config);
 
-  /// Executes `runs` independent corrupted classifications of `image`
-  /// across the pool, consuming `runs` seeds from `seeds` (run i uses
-  /// `seeds.peek() + i`, the classify_repeat contract). The golden
-  /// reference is the same-seed classification with pristine weights —
-  /// computed once when the network's compute-fault environment is
-  /// kNone (the fault-free path is seed-independent), per classifying
-  /// run otherwise, so the summary isolates the memory-fault effect
-  /// either way. Masked runs are decided without either (file comment).
-  /// Throws if `image` is not CHW with conv1's input channels; other
-  /// shape errors surface from the first run that classifies.
-  [[nodiscard]] faultsim::MemoryCampaignSummary run(
-      const tensor::Tensor& image, std::size_t runs, FaultSeedStream& seeds,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
-
-  /// Shard/resume form of run() over an explicit GLOBAL run range: run i
-  /// in [run_begin, run_end) derives its stochastic state from
-  /// `seed_base + i` and its scrub-cadence exposure from the global
-  /// index i — `(i % scrub_interval) + 1` epochs — exactly as the
-  /// monolithic campaign does, so summing the partial summaries of any
-  /// disjoint cover of [0, runs) is bit-identical to run() even when the
-  /// shard size is not a multiple of the scrub interval. Campaign-fabric
-  /// shard entry point: consumes no stream, const/re-entrant, shards may
-  /// execute concurrently from worker threads.
+  /// Executes global runs [run_begin, run_end) of the campaign through
+  /// faultsim::run_campaign: run i corrupts and classifies `image` with
+  /// all its stochastic state derived from `seed_base + i`, and its
+  /// scrub-cadence exposure from the global index i — `(i %
+  /// scrub_interval) + 1` epochs. A whole campaign of `runs` over a seed
+  /// stream is `run_range(image, 0, runs, seeds.take_block(runs))`, and
+  /// summing the partial summaries of any disjoint cover of [0, runs) is
+  /// bit-identical to it, even when the shard size is not a multiple of
+  /// the scrub interval. The golden reference is the same-seed
+  /// classification with pristine weights — computed once when the
+  /// network's compute-fault environment is kNone (the fault-free path is
+  /// seed-independent), per classifying run otherwise, so the summary
+  /// isolates the memory-fault effect either way. Masked runs are decided
+  /// without either (file comment). Campaign-fabric shard entry point:
+  /// consumes no stream, const/re-entrant, shards may execute
+  /// concurrently from worker threads. Throws if `image` is not CHW with
+  /// conv1's input channels or if run_end < run_begin; other shape
+  /// errors surface from the first run that classifies.
   [[nodiscard]] faultsim::MemoryCampaignSummary run_range(
       const tensor::Tensor& image, std::size_t run_begin,
-      std::size_t run_end, std::uint64_t seed_base,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
+      std::size_t run_end, std::uint64_t seed_base) const;
 
   [[nodiscard]] const MemoryCampaignConfig& config() const noexcept {
     return config_;

@@ -1,7 +1,5 @@
 #include "faultsim/campaign.hpp"
 
-#include <vector>
-
 namespace hybridcnn::faultsim {
 
 Outcome classify(bool faults_activated, bool aborted, bool matches_golden) {
@@ -67,17 +65,6 @@ double CampaignSummary::safety() const {
 double CampaignSummary::sdc_rate() const {
   if (runs == 0) return 0.0;
   return static_cast<double>(silent_corruption) / static_cast<double>(runs);
-}
-
-CampaignSummary run_campaign(
-    std::size_t runs, const std::function<Outcome(std::size_t)>& run_one,
-    runtime::ComputeContext& ctx) {
-  std::vector<Outcome> outcomes(runs, Outcome::kCorrect);
-  ctx.pool().parallel_for(0, runs,
-                          [&](std::size_t run) { outcomes[run] = run_one(run); });
-  CampaignSummary summary;
-  for (const Outcome o : outcomes) summary.add(o);
-  return summary;
 }
 
 }  // namespace hybridcnn::faultsim

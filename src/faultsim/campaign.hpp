@@ -8,9 +8,12 @@
 // failure mode the paper's design eliminates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "runtime/compute_context.hpp"
 
@@ -44,11 +47,16 @@ struct CampaignSummary {
 
   /// Records one classified run.
   void add(Outcome o);
+  /// add(o) in the form run_campaign merges a run's record with.
+  CampaignSummary& operator+=(Outcome o) {
+    add(o);
+    return *this;
+  }
 
   /// Shard-merge operator: field-wise accumulation of a partial summary.
   /// Because every field is an integer count, merging the per-shard
   /// summaries of any disjoint cover of a run range — in any order —
-  /// yields exactly the summary of the monolithic campaign; the campaign
+  /// yields exactly the summary of the whole range; the campaign
   /// fabric still merges in shard-index order by contract.
   CampaignSummary& operator+=(const CampaignSummary& other) noexcept;
   friend CampaignSummary operator+(CampaignSummary a,
@@ -71,18 +79,35 @@ struct CampaignSummary {
   [[nodiscard]] double sdc_rate() const;
 };
 
-/// Executes `runs` independent workload runs across the thread pool and
-/// reduces their outcomes into a summary in run-index order.
+/// The one per-run campaign loop: executes global runs [begin, end)
+/// across the global thread pool and merges their records into a
+/// Summary in run-index order (`summary += run_one(i)` for i = begin,
+/// begin + 1, ...). Shard and whole-campaign callers alike pass global
+/// indices, so the summaries of any disjoint cover of [0, runs) add up
+/// to the whole range's summary exactly.
 ///
-/// `run_one(run)` performs one complete workload execution and classifies
-/// it. It is called exactly once per run index, possibly from worker
-/// threads and in any order, so it must derive every piece of stochastic
-/// state (fault-injector seed, executors, RNG streams) from the run index
-/// alone — the pattern the benches already follow with `seed_base + run`.
-/// Under that contract the returned CampaignSummary is bit-identical for
-/// every thread count.
-CampaignSummary run_campaign(
-    std::size_t runs, const std::function<Outcome(std::size_t)>& run_one,
-    runtime::ComputeContext& ctx = runtime::ComputeContext::global());
+/// `run_one(i)` performs run i and returns its record: an Outcome for a
+/// CampaignSummary, a one-run MemoryCampaignSummary for a memory
+/// campaign. It is called exactly once per index, from worker threads
+/// and in any order, so it must be thread-safe and derive every piece of
+/// stochastic state (fault-injector seed, executors, RNG streams) from
+/// the run index alone — the `seed_base + i` pattern. Under that contract
+/// the summary is bit-identical at every thread count. If runs throw,
+/// the exception rethrown is the lowest throwing run's. Throws
+/// std::invalid_argument if end < begin.
+template <class Summary = CampaignSummary, class RunOne>
+Summary run_campaign(std::size_t begin, std::size_t end,
+                     const RunOne& run_one) {
+  if (end < begin) {
+    throw std::invalid_argument("faultsim::run_campaign: end < begin");
+  }
+  using Record = std::invoke_result_t<const RunOne&, std::size_t>;
+  std::vector<Record> records(end - begin);
+  runtime::ComputeContext::global().pool().parallel_for(
+      begin, end, [&](std::size_t i) { records[i - begin] = run_one(i); });
+  Summary summary;
+  for (const Record& record : records) summary += record;
+  return summary;
+}
 
 }  // namespace hybridcnn::faultsim

@@ -1,7 +1,9 @@
 #include "faultsim/ecc.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "faultsim/bitflip.hpp"
@@ -147,12 +149,26 @@ ScrubReport ProtectedTensor::scrub_copy(tensor::Tensor& copy) const {
   }
   ScrubReport report;
   report.words = data_.count();
-  for (std::size_t i = 0; i < data_.count(); ++i) {
-    std::uint32_t word = float_bits(copy[i]);
-    if (word == float_bits(data_[i])) continue;  // decodes clean
-    std::uint8_t check = checks_[i];
-    scrub_word(word, check, report);
-    copy[i] = bits_float(word);
+  // Clean blocks are skipped with one memcmp each — a compare of bits,
+  // so a +0/-0 swap or a changed NaN payload is still a change. Only the
+  // words of a block that differs are compared and decoded one by one.
+  constexpr std::size_t kBlockWords = 16;
+  float* faulted = copy.data().data();
+  const float* pristine = data_.data().data();
+  const std::size_t n = data_.count();
+  for (std::size_t begin = 0; begin < n; begin += kBlockWords) {
+    const std::size_t end = std::min(n, begin + kBlockWords);
+    if (std::memcmp(faulted + begin, pristine + begin,
+                    (end - begin) * sizeof(float)) == 0) {
+      continue;
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      std::uint32_t word = float_bits(faulted[i]);
+      if (word == float_bits(pristine[i])) continue;  // decodes clean
+      std::uint8_t check = checks_[i];
+      scrub_word(word, check, report);
+      faulted[i] = bits_float(word);
+    }
   }
   return report;
 }

@@ -99,9 +99,10 @@ struct MemoryCampaignSummary {
   /// Records one classified run.
   void add(MemoryOutcome o);
 
-  /// Shard-merge operator: field-wise accumulation of a partial summary.
+  /// Shard-merge operator: field-wise accumulation of a partial summary
+  /// (run_campaign merges each run's one-run summary with it too).
   /// Integer counts only, so merging the shards of a disjoint run-range
-  /// cover equals the monolithic summary exactly (the campaign fabric's
+  /// cover equals the whole range's summary exactly (the campaign fabric's
   /// bit-identity contract).
   MemoryCampaignSummary& operator+=(const MemoryCampaignSummary& o) noexcept;
   friend MemoryCampaignSummary operator+(

@@ -282,25 +282,6 @@ ReliableResult ReliableConv2d::forward_generic(const tensor::Tensor& input,
   return result;
 }
 
-faultsim::CampaignSummary ReliableConv2d::forward_campaign(
-    const tensor::Tensor& input, std::size_t runs,
-    const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-    const std::function<faultsim::Outcome(std::size_t, const ReliableResult&,
-                                          Executor&)>& classify,
-    ReportMode mode, runtime::ComputeContext& ctx) const {
-  // Clean windows hit the packed raw kernel from every worker at once;
-  // build the cached pack serially up front instead.
-  prepare_fast_path();
-  return faultsim::run_campaign(
-      runs,
-      [&](std::size_t run) {
-        const auto exec = make_exec(run);
-        const ReliableResult result = forward(input, *exec, mode);
-        return classify(run, result, *exec);
-      },
-      ctx);
-}
-
 tensor::Tensor ReliableConv2d::reference_forward(
     const tensor::Tensor& input) const {
   const tensor::Shape out_shape = output_shape(input.shape());

@@ -11,15 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 
-#include "faultsim/campaign.hpp"
 #include "reliable/executor.hpp"
 #include "reliable/leaky_bucket.hpp"
 #include "reliable/report.hpp"
-#include "runtime/compute_context.hpp"
 #include "tensor/tensor.hpp"
 
 namespace hybridcnn::reliable {
@@ -102,24 +99,6 @@ class ReliableConv2d {
   /// scalar arithmetic, same loop order so results are bit-comparable).
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
-
-  /// Fault-injection campaign over this layer: `runs` independent
-  /// qualified executions split across the thread pool. `make_exec(run)`
-  /// builds the run-local executor (seed it from `run` — it may be called
-  /// from any worker, in any order); `classify(run, result, exec)` maps
-  /// the finished run to a dependability outcome. Outcomes are reduced in
-  /// run order, so the summary is bit-identical at every thread count.
-  /// `mode` is forwarded to every per-run forward(); kStatsOnly sweeps
-  /// produce the identical summary without per-op report assembly.
-  [[nodiscard]] faultsim::CampaignSummary forward_campaign(
-      const tensor::Tensor& input, std::size_t runs,
-      const std::function<std::unique_ptr<Executor>(std::size_t)>& make_exec,
-      const std::function<faultsim::Outcome(std::size_t,
-                                            const ReliableResult&, Executor&)>&
-          classify,
-      ReportMode mode = ReportMode::kFull,
-      runtime::ComputeContext& ctx =
-          runtime::ComputeContext::global()) const;
 
   /// Output shape for a given input shape; validates channel count.
   [[nodiscard]] tensor::Shape output_shape(const tensor::Shape& in) const;

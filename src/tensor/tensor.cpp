@@ -1,9 +1,8 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
 namespace hybridcnn::tensor {
@@ -119,14 +118,11 @@ float Tensor::max_abs_diff(const Tensor& other) const {
 }
 
 bool bit_identical(const Tensor& a, const Tensor& b) noexcept {
-  if (a.shape() != b.shape()) return false;
-  for (std::size_t i = 0; i < a.count(); ++i) {
-    if (std::bit_cast<std::uint32_t>(a[i]) !=
-        std::bit_cast<std::uint32_t>(b[i])) {
-      return false;
-    }
-  }
-  return true;
+  // memcmp compares bits: a +0/-0 swap or a changed NaN payload differs.
+  return a.shape() == b.shape() &&
+         (a.count() == 0 ||
+          std::memcmp(a.data().data(), b.data().data(),
+                      a.count() * sizeof(float)) == 0);
 }
 
 }  // namespace hybridcnn::tensor

@@ -1,8 +1,9 @@
 // classify_batch: bit-identical to looped single-image classify at every
 // thread count, empty/single edges, the caller-owned FaultSeedStream
-// contract, and the campaign/repeat conveniences built on it.
+// contract, and the campaign entry point built on the same pipeline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -171,10 +172,11 @@ TEST_P(BatchInferenceThreads, RepeatMatchesLoopedClassifyOnOneImage) {
   }
   FaultSeedStream batch_seeds = batched.seed_stream();
   const std::vector<HybridClassification> got =
-      batched.classify_repeat(image, kRuns, batch_seeds);
+      batched.classify_batch(std::vector<Tensor>(kRuns, image), batch_seeds);
+  EXPECT_EQ(batch_seeds, loop_seeds) << "batch must consume the loop's seeds";
   ASSERT_EQ(got.size(), kRuns);
   for (std::size_t r = 0; r < kRuns; ++r) {
-    expect_identical(got[r], expect[r], "classify_repeat");
+    expect_identical(got[r], expect[r], "repeated image");
   }
 }
 
@@ -192,12 +194,13 @@ TEST(BatchInference, StatsOnlyReportModeKeepsDecisionsAndSummaries) {
 
   BatchOptions lean_opts;
   lean_opts.report = reliable::ReportMode::kStatsOnly;
+  const std::vector<Tensor> repeated(kRuns, image);
   FaultSeedStream full_seeds = net.seed_stream();
   const std::vector<HybridClassification> full =
-      net.classify_repeat(image, kRuns, full_seeds);
+      net.classify_batch(repeated, full_seeds);
   FaultSeedStream lean_seeds = net.seed_stream();
   const std::vector<HybridClassification> lean =
-      net.classify_repeat(image, kRuns, lean_seeds, lean_opts);
+      net.classify_batch(repeated, lean_seeds, lean_opts);
 
   ASSERT_EQ(full.size(), lean.size());
   for (std::size_t r = 0; r < kRuns; ++r) {
@@ -313,7 +316,10 @@ TEST(BatchInference, RejectsBatchedTensorInputWithoutConsumingSeeds) {
   FaultSeedStream seeds = hybrid.seed_stream();
   EXPECT_THROW(static_cast<void>(hybrid.classify_batch(bad, seeds)),
                std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(hybrid.classify_repeat(bad[1], 3, seeds)),
+  EXPECT_THROW(static_cast<void>(hybrid.classify_batch(
+                   std::vector<Tensor>(3, bad[1]), seeds)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(hybrid.classify(bad[1], seeds)),
                std::invalid_argument);
   // A refused batch must leave the caller's stream untouched, so a
   // corrected retry still replays the original seed contract.
@@ -358,17 +364,34 @@ TEST(BatchInference, CampaignSummaryMatchesPerRunConstructionAtAnyThreads) {
     batch_cfg.fault_seed = 1;
     HybridNetwork amortised(make_testnet(37), 0, batch_cfg);
     FaultSeedStream campaign_seeds = amortised.seed_stream();
+    const std::uint64_t base = campaign_seeds.take_block(kRuns);
+    // judge runs on pool workers, once per global run index.
+    std::vector<std::atomic<int>> calls(kRuns);
+    const auto counted = [&](std::size_t run, const HybridClassification& r) {
+      calls.at(run)++;
+      return judge(r);
+    };
     const faultsim::CampaignSummary summary =
-        amortised.classify_campaign_range(
-            image, 0, kRuns, campaign_seeds.take_block(kRuns),
-            [&](std::size_t, const HybridClassification& r) {
-              return judge(r);
-            });
+        amortised.classify_campaign_range(image, 0, kRuns, base, counted);
     EXPECT_EQ(summary.runs, legacy.runs) << threads;
     EXPECT_EQ(summary.correct, legacy.correct) << threads;
     EXPECT_EQ(summary.corrected, legacy.corrected) << threads;
     EXPECT_EQ(summary.detected_abort, legacy.detected_abort) << threads;
     EXPECT_EQ(summary.silent_corruption, legacy.silent_corruption) << threads;
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      EXPECT_EQ(calls[run].load(), 1) << "run " << run << ", " << threads;
+    }
+
+    // A split at an odd boundary adds up to the whole range, and the
+    // tail [3, kRuns) judges its global indices, not offsets from 3.
+    const faultsim::CampaignSummary head =
+        amortised.classify_campaign_range(image, 0, 3, base, counted);
+    const faultsim::CampaignSummary tail =
+        amortised.classify_campaign_range(image, 3, kRuns, base, counted);
+    EXPECT_EQ(head + tail, summary) << threads;
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      EXPECT_EQ(calls[run].load(), 2) << "run " << run << ", " << threads;
+    }
   }
   ComputeContext::set_global_threads(1);
 }

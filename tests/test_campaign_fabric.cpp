@@ -772,7 +772,8 @@ TEST_F(FabricEquivalence, ShardedMemoryCampaignMatchesMonolithic) {
 
   FaultSeedStream seeds = net.seed_stream();
   const std::uint64_t seed_base = seeds.peek();
-  const MemoryCampaignSummary mono = campaign.run(img, kRuns, seeds);
+  const MemoryCampaignSummary mono =
+      campaign.run_range(img, 0, kRuns, seeds.take_block(kRuns));
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ComputeContext::set_global_threads(threads);
@@ -811,7 +812,8 @@ TEST_F(FabricEquivalence, EveryKillPointResumesBitIdentically) {
     const MemoryFaultCampaign campaign(net, mcfg);
     FaultSeedStream seeds = net.seed_stream();
     const std::uint64_t seed_base = seeds.peek();
-    const MemoryCampaignSummary mono = campaign.run(img, kRuns, seeds);
+    const MemoryCampaignSummary mono =
+        campaign.run_range(img, 0, kRuns, seeds.take_block(kRuns));
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ComputeContext::set_global_threads(threads);

@@ -2,6 +2,7 @@
 // bit-identical summaries across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -32,7 +33,7 @@ TEST_F(CampaignParallel, RunsEachIndexOnceAndCountsOutcomes) {
   ComputeContext::set_global_threads(4);
   constexpr std::size_t kRuns = 103;
   std::vector<std::atomic<int>> calls(kRuns);
-  const CampaignSummary s = faultsim::run_campaign(kRuns, [&](std::size_t r) {
+  const auto s = faultsim::run_campaign(0, kRuns, [&](std::size_t r) {
     calls[r]++;
     switch (r % 4) {
       case 0: return Outcome::kCorrect;
@@ -63,23 +64,17 @@ CampaignSummary conv_campaign(const char* scheme, double rate,
   input.fill_normal(rng, 0.0f, 1.0f);
   const tensor::Tensor golden = conv.reference_forward(input);
 
-  return conv.forward_campaign(
-      input, runs,
-      [&](std::size_t run) {
-        faultsim::FaultConfig cfg;
-        cfg.kind = faultsim::FaultKind::kTransient;
-        cfg.probability = rate;
-        cfg.bit = -1;
-        return reliable::make_executor(
-            scheme,
-            std::make_shared<faultsim::FaultInjector>(cfg, 500 + run));
-      },
-      [&](std::size_t, const reliable::ReliableResult& result,
-          reliable::Executor& exec) {
-        return faultsim::classify(exec.injector()->stats().faults > 0,
-                                  !result.report.ok,
-                                  result.output == golden);
-      });
+  return faultsim::run_campaign(0, runs, [&](std::size_t run) {
+    faultsim::FaultConfig cfg;
+    cfg.kind = faultsim::FaultKind::kTransient;
+    cfg.probability = rate;
+    cfg.bit = -1;
+    const auto exec = reliable::make_executor(
+        scheme, std::make_shared<faultsim::FaultInjector>(cfg, 500 + run));
+    const reliable::ReliableResult result = conv.forward(input, *exec);
+    return faultsim::classify(exec->injector()->stats().faults > 0,
+                              !result.report.ok, result.output == golden);
+  });
 }
 
 TEST_F(CampaignParallel, ConvCampaignIsThreadCountInvariant) {
@@ -122,17 +117,28 @@ TEST_F(CampaignParallel, SimplexCampaignLeaksSdcUnderFaults) {
 TEST_F(CampaignParallel, RethrowsTheLowestRunException) {
   // A throwing run body must surface the same exception a serial sweep
   // would hit first — the lowest throwing run index — regardless of the
-  // thread count scheduling the runs.
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ComputeContext::set_global_threads(threads);
-    try {
-      (void)faultsim::run_campaign(500, [](std::size_t r) {
-        if (r >= 71) throw std::runtime_error("run " + std::to_string(r));
-        return Outcome::kCorrect;
-      });
-      FAIL() << "expected a throw at " << threads << " threads";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "run 71") << threads << " threads";
+  // thread count scheduling the runs, also for a range not starting at 0.
+  struct Range {
+    std::size_t begin, end, first_throw;
+  };
+  for (const Range range :
+       {Range{0, 500, 71}, Range{100, 600, 171}, Range{100, 600, 50}}) {
+    const std::size_t lowest = std::max(range.begin, range.first_throw);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      ComputeContext::set_global_threads(threads);
+      try {
+        (void)faultsim::run_campaign(
+            range.begin, range.end, [&](std::size_t r) {
+              if (r >= range.first_throw) {
+                throw std::runtime_error("run " + std::to_string(r));
+              }
+              return Outcome::kCorrect;
+            });
+        FAIL() << "expected a throw at " << threads << " threads";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(e.what(), "run " + std::to_string(lowest))
+            << threads << " threads, begin " << range.begin;
+      }
     }
   }
 }
@@ -146,16 +152,20 @@ TEST_F(CampaignParallel, SummariesMergeByFieldwiseAddition) {
       default: return Outcome::kSilentCorruption;
     }
   };
-  const CampaignSummary whole = faultsim::run_campaign(103, outcome_of);
-  // Split at an odd boundary; the shifted index keeps the outcome of
-  // each global run identical across the split.
-  const CampaignSummary head = faultsim::run_campaign(37, outcome_of);
-  const CampaignSummary tail = faultsim::run_campaign(
-      103 - 37, [&](std::size_t r) { return outcome_of(37 + r); });
-  EXPECT_EQ(head + tail, whole);
-  CampaignSummary acc = head;
-  acc += tail;
-  EXPECT_EQ(acc, whole);
+  // Split at an odd boundary: the global-index ranges [0, 37) and
+  // [37, 103) must add up to [0, 103) at every thread count.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ComputeContext::set_global_threads(threads);
+    const CampaignSummary whole = faultsim::run_campaign(0, 103, outcome_of);
+    const CampaignSummary head = faultsim::run_campaign(0, 37, outcome_of);
+    const CampaignSummary tail = faultsim::run_campaign(37, 103, outcome_of);
+    EXPECT_EQ(head + tail, whole) << threads << " threads";
+    CampaignSummary acc = head;
+    acc += tail;
+    EXPECT_EQ(acc, whole) << threads << " threads";
+  }
+  EXPECT_THROW((void)faultsim::run_campaign(5, 4, outcome_of),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "faultsim/bitflip.hpp"
@@ -475,6 +476,45 @@ TEST(ProtectedTensor, ScrubCopyMatchesFullScrubForFlipsOverManyWords) {
       (void)faultsim::inject_exact_flips(faulted, 200, rng);
     }
     (void)expect_scrub_copy_matches_full(pristine, faulted, "many words");
+  }
+}
+
+TEST(ProtectedTensor, ScrubCopyFindsChangesInTheFirstWordAndTheLastBlock) {
+  // Clean words are skipped a block at a time, so a change must be found
+  // in the first word and in the last word of a partial last block, also
+  // when it is a +0/-0 swap or a NaN-payload change (float == says equal
+  // or unordered; the bits differ).
+  Rng rng(37);
+  for (const std::size_t n : {1u, 5u, 15u, 17u, 33u, 1176u}) {
+    Tensor pristine = random_words(rng, n);
+    pristine[0] = bits_float(0x00000000u);                   // +0
+    pristine[n - 1] = bits_float(n == 1 ? 0u : 0x7FC00001u);  // NaN
+    for (const std::uint32_t mask : {0x80000000u, 0x00000001u, 0x00000011u}) {
+      for (const bool first : {false, true}) {
+        for (const bool last : {false, true}) {
+          // One word cannot be both first and last with distinct flips.
+          if ((!first && !last) || (first && last && n == 1)) continue;
+          Tensor faulted = pristine;
+          if (first) faulted[0] = bits_float(float_bits(faulted[0]) ^ mask);
+          if (last) {
+            faulted[n - 1] = bits_float(float_bits(faulted[n - 1]) ^ mask);
+          }
+          const std::string what = "n " + std::to_string(n) + " mask " +
+                                   std::to_string(mask) + " first " +
+                                   std::to_string(first) + " last " +
+                                   std::to_string(last);
+          const DeltaScrub d =
+              expect_scrub_copy_matches_full(pristine, faulted, what.c_str());
+          const std::uint64_t changed = (first ? 1 : 0) + (last ? 1 : 0);
+          if (std::popcount(mask) == 1) {
+            EXPECT_EQ(d.report.corrected_data, changed) << what;
+            EXPECT_TRUE(tensor::bit_identical(d.payload, pristine)) << what;
+          } else {
+            EXPECT_EQ(d.report.uncorrectable, changed) << what;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -74,7 +74,8 @@ void expect_pinned_summary(const HybridNetwork& net,
   for (const std::size_t threads : {1u, 2u, 8u}) {
     ComputeContext::set_global_threads(threads);
     FaultSeedStream seeds(seed_base);
-    const MemoryCampaignSummary direct = campaign.run(img, runs, seeds);
+    const MemoryCampaignSummary direct =
+        campaign.run_range(img, 0, runs, seeds.take_block(runs));
     EXPECT_EQ(direct, pin) << threads << " threads: " << describe(direct);
 
     fabric::FabricConfig fcfg;
@@ -154,7 +155,8 @@ TEST_F(MemoryCampaignTest, ZeroRateLeavesEveryRunIntact) {
   MemoryCampaignConfig cfg;  // zero-rate default model
   const MemoryFaultCampaign campaign(net, cfg);
   FaultSeedStream seeds = net.seed_stream();
-  const MemoryCampaignSummary s = campaign.run(stop_image(), 4, seeds);
+  const MemoryCampaignSummary s =
+      campaign.run_range(stop_image(), 0, 4, seeds.take_block(4));
   EXPECT_EQ(s.runs, 4u);
   EXPECT_EQ(s.intact, 4u);
   EXPECT_EQ(s.bits_flipped, 0u);
@@ -170,11 +172,13 @@ TEST_F(MemoryCampaignTest, RejectsZeroScrubIntervalAndBadImage) {
 
   const MemoryFaultCampaign campaign(net, MemoryCampaignConfig{});
   FaultSeedStream seeds = net.seed_stream();
-  EXPECT_THROW((void)campaign.run(Tensor(Shape{4, 4}), 1, seeds),
+  EXPECT_THROW((void)campaign.run_range(Tensor(Shape{4, 4}), 0, 1,
+                                        seeds.take_block(1)),
                std::invalid_argument);
   // Zero-rate runs are masked and never classify, so conv1's channel
   // count is checked up front.
-  EXPECT_THROW((void)campaign.run(Tensor(Shape{1, 128, 128}), 1, seeds),
+  EXPECT_THROW((void)campaign.run_range(Tensor(Shape{1, 128, 128}), 0, 1,
+                                        seeds.take_block(1)),
                std::invalid_argument);
 }
 
@@ -187,8 +191,10 @@ TEST_F(MemoryCampaignTest, SummaryDeterministicForSeedBase) {
 
   FaultSeedStream a(100);
   FaultSeedStream b(100);
-  const MemoryCampaignSummary sa = campaign.run(img, 8, a);
-  const MemoryCampaignSummary sb = campaign.run(img, 8, b);
+  const MemoryCampaignSummary sa =
+      campaign.run_range(img, 0, 8, a.take_block(8));
+  const MemoryCampaignSummary sb =
+      campaign.run_range(img, 0, 8, b.take_block(8));
   EXPECT_EQ(sa, sb);
   EXPECT_EQ(a.peek(), 108u) << "run consumes exactly `runs` seeds";
 }
@@ -203,15 +209,18 @@ TEST_F(MemoryCampaignTest, SummariesBitIdenticalAcrossThreadCounts) {
 
   ComputeContext::set_global_threads(1);
   FaultSeedStream s1(7);
-  const MemoryCampaignSummary one = campaign.run(img, 12, s1);
+  const MemoryCampaignSummary one =
+      campaign.run_range(img, 0, 12, s1.take_block(12));
 
   ComputeContext::set_global_threads(2);
   FaultSeedStream s2(7);
-  const MemoryCampaignSummary two = campaign.run(img, 12, s2);
+  const MemoryCampaignSummary two =
+      campaign.run_range(img, 0, 12, s2.take_block(12));
 
   ComputeContext::set_global_threads(8);
   FaultSeedStream s8(7);
-  const MemoryCampaignSummary eight = campaign.run(img, 12, s8);
+  const MemoryCampaignSummary eight =
+      campaign.run_range(img, 0, 12, s8.take_block(12));
 
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
@@ -231,7 +240,8 @@ TEST_F(MemoryCampaignTest, EccEliminatesSilentCorruption) {
   protected_cfg.ecc = true;
   const MemoryFaultCampaign with_ecc(net, protected_cfg);
   FaultSeedStream seeds(500);
-  const MemoryCampaignSummary s = with_ecc.run(img, 16, seeds);
+  const MemoryCampaignSummary s =
+      with_ecc.run_range(img, 0, 16, seeds.take_block(16));
 
   EXPECT_EQ(s.runs, 16u);
   EXPECT_EQ(s.silent_corruption, 0u);
@@ -251,7 +261,8 @@ TEST_F(MemoryCampaignTest, UnprotectedBurstCorruptsOrGetsCaught) {
   cfg.model.exact_flips = 96;
   const MemoryFaultCampaign campaign(net, cfg);
   FaultSeedStream seeds(900);
-  const MemoryCampaignSummary s = campaign.run(stop_image(), 12, seeds);
+  const MemoryCampaignSummary s =
+      campaign.run_range(stop_image(), 0, 12, seeds.take_block(12));
 
   EXPECT_EQ(s.runs, 12u);
   // Exact-flip injection with scrub_interval 1: one epoch per run.
@@ -273,7 +284,8 @@ TEST_F(MemoryCampaignTest, ScrubIntervalScalesExposureEpochs) {
   cfg.scrub_interval = 4;
   const MemoryFaultCampaign campaign(net, cfg);
   FaultSeedStream seeds(42);
-  const MemoryCampaignSummary s = campaign.run(stop_image(), 8, seeds);
+  const MemoryCampaignSummary s =
+      campaign.run_range(stop_image(), 0, 8, seeds.take_block(8));
   // Epochs per run: 1,2,3,4,1,2,3,4 -> 20 epochs * 2 flips.
   EXPECT_EQ(s.bits_flipped, 40u);
 }
@@ -288,7 +300,8 @@ TEST_F(MemoryCampaignTest, InputTargetBypassesEcc) {
   cfg.ecc = true;
   const MemoryFaultCampaign campaign(net, cfg);
   FaultSeedStream seeds(5);
-  const MemoryCampaignSummary s = campaign.run(stop_image(), 6, seeds);
+  const MemoryCampaignSummary s =
+      campaign.run_range(stop_image(), 0, 6, seeds.take_block(6));
   EXPECT_EQ(s.bits_flipped, 16u * 6u);
   EXPECT_EQ(s.ecc_corrected_data, 0u);
   EXPECT_EQ(s.ecc_corrected_check, 0u);
@@ -306,7 +319,8 @@ TEST_F(MemoryCampaignTest, ArmedComputeFaultsUsePerRunGolden) {
   HybridNetwork net(make_testnet(), 0, hcfg);
   const MemoryFaultCampaign campaign(net, MemoryCampaignConfig{});
   FaultSeedStream seeds = net.seed_stream();
-  const MemoryCampaignSummary s = campaign.run(stop_image(), 6, seeds);
+  const MemoryCampaignSummary s =
+      campaign.run_range(stop_image(), 0, 6, seeds.take_block(6));
   EXPECT_EQ(s.intact, 6u);
   EXPECT_EQ(s.silent_corruption, 0u);
 }

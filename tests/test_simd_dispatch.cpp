@@ -335,9 +335,13 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
                                          result.output == golden);
   };
   const CampaignSummary fast =
-      conv.forward_campaign(input, kRuns, make_exec, classify);
+      hybridcnn::faultsim::run_campaign(0, kRuns, [&](std::size_t run) {
+        const auto exec = make_exec(run);
+        const ReliableResult result = conv.forward(input, *exec);
+        return classify(run, result, *exec);
+      });
   const CampaignSummary oracle =
-      hybridcnn::faultsim::run_campaign(kRuns, [&](std::size_t run) {
+      hybridcnn::faultsim::run_campaign(0, kRuns, [&](std::size_t run) {
         const auto exec = make_exec(run);
         const ReliableResult result = conv.forward_generic(input, *exec);
         return classify(run, result, *exec);

@@ -425,12 +425,11 @@ CampaignSummary dispatch_campaign(const ReliableConv2d& conv,
                                          !result.report.ok,
                                          result.output == golden);
   };
-  if (!generic) {
-    return conv.forward_campaign(input, runs, make_exec, classify);
-  }
-  return hybridcnn::faultsim::run_campaign(runs, [&](std::size_t run) {
+  return hybridcnn::faultsim::run_campaign(0, runs, [&](std::size_t run) {
     const auto exec = make_exec(run);
-    const ReliableResult result = conv.forward_generic(input, *exec);
+    const ReliableResult result = generic
+                                      ? conv.forward_generic(input, *exec)
+                                      : conv.forward(input, *exec);
     return classify(run, result, *exec);
   });
 }
@@ -531,10 +530,15 @@ TEST(StatsOnlyMode, CampaignSummariesMatchFullReports) {
                                          !result.report.ok,
                                          result.output == golden);
   };
-  const CampaignSummary full = conv.forward_campaign(
-      input, kRuns, make_exec, classify, ReportMode::kFull);
-  const CampaignSummary lean = conv.forward_campaign(
-      input, kRuns, make_exec, classify, ReportMode::kStatsOnly);
+  const auto campaign = [&](ReportMode mode) {
+    return hybridcnn::faultsim::run_campaign(0, kRuns, [&](std::size_t run) {
+      const auto exec = make_exec(run);
+      const ReliableResult result = conv.forward(input, *exec, mode);
+      return classify(run, result, *exec);
+    });
+  };
+  const CampaignSummary full = campaign(ReportMode::kFull);
+  const CampaignSummary lean = campaign(ReportMode::kStatsOnly);
   EXPECT_EQ(full.runs, lean.runs);
   EXPECT_EQ(full.correct, lean.correct);
   EXPECT_EQ(full.corrected, lean.corrected);
@@ -1010,8 +1014,8 @@ TEST(WindowedPath, NanWeightFlagFollowsSetWeights) {
 }
 
 TEST(WindowedPath, CampaignMatchesPerOpOracleAtEveryThreadCount) {
-  // forward_campaign runs the windowed forward from pool workers; every
-  // run must equal the serial per-op oracle for the same seed.
+  // run_campaign runs the windowed forward from pool workers; every run
+  // must equal the serial per-op oracle for the same seed.
   std::vector<Geometry> convs = {kGeometries[0], {8, 3, 7, 2, 0, 19, 19},
                                  {2, 1, 3, 1, 1, 16, 16}};
   constexpr std::size_t kRuns = 6;
@@ -1040,20 +1044,15 @@ TEST(WindowedPath, CampaignMatchesPerOpOracleAtEveryThreadCount) {
               std::vector<ReliableResult> got(kRuns);
               std::vector<ExecutorStats> stats(kRuns);
               std::vector<std::optional<FaultInjector>> injectors(kRuns);
-              (void)conv.forward_campaign(
-                  input, kRuns,
-                  [&](std::size_t run) {
-                    return make_executor(scheme,
-                                         matrix_injector(f, 500 + run));
-                  },
-                  [&](std::size_t run, const ReliableResult& result,
-                      Executor& exec) {
-                    got[run] = result;
-                    stats[run] = exec.stats();
-                    injectors[run] = *exec.injector();
+              (void)hybridcnn::faultsim::run_campaign(
+                  0, kRuns, [&](std::size_t run) {
+                    const auto exec =
+                        make_executor(scheme, matrix_injector(f, 500 + run));
+                    got[run] = conv.forward(input, *exec, mode);
+                    stats[run] = exec->stats();
+                    injectors[run] = *exec->injector();
                     return hybridcnn::faultsim::Outcome::kCorrect;
-                  },
-                  mode);
+                  });
               ComputeContext::set_global_threads(1);
               for (std::size_t run = 0; run < kRuns; ++run) {
                 SCOPED_TRACE("threads " + std::to_string(threads) + " run " +

@@ -14,13 +14,13 @@
 // per-op qualified) path — that is the execution style the paper timed.
 //
 // On top of that, the bench tracks the statically dispatched engine the
-// public forward() selects: per scheme it times the generic oracle, the
-// scalar fast path (SIMD kill-switch closed), and the SIMD fast path (the
-// kernel the conv's shape picks: channel lanes for this strided conv) at
-// 1/2/8 pool threads, checks bit-identity of outputs and reports across
-// every cell, and prints the 1-thread columns (with the gap to the
-// unqualified im2col/GEMM conv on the same geometry) and the thread sweep
-// as tables next to bench_results/table1_reliable_conv.csv.
+// public forward() selects: per scheme it times the generic oracle and
+// the SIMD fast path (the kernel the conv's shape picks: channel lanes
+// for this strided conv) at 1/2/8 pool threads, checks bit-identity of
+// outputs and reports across every cell, and prints the 1-thread columns
+// (with the gap to the unqualified im2col/GEMM conv on the same geometry)
+// and the thread sweep as tables next to
+// bench_results/table1_reliable_conv.csv.
 // Exit code 1 on any bit-identity failure.
 #include <cstdio>
 #include <string>
@@ -32,7 +32,6 @@
 #include "nn/conv2d.hpp"
 #include "reliable/executor.hpp"
 #include "reliable/reliable_conv.hpp"
-#include "reliable/static_dispatch.hpp"
 #include "runtime/compute_context.hpp"
 #include "runtime/isa.hpp"
 #include "runtime/workspace.hpp"
@@ -70,11 +69,9 @@ constexpr std::size_t kThreadAxis[] = {1, 2, 8};
 
 double time_dispatch(const reliable::ReliableConv2d& conv,
                      const tensor::Tensor& input, const char* scheme,
-                     bool simd, std::size_t threads,
-                     reliable::ReliableResult* out) {
+                     std::size_t threads, reliable::ReliableResult* out) {
   const std::size_t prior_threads =
       runtime::ComputeContext::global().slot_count();
-  reliable::detail::set_reliable_simd_enabled(simd);
   runtime::ComputeContext::set_global_threads(threads);
   const auto exec = reliable::make_executor(scheme, nullptr);
   double best = 0.0;
@@ -85,7 +82,6 @@ double time_dispatch(const reliable::ReliableConv2d& conv,
     if (rep == 0 || t < best) best = t;
   }
   runtime::ComputeContext::set_global_threads(prior_threads);
-  reliable::detail::set_reliable_simd_enabled(true);
   return best;
 }
 
@@ -99,7 +95,6 @@ struct ThreadCell {
 struct SchemeRow {
   const char* scheme = nullptr;
   double generic_s = 0.0;
-  double scalar_s = 0.0;
   /// The SIMD fast path at 1 thread — the default single-threaded
   /// configuration.
   double simd_s = 0.0;
@@ -108,7 +103,6 @@ struct SchemeRow {
   double unqualified_s = 0.0;
   std::vector<ThreadCell> cells;  ///< one cell per kThreadAxis entry
   [[nodiscard]] double simd_ips() const { return 1.0 / simd_s; }
-  [[nodiscard]] double speedup_vs_scalar() const { return scalar_s / simd_s; }
   [[nodiscard]] double gap_vs_unqualified() const {
     return simd_s / unqualified_s;
   }
@@ -168,20 +162,13 @@ int main() {
     row.scheme = scheme;
     row.unqualified_s = t_native;
     reliable::ReliableResult generic_result;
-    reliable::ReliableResult scalar_result;
     row.generic_s = time_generic(rconv, image, scheme, &generic_result);
-    row.scalar_s = time_dispatch(rconv, image, scheme, /*simd=*/false, 1,
-                                 &scalar_result);
-    bit_identical =
-        bit_identical &&
-        tensor::bit_identical(generic_result.output, scalar_result.output) &&
-        generic_result.report == scalar_result.report;
     reliable::ReliableResult simd_result;
     for (const std::size_t threads : kThreadAxis) {
       ThreadCell cell;
       cell.threads = threads;
-      cell.seconds = time_dispatch(rconv, image, scheme, /*simd=*/true,
-                                   threads, &simd_result);
+      cell.seconds =
+          time_dispatch(rconv, image, scheme, threads, &simd_result);
       bit_identical =
           bit_identical &&
           tensor::bit_identical(generic_result.output, simd_result.output) &&
@@ -224,21 +211,18 @@ int main() {
 
   util::Table dispatch_table(
       std::string("static dispatch: fault-free qualified conv, generic vs "
-                  "scalar vs simd (1 thread, isa ") +
+                  "simd (1 thread, isa ") +
           runtime::isa::kIsaName + ")",
-      {"scheme", "generic [s]", "scalar [s]", "simd [s]", "simd img/s",
-       "simd/scalar", "gap vs unqual"});
+      {"scheme", "generic [s]", "simd [s]", "simd img/s", "gap vs unqual"});
   for (const SchemeRow& r : rows) {
     dispatch_table.row({r.scheme, util::Table::fixed(r.generic_s, 3),
-                        util::Table::fixed(r.scalar_s, 4),
                         util::Table::fixed(r.simd_s, 4),
                         util::Table::fixed(r.simd_ips(), 2),
-                        util::Table::fixed(r.speedup_vs_scalar(), 2),
                         util::Table::fixed(r.gap_vs_unqualified(), 2)});
   }
-  dispatch_table.row({"unqualified conv", "-", "-",
+  dispatch_table.row({"unqualified conv", "-",
                       util::Table::fixed(t_native, 4),
-                      util::Table::fixed(1.0 / t_native, 2), "-", "1.00"});
+                      util::Table::fixed(1.0 / t_native, 2), "1.00"});
   dispatch_table.print();
 
   util::Table thread_table("fault-free fast path: img/s by pool threads",

@@ -14,21 +14,13 @@ namespace {
 // Register tile of the micro-kernel, sized from the shared ISA ladder
 // (runtime/isa.hpp) so the accumulator block fills (but does not spill)
 // the vector register file: 16 zmm accumulators on AVX-512 (8x2 vectors),
-// 12 ymm on AVX (6x2), 8 on 128-bit targets (4x2). Other compilers get a
-// correct scalar fallback with the 128-bit tile shape. GCC's
+// 12 ymm on AVX (6x2), 8 on 128-bit targets (4x2). GCC's
 // auto-vectoriser does not handle this loop nest (tested: ~10x slower),
 // hence the explicit vectors.
-#ifdef HYBRIDCNN_ISA_SIMD
 using Vf = runtime::isa::VecF;
 constexpr std::size_t kVec = runtime::isa::kFloatLanes;
 constexpr std::size_t kMr = kVec == 16 ? 8 : kVec == 8 ? 6 : 4;
 constexpr std::size_t kNrVec = 2;
-#define HYBRIDCNN_GEMM_SIMD 1
-#else
-constexpr std::size_t kVec = 4;
-constexpr std::size_t kMr = 4;
-constexpr std::size_t kNrVec = 2;
-#endif
 constexpr std::size_t kNr = kVec * kNrVec;
 // K-panel depth: one A micro-panel (kMr * kKc floats) plus one B
 // micro-panel (kNr * kKc floats) stay cache-resident.
@@ -37,9 +29,7 @@ constexpr std::size_t kKc = 256;
 // fall through to the reference kernels.
 constexpr std::size_t kSmallProblem = 48 * 48 * 48;
 
-#ifdef HYBRIDCNN_GEMM_SIMD
 using runtime::isa::splat;
-#endif
 
 /// Element accessor for a logical [rows x cols] matrix that may be stored
 /// transposed: stored row-major [rows x cols] (ld = cols) or, when
@@ -76,7 +66,6 @@ void pack_b_panel(const float* b, std::size_t ldb, bool trans,
 }
 
 /// acc[kMr x kNr] = Apanel * Bpanel over kc (acc fully overwritten).
-#ifdef HYBRIDCNN_GEMM_SIMD
 void micro_kernel(const float* __restrict ap, const float* __restrict bp,
                   std::size_t kc, float* __restrict acc) {
   Vf a[kMr][kNrVec];
@@ -99,23 +88,6 @@ void micro_kernel(const float* __restrict ap, const float* __restrict bp,
     }
   }
 }
-#else
-void micro_kernel(const float* ap, const float* bp, std::size_t kc,
-                  float* acc) {
-  for (std::size_t x = 0; x < kMr * kNr; ++x) acc[x] = 0.0f;
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* arow = ap + p * kMr;
-    const float* brow = bp + p * kNr;
-    for (std::size_t i = 0; i < kMr; ++i) {
-      const float av = arow[i];
-      float* crow = acc + i * kNr;
-      for (std::size_t j = 0; j < kNr; ++j) {
-        crow[j] += av * brow[j];
-      }
-    }
-  }
-}
-#endif
 
 /// Blocked driver: C[m x n] (+)= op(A) * op(B) with op(A) logically
 /// [m x k] and op(B) logically [k x n]. `accumulate` selects += vs =.

@@ -74,7 +74,7 @@ void ReliableConv2d::set_weights(tensor::Tensor weights) {
 std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
     const {
   // Decided before the lock: convs the rule keeps off channel lanes (the
-  // qualifier's shared Sobel, the kill-switch) never touch the mutex.
+  // qualifier's shared Sobel) never touch the mutex.
   if (!detail::channel_lanes_selected(spec_.stride, weights_.shape()[0])) {
     return nullptr;
   }

@@ -139,10 +139,9 @@ class ReliableConv2d {
   /// The channel-lane repacked weights for the fault-free fast path,
   /// built lazily (thread-safe) and cached until the weight generation
   /// changes. Null whenever the kernel rule does not pick channel lanes
-  /// for this conv (detail::channel_lanes_selected): stride-1 convs with
-  /// fewer maps than a vector, targets without vectors, and the closed
-  /// kill-switch; those calls take no lock. Engine-internal; exposed for
-  /// the dispatch tests.
+  /// for this conv (detail::channel_lanes_selected), that is for stride-1
+  /// convs with fewer maps than a vector; those calls take no lock.
+  /// Engine-internal; exposed for the dispatch tests.
   [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
       const;
 

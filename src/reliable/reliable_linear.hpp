@@ -11,7 +11,7 @@
 // 1 x in kernel [out, 1, 1, in] over a [1, 1, in] input (stride 1, no
 // padding). The qualified order is the dense loop's (bias first, then
 // inputs 0..in-1, for each output in turn), the fault-to-fault walk,
-// the clean-window gate and the channel-lane raw kernel are the conv's,
+// the clean-window gate and the raw kernels are the conv's,
 // and only the shapes and the report's stage are translated here.
 #pragma once
 
@@ -61,6 +61,13 @@ class ReliableLinear {
   /// ReliableConv2d::params_hold_nan().
   [[nodiscard]] bool params_hold_nan() const noexcept {
     return conv_.params_hold_nan();
+  }
+
+  /// The conv's channel-lane pack, null for fewer outputs than a vector
+  /// (see ReliableConv2d::channel_pack). Exposed for the dispatch tests.
+  [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
+      const {
+    return conv_.channel_pack();
   }
 
   /// Pre-builds the conv's cached pack (see

@@ -31,10 +31,10 @@
 //     window at all (holds_nan, params_hold_nan).
 //   * conv_raw_compute — raw arithmetic in the identical operation order
 //     for granted windows, whose values never depend on the fault
-//     stream. On SIMD-capable targets (runtime/isa.hpp) two vector
-//     strategies exist, both vectorizing across *independent outputs* —
-//     never the (c, ky, kx) reduction — so bit-identity with the scalar
-//     loop holds by construction:
+//     stream. Two vector strategies (runtime/isa.hpp) exist, both
+//     vectorizing across *independent outputs* — never the (c, ky, kx)
+//     reduction — so bit-identity with the per-op loop holds by
+//     construction:
 //       - pixel lanes (conv_simd_rows): kFloatLanes adjacent interior
 //         output pixels of one row per vector on stride-1 convs, weights
 //         re-broadcast per tap; border pixels stay scalar.
@@ -47,15 +47,12 @@
 //         interior/border split; the padded channel tail scatters only
 //         its valid lanes.
 //     A fixed rule over the conv's shape picks the strategy (see
-//     channel_lanes_selected); only the kill-switch below overrides it.
-//     The raw compute additionally fans its disjoint output slices across
-//     the global runtime::ThreadPool (channel-block chunks, (channel x
-//     row-group) units, or whole channels for the scalar loop), while the
-//     window walk that owns the fault stream stays serial, so outputs and
-//     statistics are bit-identical at every thread count. The runtime
-//     kill-switch HYBRIDCNN_RELIABLE_SIMD=0 (or
-//     set_reliable_simd_enabled(false)) forces the scalar raw kernel for
-//     debugging and A/B benching.
+//     channel_lanes_selected); no setting overrides it. The raw compute
+//     additionally fans its disjoint output slices across the global
+//     runtime::ThreadPool ((block group x row) or (channel x row-group)
+//     units), while the window walk that owns the fault stream stays
+//     serial, so outputs and statistics are bit-identical at every thread
+//     count.
 //
 // The qualified kernels are additionally templated on a WithReport flag:
 // ReportMode::kStatsOnly instantiations skip every per-op
@@ -90,14 +87,6 @@
 #include "tensor/tensor.hpp"
 
 namespace hybridcnn::reliable::detail {
-
-/// Whether the raw (clean-window) kernels may use the vectorized forms.
-/// Initialised once from the environment (HYBRIDCNN_RELIABLE_SIMD=0
-/// disables; anything else — including unset — enables); tests and
-/// benches flip it at runtime for A/B comparisons. On targets without
-/// HYBRIDCNN_ISA_SIMD the flag is ignored — only the scalar path exists.
-[[nodiscard]] bool reliable_simd_enabled() noexcept;
-void set_reliable_simd_enabled(bool enabled) noexcept;
 
 /// Half-open interval of kernel-tap indices that land in-bounds.
 struct TapRange {
@@ -397,14 +386,10 @@ struct ConvPlan {
   }
 };
 
-/// Output-channel extent rounded up to the vector width (identity on
-/// targets without vectors), the lane padding the channel-lane pack uses.
+/// Output-channel extent rounded up to the vector width, the lane
+/// padding the channel-lane pack uses.
 inline constexpr std::size_t channel_pack_width(std::size_t oc) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
   constexpr std::size_t lanes = runtime::isa::kFloatLanes;
-#else
-  constexpr std::size_t lanes = 1;
-#endif
   return (oc + lanes - 1) / lanes * lanes;
 }
 
@@ -473,8 +458,8 @@ inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
   return pack;
 }
 
-/// One fault-free output pixel: the scalar reduction every path — scalar
-/// loop, SIMD lane, generic oracle — must reproduce bit for bit.
+/// One fault-free output pixel: the scalar reduction every path — border
+/// pixel, vector lane, generic oracle — must reproduce bit for bit.
 HYBRIDCNN_RELIABLE_ALWAYS_INLINE float conv_raw_pixel(
     const ConvPlan& plan, const float* input, const float* weights, float b,
     std::size_t o, std::size_t oy, std::size_t ox,
@@ -495,35 +480,6 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE float conv_raw_pixel(
   }
   return acc;
 }
-
-/// Every fault-free output pixel of one output channel, scalar form —
-/// the per-channel unit both the serial scalar loop and the pooled
-/// scalar fan-out execute.
-inline void conv_scalar_channel(const ConvPlan& plan, const float* input,
-                                const float* weights, float b, std::size_t o,
-                                float* out) noexcept {
-  for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-    const TapRange ry = plan.row_taps[oy];
-    float* out_row = out + (o * plan.out_h + oy) * plan.out_w;
-    for (std::size_t ox = 0; ox < plan.out_w; ++ox) {
-      out_row[ox] = conv_raw_pixel(plan, input, weights, b, o, oy, ox, ry);
-    }
-  }
-}
-
-/// Fault-free convolution fast path, scalar form: plain arithmetic in the
-/// exact qualified operation order (mul then accumulate, same loop nest),
-/// no per-op bookkeeping. Callers credit the elided counters in closed
-/// form. Kept callable directly for A/B tests and benches.
-inline void conv_raw_compute_scalar(const ConvPlan& plan, const float* input,
-                                    const float* weights, const float* bias,
-                                    float* out) noexcept {
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    conv_scalar_channel(plan, input, weights, bias[o], o, out);
-  }
-}
-
-#ifdef HYBRIDCNN_ISA_SIMD
 
 /// Output rows with full vertical tap ranges are processed in groups of
 /// up to this many rows at once. Each row keeps its own accumulator (its
@@ -583,7 +539,8 @@ HYBRIDCNN_RELIABLE_ALWAYS_INLINE void conv_simd_rows(
 /// interior runs vectorized instead of dropping up to lanes-1 pixels per
 /// row to the scalar loop. (Fast-path op counters are credited in closed
 /// form from the plan's MAC count, so recomputed lanes do not skew
-/// reports.)
+/// reports.) An interior narrower than a lane block runs no vector block:
+/// the right-border loop then computes every pixel from interior_x_begin.
 template <std::size_t R>
 inline void conv_simd_row_group(const ConvPlan& plan, const float* input,
                                 const float* weights, float b, std::size_t o,
@@ -664,24 +621,6 @@ inline void conv_pixel_unit(const ConvPlan& plan, const float* input,
   } else {
     conv_simd_row_group<1>(plan, input, weights, b, o, oy0,
                            plan.row_taps[oy0], out);
-  }
-}
-
-/// Vectorized fault-free convolution, pixel-lane strategy: interior
-/// pixels in lane-width blocks (interleaved across row groups,
-/// overlap-finished at the row tail), border pixels through the scalar
-/// pixel reduction. Bit-identical to conv_raw_compute_scalar by
-/// construction. Precondition: stride 1 (an interior narrower than a
-/// lane block simply stays scalar). Serial form, kept callable for A/B
-/// tests and benches.
-inline void conv_raw_compute_simd(const ConvPlan& plan, const float* input,
-                                  const float* weights, const float* bias,
-                                  float* out) {
-  const auto groups = pixel_row_groups(plan);
-  for (std::size_t o = 0; o < plan.out_c; ++o) {
-    for (const auto& [oy0, run] : groups) {
-      conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, out);
-    }
   }
 }
 
@@ -812,11 +751,7 @@ inline void conv_channel_group_row(const ConvPlan& plan,
 /// output element sees the same kernel instantiation — and the same
 /// per-lane arithmetic order — at any parallelism.
 inline std::size_t channel_group_count(const WeightPack& pack) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
   const std::size_t blocks = pack.padded_oc / runtime::isa::kFloatLanes;
-#else
-  const std::size_t blocks = pack.padded_oc;
-#endif
   return (blocks + kChannelBlockUnroll - 1) / kChannelBlockUnroll;
 }
 
@@ -844,77 +779,35 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
   }
 }
 
-/// Vectorized fault-free convolution, channel-lane strategy over a
-/// repacked WeightPack. Serial form, kept callable for A/B tests and
-/// benches; the pooled driver fans the same (group, row) units instead.
-inline void conv_raw_compute_channel(const ConvPlan& plan,
-                                     const WeightPack& pack,
-                                     const float* input, float* out) noexcept {
-  const std::size_t groups = channel_group_count(pack);
-  for (std::size_t g = 0; g < groups; ++g) {
-    for (std::size_t oy = 0; oy < plan.out_h; ++oy) {
-      conv_channel_unit(plan, pack, input, g, oy, out);
-    }
-  }
-}
-
-#endif  // HYBRIDCNN_ISA_SIMD
-
 /// The fault-free conv kernel rule picks the kernel from the layer's
-/// shape alone, never from a user setting:
-///   - channel lanes when stride > 1 or out_c fills a vector;
-///   - pixel lanes when stride == 1 and the interior spans a lane block;
-///   - scalar otherwise, on targets without vectors, and with the
-///     kill-switch closed.
-/// Pixel lanes win only on stride-1 convs with few maps (the qualifier's
-/// Sobel); every other shipped conv is faster on channel lanes. The
-/// measurements behind the rule are in src/reliable/README.md.
+/// shape alone, never from a setting: channel lanes when stride > 1 or
+/// out_c fills a vector, pixel lanes otherwise. Pixel lanes win only on
+/// stride-1 convs with few maps (the qualifier's Sobel); every other
+/// shipped conv is faster on channel lanes. The measurements behind the
+/// rule are in src/reliable/README.md.
 ///
 /// Whether the rule picks channel lanes. Owners fetch their WeightPack
 /// only when it does, so conv_raw_compute dispatches on whether it got a
 /// pack.
 inline bool channel_lanes_selected(std::size_t stride,
                                    std::size_t out_c) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
-  return reliable_simd_enabled() &&
-         (stride > 1 || out_c >= runtime::isa::kFloatLanes);
-#else
-  (void)stride;
-  (void)out_c;
-  return false;
-#endif
-}
-
-/// True when the pixel-lane kernel can vectorize this geometry: stride 1
-/// and an interior at least one lane block wide. Independent of the
-/// kill-switch.
-inline bool pixel_kernel_eligible(const ConvPlan& plan) noexcept {
-#ifdef HYBRIDCNN_ISA_SIMD
-  return plan.stride == 1 && plan.interior_x_end - plan.interior_x_begin >=
-                                 runtime::isa::kFloatLanes;
-#else
-  (void)plan;
-  return false;
-#endif
+  return stride > 1 || out_c >= runtime::isa::kFloatLanes;
 }
 
 /// Fault-free convolution fast path. Runs channel lanes when the caller
-/// supplies a pack (see channel_lanes_selected), else pixel lanes where
-/// eligible and the kill-switch is open, else scalar; then fans the
-/// disjoint output slices across the global pool: (block group, row)
-/// units for the channel kernel, (channel x row-group) units for the
-/// pixel kernel, whole channels for the scalar loop. Every output element
-/// is computed by exactly one unit in the scalar per-pixel reduction
-/// order, and the elided qualified bookkeeping is credited in closed form
-/// by the caller after the join, so outputs and statistics are
-/// bit-identical at every thread count. Inside an outer parallel region
-/// (batched classify, campaign fan-out) the pool serialises the nested
-/// fan inline.
+/// supplies a pack (see channel_lanes_selected), else pixel lanes; then
+/// fans the disjoint output slices across the global pool: (block group,
+/// row) units for the channel kernel, (channel x row-group) units for the
+/// pixel kernel. Every output element is computed by exactly one unit in
+/// the scalar per-pixel reduction order, and the elided qualified
+/// bookkeeping is credited in closed form by the caller after the join,
+/// so outputs and statistics are bit-identical at every thread count.
+/// Inside an outer parallel region (batched classify, campaign fan-out)
+/// the pool serialises the nested fan inline.
 inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
                              const float* input, const float* weights,
                              const float* bias, float* out) {
   runtime::ThreadPool& pool = runtime::ComputeContext::global().pool();
-#ifdef HYBRIDCNN_ISA_SIMD
   if (pack != nullptr) {
     // Units are (block group, output row): the block grouping — and with
     // it every kernel instantiation — is fixed by the pack alone, so
@@ -932,26 +825,17 @@ inline void conv_raw_compute(const ConvPlan& plan, const WeightPack* pack,
         });
     return;
   }
-  if (reliable_simd_enabled() && pixel_kernel_eligible(plan)) {
-    const auto groups = pixel_row_groups(plan);
-    pool.parallel_for_chunks(
-        0, plan.out_c * groups.size(), 1,
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          for (std::size_t u = begin; u < end; ++u) {
-            const std::size_t o = u / groups.size();
-            const auto [oy0, run] = groups[u % groups.size()];
-            conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, out);
-          }
-        });
-    return;
-  }
-#else
-  (void)pack;
-#endif
+  // A pack-less conv has stride 1 (channel_lanes_selected). An interior
+  // narrower than a lane block runs every pixel through conv_raw_pixel.
+  assert(plan.stride == 1);
+  const auto groups = pixel_row_groups(plan);
   pool.parallel_for_chunks(
-      0, plan.out_c, 1, [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t o = begin; o < end; ++o) {
-          conv_scalar_channel(plan, input, weights, bias[o], o, out);
+      0, plan.out_c * groups.size(), 1,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        for (std::size_t u = begin; u < end; ++u) {
+          const std::size_t o = u / groups.size();
+          const auto [oy0, run] = groups[u % groups.size()];
+          conv_pixel_unit(plan, input, weights, bias[o], o, oy0, run, out);
         }
       });
 }

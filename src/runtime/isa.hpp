@@ -1,10 +1,10 @@
 // Shared ISA selection for hand-vectorized kernels.
 //
 // One compile-time ladder picks the widest float vector the target
-// supports — AVX-512 (16 lanes), AVX (8), any other GCC/clang target
-// (4, via 128-bit vectors: SSE/NEON), or no vectors at all — using
-// GCC/clang vector extensions, which compile to plain SIMD without
-// intrinsics. All three explicit-SIMD consumers sit on this header:
+// supports — AVX-512 (16 lanes), AVX (8) or any other GCC/clang target
+// (4, via 128-bit vectors: SSE/NEON) — using GCC/clang vector
+// extensions, which compile to plain SIMD without intrinsics. All three
+// explicit-SIMD consumers sit on this header:
 //
 //   * nn/gemm.cpp — the blocked GEMM micro-kernel sizes its register
 //     tile from kFloatLanes (the accumulator block must fill but not
@@ -18,9 +18,9 @@
 //     AVX-512 tier it takes PCG32's output rotation from rotr32().
 //     Both test lanes with any_sign().
 //
-// When HYBRIDCNN_ISA_SIMD is not defined (non-GNU compilers), VecF, VecU64
-// and the load/store helpers do not exist; consumers must provide a scalar
-// fallback path behind the same macro.
+// There is no tier without vectors: the build's bit-identity contract
+// needs the GNU flag -ffp-contract=off, so a compiler without GNU vector
+// extensions is not supported.
 #pragma once
 
 #include <cstddef>
@@ -35,26 +35,22 @@
 namespace hybridcnn::runtime::isa {
 
 #if defined(__GNUC__) && defined(__AVX512F__)
-#define HYBRIDCNN_ISA_SIMD 1
 inline constexpr std::size_t kFloatLanes = 16;  // one zmm
 typedef float VecF __attribute__((vector_size(64)));
 typedef std::uint64_t VecU64 __attribute__((vector_size(64)));
 inline constexpr const char* kIsaName = "avx512";
 #elif defined(__GNUC__) && defined(__AVX__)
-#define HYBRIDCNN_ISA_SIMD 1
 inline constexpr std::size_t kFloatLanes = 8;  // one ymm
 typedef float VecF __attribute__((vector_size(32)));
 typedef std::uint64_t VecU64 __attribute__((vector_size(32)));
 inline constexpr const char* kIsaName = "avx";
 #elif defined(__GNUC__)
-#define HYBRIDCNN_ISA_SIMD 1
 inline constexpr std::size_t kFloatLanes = 4;  // one xmm / NEON quad
 typedef float VecF __attribute__((vector_size(16)));
 typedef std::uint64_t VecU64 __attribute__((vector_size(16)));
 inline constexpr const char* kIsaName = "vec128";
 #else
-inline constexpr std::size_t kFloatLanes = 1;
-inline constexpr const char* kIsaName = "scalar";
+#error "hybridcnn needs GCC or clang (GNU vectors, -ffp-contract=off)"
 #endif
 
 // Lane-width contracts every SIMD consumer leans on: the overlapping
@@ -64,16 +60,12 @@ inline constexpr const char* kIsaName = "scalar";
 HYBRIDCNN_CONTRACT(util::contracts::is_pow2(kFloatLanes),
                    "kFloatLanes must be a power of two: pack paddings and "
                    "tail masks round with power-of-two arithmetic");
-#ifdef HYBRIDCNN_ISA_SIMD
 HYBRIDCNN_CONTRACT(sizeof(VecF) == kFloatLanes * sizeof(float),
                    "VecF must hold exactly kFloatLanes floats: loadu/storeu "
                    "move sizeof(VecF) bytes and kernels step kFloatLanes");
 /// 64-bit integer lanes in one VecF-sized register.
 inline constexpr std::size_t kU64Lanes =
     sizeof(VecU64) / sizeof(std::uint64_t);
-#endif
-
-#ifdef HYBRIDCNN_ISA_SIMD
 
 /// All lanes set to `x`. The scalar-vector binop broadcasts in one
 /// instruction; subtracting the zero vector is an exact IEEE identity
@@ -93,8 +85,6 @@ inline VecF loadu(const float* p) noexcept {
 inline void storeu(float* p, const VecF& v) noexcept {
   __builtin_memcpy(p, &v, sizeof(VecF));
 }
-
-#endif  // HYBRIDCNN_ISA_SIMD
 
 // Integer helpers the vector extensions do not lower well. GCC emits
 // neither vprorvd from the shift-or rotate idiom nor a mask test from a
@@ -116,7 +106,7 @@ inline bool any_sign(VecU64 m) noexcept {
   return _mm512_test_epi64_mask(reinterpret_cast<__m512i>(m),
                                 _mm512_set1_epi64(INT64_MIN)) != 0;
 }
-#elif defined(HYBRIDCNN_ISA_SIMD)
+#else
 /// True if some lane of `m` has its sign bit set.
 inline bool any_sign(VecU64 m) noexcept {
   std::uint64_t any = 0;

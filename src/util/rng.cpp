@@ -62,8 +62,6 @@ std::uint64_t scan_scalar(std::uint64_t s, std::uint64_t inc,
   return cap;
 }
 
-#ifdef HYBRIDCNN_ISA_SIMD
-
 using detail::kScanLanes;
 using detail::kScanVecs;
 using runtime::isa::kU64Lanes;
@@ -138,8 +136,6 @@ std::uint64_t scan_lanes(std::uint64_t origin, std::uint64_t inc,
   return cap;
 }
 
-#endif  // HYBRIDCNN_ISA_SIMD
-
 /// The per-p cases bernoulli() settles without a draw, then `scan` over
 /// the threshold T = ceil(p * 2^53): uniform() < p  <=>  bits53 < T,
 /// since ldexp is exact and bits53 is an integer.
@@ -165,11 +161,7 @@ std::uint64_t Rng::bernoulli_misses(double p, std::uint64_t cap,
                                     std::uint64_t skip) const noexcept {
   return count_misses(p, cap, [&](std::uint64_t threshold) {
     const std::uint64_t origin = lcg_jump(2 * skip).of(state_, inc_);
-#ifdef HYBRIDCNN_ISA_SIMD
     return scan_lanes(origin, inc_, threshold, cap);
-#else
-    return scan_scalar(origin, inc_, threshold, cap);
-#endif
   });
 }
 

@@ -47,16 +47,11 @@ constexpr std::uint64_t bits53(std::uint64_t hi, std::uint64_t lo) noexcept {
 /// eight independent vectors of 64-bit lanes, so that their multiplies
 /// overlap and hide the latency of the 64-bit vector multiply, and one
 /// any-lane test serves them all.
-#ifdef HYBRIDCNN_ISA_SIMD
 inline constexpr std::size_t kScanVecs = 8;
 inline constexpr std::size_t kScanLanes = kScanVecs * runtime::isa::kU64Lanes;
-#else
-inline constexpr std::size_t kScanLanes = 1;
-#endif
 
 /// Rng::bernoulli_misses() computed one trial at a time, without vectors:
-/// the fallback on compilers without vector extensions, and the reference
-/// the tests hold the vector scan to.
+/// the reference the tests hold the vector scan to.
 [[nodiscard]] std::uint64_t scalar_bernoulli_misses(const Rng& rng, double p,
                                                     std::uint64_t cap) noexcept;
 

@@ -1,12 +1,11 @@
 // SIMD fast-path bit-identity contract: the vectorized fault-free conv
 // kernels (channel lanes and pixel lanes, reliable/static_dispatch.hpp
 // over runtime/isa.hpp) must produce the same output bits, reports and
-// executor/injector state as the scalar fast path (kill-switch closed)
-// and the generic virtual-dispatch oracle — across schemes, geometries
-// and thread counts. The conv's shape picks the kernel, so each kernel is
-// reached through geometry: channel lanes through strided convs (and
-// wide ones), pixel lanes through stride-1 convs with few maps, scalar
-// through narrow interiors and the kill-switch. Armed injectors must
+// executor/injector state as the generic virtual-dispatch oracle — across
+// schemes, geometries and thread counts. The conv's shape picks the
+// kernel, so each kernel is reached through geometry: channel lanes
+// through strided convs (and wide ones), pixel lanes through stride-1
+// convs with few maps, narrow interiors included. Armed injectors must
 // bypass the vector path entirely (it exists only where no fault can be
 // injected), which the faulty cases here pin down.
 #include <gtest/gtest.h>
@@ -40,29 +39,16 @@ using hybridcnn::reliable::ReliableConv2d;
 using hybridcnn::reliable::ReliableLinear;
 using hybridcnn::reliable::ReliableResult;
 using hybridcnn::reliable::detail::ConvPlan;
-using hybridcnn::reliable::detail::pixel_kernel_eligible;
-using hybridcnn::reliable::detail::reliable_simd_enabled;
-using hybridcnn::reliable::detail::set_reliable_simd_enabled;
+using hybridcnn::reliable::detail::WeightPack;
 using hybridcnn::runtime::ComputeContext;
 using hybridcnn::runtime::isa::kFloatLanes;
 using hybridcnn::tensor::Shape;
 using hybridcnn::tensor::Tensor;
 using hybridcnn::util::Rng;
 
-/// Restores the kill-switch state on scope exit so tests cannot leak a
-/// disabled vector path into each other.
-class SimdGuard {
- public:
-  SimdGuard() : saved_(reliable_simd_enabled()) {}
-  ~SimdGuard() { set_reliable_simd_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 struct Geometry {
   std::size_t out_c, in_c, k, stride, pad, h, w;
-  const char* kernel;  ///< the kernel the rule picks on any SIMD target
+  const char* kernel;  ///< the kernel the rule picks at any vector width
 };
 
 // Every expected kernel holds at every vector width (4, 8 or 16 lanes):
@@ -79,7 +65,8 @@ const std::vector<Geometry> kGeometries = {
     {2, 1, 3, 1, 0, 20, 36, "pixel"},     // valid conv: interior-only rows
     {2, 2, 1, 1, 0, 6, 21, "pixel"},      // 1x1 kernel, odd lane remainder
     {1, 1, 5, 1, 4, 12, 28, "pixel"},     // heavy pad: 4-wide borders
-    {2, 2, 3, 1, 1, 5, 5, "scalar"},      // interior (3) below any block
+    {2, 2, 3, 1, 1, 5, 5, "pixel"},       // interior (3) below any block
+    {2, 1, 5, 1, 2, 3, 3, "pixel"},       // no interior: every tap clipped
     // Channel-lane column runs: border columns carry narrower tap ranges,
     // so each row splits into runs whose lengths leave pixel tails.
     {8, 3, 7, 2, 3, 33, 33, "channel"},   // sign96 maps, padded: 1,1,13,1,1
@@ -118,15 +105,10 @@ ConvPlan make_plan(const ReliableConv2d& conv, const Shape& in) {
           conv.spec().stride, conv.spec().pad};
 }
 
-/// The kernel conv_raw_compute runs for `conv` on an input of shape `in`:
-/// channel lanes when the owner hands it a pack, else pixel lanes where
-/// eligible with the kill-switch open, else scalar.
-std::string kernel_of(const ReliableConv2d& conv, const Shape& in) {
-  if (conv.channel_pack() != nullptr) return "channel";
-  if (reliable_simd_enabled() && pixel_kernel_eligible(make_plan(conv, in))) {
-    return "pixel";
-  }
-  return "scalar";
+/// The kernel conv_raw_compute runs for `conv`: channel lanes when the
+/// owner hands it a pack, else pixel lanes.
+std::string kernel_of(const ReliableConv2d& conv) {
+  return conv.channel_pack() != nullptr ? "channel" : "pixel";
 }
 
 // ------------------------------------------------------- kernel rule
@@ -146,50 +128,37 @@ TEST(SimdDispatchRule, ShippedGeometriesTakeTheMeasuredKernel) {
       {"qualifier Sobel 96", {2, 1, 3, 1, 1, 96, 96, "pixel"}},
       {"qualifier Sobel 227", {2, 1, 3, 1, 1, 227, 227, "pixel"}},
   };
-  const SimdGuard guard;
   for (const Shipped& s : shipped) {
     SCOPED_TRACE(s.name);
-    const ReliableConv2d conv = make_conv(s.g);
-    const Shape in{s.g.in_c, s.g.h, s.g.w};
-    set_reliable_simd_enabled(true);
-#ifdef HYBRIDCNN_ISA_SIMD
-    EXPECT_EQ(kernel_of(conv, in), s.g.kernel);
-#else
-    EXPECT_EQ(kernel_of(conv, in), "scalar");
-#endif
-    // The kill-switch sends every conv to scalar, pack-free.
-    set_reliable_simd_enabled(false);
-    EXPECT_EQ(conv.channel_pack(), nullptr);
-    EXPECT_EQ(kernel_of(conv, in), "scalar");
+    EXPECT_EQ(kernel_of(make_conv(s.g)), s.g.kernel);
   }
 }
 
 TEST(SimdDispatchRule, TestGeometriesReachEveryKernel) {
   // The matrix below only proves something if each kernel actually runs,
-  // and the tails only if some geometry leaves a partial lane block.
-#ifndef HYBRIDCNN_ISA_SIMD
-  GTEST_SKIP() << "only the scalar fast path exists without vectors";
-#else
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
+  // the tails only if some geometry leaves a partial lane block, and the
+  // pixel kernel's all-border rows only if some interior is narrower
+  // than a block.
   bool channel_tail = false;
   bool pixel_remainder = false;
+  bool pixel_narrow = false;
   for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
     const Geometry& g = kGeometries[gi];
     const ReliableConv2d conv = make_conv(g);
-    const Shape in{g.in_c, g.h, g.w};
-    EXPECT_EQ(kernel_of(conv, in), g.kernel) << "geometry " << gi;
-    const ConvPlan plan = make_plan(conv, in);
+    EXPECT_EQ(kernel_of(conv), g.kernel) << "geometry " << gi;
+    const ConvPlan plan = make_plan(conv, Shape{g.in_c, g.h, g.w});
+    const std::size_t interior = plan.interior_x_end - plan.interior_x_begin;
     if (std::string(g.kernel) == "channel") {
       channel_tail |= g.out_c % kFloatLanes != 0;
-    } else if (std::string(g.kernel) == "pixel") {
-      pixel_remainder |=
-          (plan.interior_x_end - plan.interior_x_begin) % kFloatLanes != 0;
+    } else if (interior < kFloatLanes) {
+      pixel_narrow = true;
+    } else {
+      pixel_remainder |= interior % kFloatLanes != 0;
     }
   }
   EXPECT_TRUE(channel_tail);
   EXPECT_TRUE(pixel_remainder);
-#endif
+  EXPECT_TRUE(pixel_narrow);
 }
 
 // ------------------------------------------------- conv fault-free path
@@ -197,9 +166,7 @@ TEST(SimdDispatchRule, TestGeometriesReachEveryKernel) {
 TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
   // A kNone injector keeps the fast path eligible but makes the PE
   // cursor and execution counters observable: the vector path must
-  // credit them exactly like the scalar and generic paths.
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
+  // credit them exactly like the generic path.
   FaultConfig cfg;
   cfg.kind = FaultKind::kNone;
   cfg.num_pes = 7;
@@ -228,9 +195,7 @@ TEST(SimdDispatchConv, CleanInjectorCursorIsReplayedUnderSimd) {
 
 TEST(SimdDispatchConv, ArmedInjectorBypassesVectorPath) {
   // With faults possible the kernel must stay on the qualified scalar
-  // engine regardless of the kill-switch: same bits, reports and
-  // injector draws as the generic oracle in both switch positions.
-  const SimdGuard guard;
+  // engine: same bits, reports and injector draws as the generic oracle.
   FaultConfig cfg;
   cfg.kind = FaultKind::kTransient;
   cfg.probability = 2e-3;
@@ -238,40 +203,26 @@ TEST(SimdDispatchConv, ArmedInjectorBypassesVectorPath) {
   const Geometry& g = kGeometries[0];
   const ReliableConv2d conv = make_conv(g);
   const Tensor input = make_input(g);
-  for (const bool simd_on : {true, false}) {
-    SCOPED_TRACE(simd_on ? "simd on" : "simd off");
-    set_reliable_simd_enabled(simd_on);
-    for (const char* scheme : {"dmr", "tmr"}) {
-      const auto fast_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
-      const auto oracle_exec =
-          make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
-      const ReliableResult fast = conv.forward(input, *fast_exec);
-      const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
-      expect_bits_equal(fast.output, oracle.output);
-      EXPECT_TRUE(fast.report == oracle.report);
-      EXPECT_EQ(fast_exec->injector()->stats().faults,
-                oracle_exec->injector()->stats().faults);
-    }
+  for (const char* scheme : {"dmr", "tmr"}) {
+    const auto fast_exec =
+        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
+    const auto oracle_exec =
+        make_executor(scheme, std::make_shared<FaultInjector>(cfg, 41));
+    const ReliableResult fast = conv.forward(input, *fast_exec);
+    const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
+    expect_bits_equal(fast.output, oracle.output);
+    EXPECT_TRUE(fast.report == oracle.report);
+    EXPECT_EQ(fast_exec->injector()->stats().faults,
+              oracle_exec->injector()->stats().faults);
   }
-}
-
-TEST(SimdDispatchConv, KillSwitchTogglesAndRestores) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
-  EXPECT_TRUE(reliable_simd_enabled());
-  set_reliable_simd_enabled(false);
-  EXPECT_FALSE(reliable_simd_enabled());
-  set_reliable_simd_enabled(true);
-  EXPECT_TRUE(reliable_simd_enabled());
 }
 
 // ---------------------------------------------------------- linear path
 
-TEST(SimdDispatchLinear, VectorScalarAndGenericAgreeAcrossWidths) {
-  const SimdGuard guard;
-  // Widths straddling the lane count: below one block, exactly one
-  // block, blocks + remainder, and a larger non-multiple.
+TEST(SimdDispatchLinear, FastPathAndGenericAgreeAcrossWidths) {
+  // Widths straddling the lane count: below one block (pixel lanes, every
+  // output a border pixel), exactly one block, blocks + remainder, and a
+  // larger non-multiple (channel lanes).
   const std::size_t widths[] = {3, kFloatLanes, 2 * kFloatLanes + 3, 37};
   for (const std::size_t out_n : widths) {
     for (const char* scheme : {"simplex", "dmr", "tmr"}) {
@@ -282,27 +233,21 @@ TEST(SimdDispatchLinear, VectorScalarAndGenericAgreeAcrossWidths) {
       Tensor bias(Shape{out_n});
       bias.fill_normal(rng, 0.0f, 0.1f);
       const ReliableLinear linear(weights, bias);
+      EXPECT_EQ(linear.channel_pack() == nullptr, out_n < kFloatLanes);
       Tensor input(Shape{19});
       input.fill_normal(rng, 0.0f, 1.0f);
 
-      set_reliable_simd_enabled(true);
-      const auto simd_exec = make_executor(scheme, nullptr);
-      const ReliableResult simd = linear.forward(input, *simd_exec);
-
-      set_reliable_simd_enabled(false);
-      const auto scalar_exec = make_executor(scheme, nullptr);
-      const ReliableResult scalar = linear.forward(input, *scalar_exec);
+      const auto fast_exec = make_executor(scheme, nullptr);
+      const ReliableResult fast = linear.forward(input, *fast_exec);
 
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle =
           linear.forward_generic(input, *oracle_exec);
 
-      ASSERT_TRUE(simd.report.ok);
-      expect_bits_equal(simd.output, scalar.output);
-      expect_bits_equal(simd.output, oracle.output);
-      EXPECT_TRUE(simd.report == scalar.report);
-      EXPECT_TRUE(simd.report == oracle.report);
-      EXPECT_EQ(simd_exec->stats().executions,
+      ASSERT_TRUE(fast.report.ok);
+      expect_bits_equal(fast.output, oracle.output);
+      EXPECT_TRUE(fast.report == oracle.report);
+      EXPECT_EQ(fast_exec->stats().executions,
                 oracle_exec->stats().executions);
     }
   }
@@ -316,8 +261,6 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
   // Fault-free campaign fanned across the pool: every run takes the
   // vector fast path concurrently; the summary and per-run outputs must
   // match the generic oracle at every thread count.
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
   ComputeContext::set_global_threads(GetParam());
 
   const Geometry& g = kGeometries[1];
@@ -358,15 +301,13 @@ TEST_P(SimdDispatchThreads, FaultFreeCampaignMatchesGeneric) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdDispatchThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
-// ------------------------------------------------ four-way matrix
+// ------------------------------------------------- kernel matrix
 
-/// Channel-lane vs pixel-lane vs scalar vs generic, across every scheme
-/// and geometry, at each pool width. The geometry picks the vector
-/// kernel; the kill-switch reaches scalar.
+/// Channel lanes or pixel lanes vs generic, across every scheme and
+/// geometry, at each pool width. The geometry picks the vector kernel.
 class SimdKernelThreads : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
-  const SimdGuard guard;
+TEST_P(SimdKernelThreads, ChannelPixelGenericAgreeBitForBit) {
   ComputeContext::set_global_threads(GetParam());
   for (const char* scheme : {"simplex", "dmr", "tmr"}) {
     for (std::size_t gi = 0; gi < kGeometries.size(); ++gi) {
@@ -379,16 +320,13 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
       const auto oracle_exec = make_executor(scheme, nullptr);
       const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
 
-      for (const bool simd_on : {true, false}) {
-        set_reliable_simd_enabled(simd_on);
-        const auto exec = make_executor(scheme, nullptr);
-        const ReliableResult fast = conv.forward(input, *exec);
-        ASSERT_TRUE(fast.report.ok);
-        expect_bits_equal(fast.output, oracle.output);
-        EXPECT_TRUE(fast.report == oracle.report);
-        EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
-        EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
-      }
+      const auto exec = make_executor(scheme, nullptr);
+      const ReliableResult fast = conv.forward(input, *exec);
+      ASSERT_TRUE(fast.report.ok);
+      expect_bits_equal(fast.output, oracle.output);
+      EXPECT_TRUE(fast.report == oracle.report);
+      EXPECT_EQ(exec->stats().logical_ops, oracle_exec->stats().logical_ops);
+      EXPECT_EQ(exec->stats().executions, oracle_exec->stats().executions);
     }
   }
   ComputeContext::set_global_threads(1);
@@ -397,45 +335,43 @@ TEST_P(SimdKernelThreads, ChannelPixelScalarGenericAgreeBitForBit) {
 INSTANTIATE_TEST_SUITE_P(Threads, SimdKernelThreads,
                          ::testing::Values<std::size_t>(1, 2, 8));
 
-#ifdef HYBRIDCNN_ISA_SIMD
 TEST(SimdDispatchConv, BothVectorKernelsAgreeOnStrideOneGeometries) {
-  // The rule never runs both vector kernels on one conv, so the serial
-  // forms are called directly to cross-check them on the same stride-1
-  // geometries, few-map and wide.
-  for (const std::size_t gi : {3u, 4u, 7u}) {
-    SCOPED_TRACE("geometry " + std::to_string(gi));
-    const Geometry& g = kGeometries[gi];
-    ASSERT_EQ(g.stride, 1u);
-    const ReliableConv2d conv = make_conv(g);
-    const Tensor input = make_input(g);
-    const ConvPlan plan = make_plan(conv, input.shape());
-    const auto pack = hybridcnn::reliable::detail::build_weight_pack(
-        g.out_c, g.in_c, g.k, g.k, conv.weights().data().data(),
-        conv.bias().data().data(), conv.weight_generation());
-    const Shape out_shape = conv.output_shape(input.shape());
-    Tensor pixel(out_shape);
-    Tensor channel(out_shape);
-    Tensor scalar(out_shape);
-    hybridcnn::reliable::detail::conv_raw_compute_simd(
-        plan, input.data().data(), conv.weights().data().data(),
-        conv.bias().data().data(), pixel.data().data());
-    hybridcnn::reliable::detail::conv_raw_compute_channel(
-        plan, pack, input.data().data(), channel.data().data());
-    hybridcnn::reliable::detail::conv_raw_compute_scalar(
-        plan, input.data().data(), conv.weights().data().data(),
-        conv.bias().data().data(), scalar.data().data());
-    expect_bits_equal(pixel, scalar);
-    expect_bits_equal(channel, scalar);
+  // The rule never runs both vector kernels on one conv, so
+  // conv_raw_compute is called with and without a pack to cross-check
+  // them on the same stride-1 geometries, few-map, wide and narrow, at
+  // one and at eight pool threads.
+  for (const std::size_t threads : {1u, 8u}) {
+    ComputeContext::set_global_threads(threads);
+    for (const std::size_t gi : {3u, 4u, 7u, 8u, 9u}) {
+      SCOPED_TRACE("geometry " + std::to_string(gi) + " threads " +
+                   std::to_string(threads));
+      const Geometry& g = kGeometries[gi];
+      ASSERT_EQ(g.stride, 1u);
+      const ReliableConv2d conv = make_conv(g);
+      const Tensor input = make_input(g);
+      const ConvPlan plan = make_plan(conv, input.shape());
+      const auto pack = hybridcnn::reliable::detail::build_weight_pack(
+          g.out_c, g.in_c, g.k, g.k, conv.weights().data().data(),
+          conv.bias().data().data(), conv.weight_generation());
+      const auto oracle_exec = make_executor("simplex", nullptr);
+      const Tensor oracle = conv.forward_generic(input, *oracle_exec).output;
+      const WeightPack* const packs[] = {&pack, nullptr};
+      for (const WeightPack* p : packs) {
+        SCOPED_TRACE(p != nullptr ? "channel lanes" : "pixel lanes");
+        Tensor out(oracle.shape());
+        hybridcnn::reliable::detail::conv_raw_compute(
+            plan, p, input.data().data(), conv.weights().data().data(),
+            conv.bias().data().data(), out.data().data());
+        expect_bits_equal(out, oracle);
+      }
+    }
   }
+  ComputeContext::set_global_threads(1);
 }
-#endif
 
 // --------------------------------------------- weight-repack staleness
 
 TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
-
   const Geometry& g = kGeometries[0];  // strided: the rule takes a pack
   ReliableConv2d conv = make_conv(g);
   const Tensor input = make_input(g);
@@ -443,12 +379,8 @@ TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
   conv.prepare_fast_path();
   const auto pack_before = conv.channel_pack();
   const std::uint64_t gen_before = conv.weight_generation();
-#ifdef HYBRIDCNN_ISA_SIMD
   ASSERT_NE(pack_before, nullptr);
-#endif
-  if (pack_before != nullptr) {  // nullptr on non-SIMD targets
-    EXPECT_EQ(pack_before->generation, gen_before);
-  }
+  EXPECT_EQ(pack_before->generation, gen_before);
 
   // Mutate the weights: the cached pack must be rebuilt, and the forward
   // must match a conv constructed fresh with the new weights bit for bit.
@@ -459,10 +391,9 @@ TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
   EXPECT_EQ(conv.weight_generation(), gen_before + 1);
 
   const auto pack_after = conv.channel_pack();
-  if (pack_after != nullptr) {
-    EXPECT_NE(pack_before.get(), pack_after.get());
-    EXPECT_EQ(pack_after->generation, gen_before + 1);
-  }
+  ASSERT_NE(pack_after, nullptr);
+  EXPECT_NE(pack_before.get(), pack_after.get());
+  EXPECT_EQ(pack_after->generation, gen_before + 1);
 
   Tensor bias(Shape{g.out_c});
   Rng bias_rng(11);  // make_conv's seed: regenerate the same bias
@@ -486,9 +417,6 @@ TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
 }
 
 TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
-  const SimdGuard guard;
-  set_reliable_simd_enabled(true);
-
   const std::size_t out_n = 2 * kFloatLanes + 3;
   const std::size_t in_n = 19;
   Rng rng(5);

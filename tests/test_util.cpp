@@ -185,7 +185,7 @@ std::uint64_t trial_bits53(Rng rng, std::uint64_t k) {
 }
 
 TEST(Rng, BernoulliMissesMatchesScalarScanAndPerCallLoop) {
-  // The vector scan, its scalar fallback and the per-call loop must agree
+  // The vector scan, its scalar reference and the per-call loop must agree
   // on every p class bernoulli() distinguishes and on caps around the
   // scan's step width, also from a skipped-ahead origin; no scan may draw.
   constexpr std::uint64_t lanes = hybridcnn::util::detail::kScanLanes;

@@ -179,7 +179,6 @@ void BM_LinearReference(benchmark::State& state) {
   tensor::Tensor input(tensor::Shape{in_n});
   input.fill_normal(rng, 0.0f, 1.0f);
   const reliable::ReliableLinear linear(std::move(weights), std::move(bias));
-  linear.prepare_fast_path();
   for (auto _ : state) {
     const auto out = linear.reference_forward(input);
     benchmark::DoNotOptimize(out.data().data());

@@ -322,7 +322,6 @@ faultsim::CampaignSummary HybridNetwork::classify_campaign_range(
   // One kernel and one fast-path pack for the whole range; each run
   // classifies and is judged on the worker that executes it.
   const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  rconv.prepare_fast_path();
   return faultsim::run_campaign(run_begin, run_end, [&](std::size_t i) {
     return judge(i, classify_with_conv1(rconv, image, seed_base + i, options));
   });
@@ -338,11 +337,9 @@ std::vector<HybridClassification> HybridNetwork::classify_seeded(
   validate_chw(count, images, "classify_seeded");
   if (count == 0) return {};
 
-  // One reliable kernel (weight copy) for the whole batch; the fault-free
-  // fast path's weight pack is built once here rather than under the
-  // pack mutex inside the first concurrent forward.
+  // One reliable kernel (weight copy and fast-path pack) for the whole
+  // batch, shared read-only by every worker.
   const reliable::ReliableConv2d rconv = make_reliable_conv1();
-  rconv.prepare_fast_path();
   std::vector<HybridClassification> results(count);
   // The whole per-image pipeline — reliable DCNN, qualifier and CNN
   // remainder — is a pure function of (weights, image, seed). One

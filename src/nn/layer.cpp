@@ -16,12 +16,4 @@ void Layer::zero_grad() {
   }
 }
 
-std::size_t Layer::param_count() {
-  std::size_t n = 0;
-  for (const Param& p : params()) {
-    if (p.value != nullptr) n += p.value->count();
-  }
-  return n;
-}
-
 }  // namespace hybridcnn::nn

@@ -108,9 +108,6 @@ class Layer {
   /// Layer type name for diagnostics ("conv2d", "relu", ...).
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Total trainable scalar count.
-  [[nodiscard]] std::size_t param_count();
-
  protected:
   bool training_ = false;
 };

@@ -26,7 +26,7 @@
 
 namespace hybridcnn::reliable {
 
-/// Committed-state cell for a scalar accumulator with rollback counters.
+/// Committed-state cell for a scalar accumulator.
 class ScalarCheckpoint {
  public:
   /// Initialises committed state to `initial`.
@@ -34,30 +34,17 @@ class ScalarCheckpoint {
       : committed_(initial) {}
 
   /// Commits a qualified value as the new safe state.
-  void commit(float value) noexcept {
-    committed_ = value;
-    ++commits_;
-  }
+  void commit(float value) noexcept { committed_ = value; }
 
   /// Rolls back: returns the last committed value, discarding whatever the
   /// failed execution produced.
-  float rollback() noexcept {
-    ++rollbacks_;
-    return committed_;
-  }
+  float rollback() const noexcept { return committed_; }
 
   /// Last committed value (the checkpoint).
   [[nodiscard]] float value() const noexcept { return committed_; }
 
-  [[nodiscard]] std::uint64_t commits() const noexcept { return commits_; }
-  [[nodiscard]] std::uint64_t rollbacks() const noexcept {
-    return rollbacks_;
-  }
-
  private:
   float committed_;
-  std::uint64_t commits_ = 0;
-  std::uint64_t rollbacks_ = 0;
 };
 
 // The scalar checkpoint models a committed NVM cell: commit/rollback are

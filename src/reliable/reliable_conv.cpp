@@ -36,6 +36,13 @@ ReliableConv2d::ReliableConv2d(tensor::Tensor weights, tensor::Tensor bias,
     throw std::invalid_argument("ReliableConv2d: stride must be >= 1");
   }
   params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
+  const tensor::Shape& w = weights_.shape();
+  if (detail::channel_lanes_selected(spec_.stride, w[0])) {
+    pack_ = std::make_shared<const detail::WeightPack>(
+        detail::build_weight_pack(w[0], w[1], w[2], w[3],
+                                  weights_.data().data(),
+                                  bias_.data().data()));
+  }
 }
 
 tensor::Shape ReliableConv2d::output_shape(const tensor::Shape& in) const {
@@ -60,46 +67,10 @@ tensor::Shape ReliableConv2d::output_shape(const tensor::Shape& in) const {
   return tensor::Shape{weights_.shape()[0], oh, ow};
 }
 
-void ReliableConv2d::set_weights(tensor::Tensor weights) {
-  if (!(weights.shape() == weights_.shape())) {
-    throw std::invalid_argument(
-        "ReliableConv2d::set_weights: shape mismatch, expected " +
-        weights_.shape().str() + " got " + weights.shape().str());
-  }
-  weights_ = std::move(weights);
-  ++weight_generation_;
-  params_hold_nan_ = detail::params_hold_nan(weights_, bias_);
-}
-
-std::shared_ptr<const detail::WeightPack> ReliableConv2d::channel_pack()
-    const {
-  // Decided before the lock: convs the rule keeps off channel lanes (the
-  // qualifier's shared Sobel) never touch the mutex.
-  if (!detail::channel_lanes_selected(spec_.stride, weights_.shape()[0])) {
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> lock(pack_mutex_);
-  if (!pack_ || pack_->generation != weight_generation_) {
-    pack_ = std::make_shared<const detail::WeightPack>(
-        detail::build_weight_pack(weights_.shape()[0], weights_.shape()[1],
-                                  weights_.shape()[2], weights_.shape()[3],
-                                  weights_.data().data(),
-                                  bias_.data().data(), weight_generation_));
-  }
-  return pack_;
-}
-
 std::uint64_t ReliableConv2d::mac_count(const tensor::Shape& in) const {
-  const tensor::Shape out = output_shape(in);
-  // The valid-tap count of one output coordinate separates into
-  // rows(oy) * cols(ox), so the full sum is the product of the two
-  // per-axis totals — closed-form per-row arithmetic instead of walking
-  // every (oy, ox, ky, kx) tap.
-  const std::uint64_t row_taps = detail::total_valid_taps(
-      out[1], spec_.stride, spec_.pad, weights_.shape()[2], in[1]);
-  const std::uint64_t col_taps = detail::total_valid_taps(
-      out[2], spec_.stride, spec_.pad, weights_.shape()[3], in[2]);
-  return static_cast<std::uint64_t>(out[0]) * in[0] * row_taps * col_taps;
+  return detail::ConvPlan(output_shape(in), in, weights_.shape(),
+                          spec_.stride, spec_.pad)
+      .macs();
 }
 
 ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
@@ -130,13 +101,12 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
   // Otherwise the granted prefix is the qualified kernel's first credit,
   // and it walks on from fault to fault. An input, weight or bias holding
   // a NaN takes no window (detail::holds_nan).
-  const auto pack = channel_pack();
   const std::uint64_t ops = 2 * plan.macs();  // mul + accumulate per MAC
   const bool windows =
       !params_hold_nan_ && !detail::holds_nan(in, input.count());
   const std::uint64_t granted = windows ? exec.take_clean(ops) : 0;
   if (windows && granted == ops) {
-    detail::conv_raw_compute(plan, pack.get(), in, wgt, b,
+    detail::conv_raw_compute(plan, pack_.get(), in, wgt, b,
                              result.output.data().data());
     if (mode == ReportMode::kFull) {
       result.report.logical_ops = ops;
@@ -147,11 +117,11 @@ ReliableResult ReliableConv2d::forward(const tensor::Tensor& input,
 
   detail::with_concrete_executor(scheme, exec, [&](auto& concrete) {
     if (mode == ReportMode::kFull) {
-      detail::conv_forward_qualified<true>(plan, pack.get(), in, wgt, b,
+      detail::conv_forward_qualified<true>(plan, pack_.get(), in, wgt, b,
                                            policy_, windows, granted,
                                            concrete, result);
     } else {
-      detail::conv_forward_qualified<false>(plan, pack.get(), in, wgt, b,
+      detail::conv_forward_qualified<false>(plan, pack_.get(), in, wgt, b,
                                             policy_, windows, granted,
                                             concrete, result);
     }
@@ -289,8 +259,7 @@ tensor::Tensor ReliableConv2d::reference_forward(
                               spec_.stride, spec_.pad);
   tensor::Tensor out(out_shape);
   // Same operation order as forward() so results are bit-identical.
-  const auto pack = channel_pack();
-  detail::conv_raw_compute(plan, pack.get(), input.data().data(),
+  detail::conv_raw_compute(plan, pack_.get(), input.data().data(),
                            weights_.data().data(), bias_.data().data(),
                            out.data().data());
   return out;

@@ -47,18 +47,6 @@ ReliableLinear::ReliableLinear(tensor::Tensor weights, tensor::Tensor bias,
                                ReliabilityPolicy policy)
     : conv_(as_conv(std::move(weights), std::move(bias), policy)) {}
 
-void ReliableLinear::set_weights(tensor::Tensor weights) {
-  const tensor::Shape& w = conv_.weights().shape();
-  const tensor::Shape expected{w[0], w[3]};
-  if (!(weights.shape() == expected)) {
-    throw std::invalid_argument(
-        "ReliableLinear::set_weights: shape mismatch, expected " +
-        expected.str() + " got " + weights.shape().str());
-  }
-  weights.reshape(w);
-  conv_.set_weights(std::move(weights));
-}
-
 tensor::Tensor ReliableLinear::conv_input(const tensor::Tensor& input) const {
   const std::size_t in_n = conv_.weights().shape()[3];
   validate_linear_input(input, in_n);

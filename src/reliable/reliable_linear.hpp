@@ -48,16 +48,7 @@ class ReliableLinear {
   [[nodiscard]] tensor::Tensor reference_forward(
       const tensor::Tensor& input) const;
 
-  /// Replaces the layer's weights (shape [out, in]; throws
-  /// std::invalid_argument otherwise) and bumps the weight generation.
-  /// Setup-time only.
-  void set_weights(tensor::Tensor weights);
-
-  [[nodiscard]] std::uint64_t weight_generation() const noexcept {
-    return conv_.weight_generation();
-  }
-
-  /// True if the current weights or the bias hold a NaN; see
+  /// True if the weights or the bias hold a NaN; see
   /// ReliableConv2d::params_hold_nan().
   [[nodiscard]] bool params_hold_nan() const noexcept {
     return conv_.params_hold_nan();
@@ -65,14 +56,9 @@ class ReliableLinear {
 
   /// The conv's channel-lane pack, null for fewer outputs than a vector
   /// (see ReliableConv2d::channel_pack). Exposed for the dispatch tests.
-  [[nodiscard]] std::shared_ptr<const detail::WeightPack> channel_pack()
-      const {
+  [[nodiscard]] const detail::WeightPack* channel_pack() const noexcept {
     return conv_.channel_pack();
   }
-
-  /// Pre-builds the conv's cached pack (see
-  /// ReliableConv2d::prepare_fast_path).
-  void prepare_fast_path() const { conv_.prepare_fast_path(); }
 
  private:
   [[nodiscard]] tensor::Tensor conv_input(const tensor::Tensor& input) const;

@@ -1,22 +1,8 @@
 #include "reliable/report.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace hybridcnn::reliable {
-
-void ExecutionReport::merge(const ExecutionReport& other) {
-  ok = ok && other.ok;
-  logical_ops += other.logical_ops;
-  detected_errors += other.detected_errors;
-  retries += other.retries;
-  corrected_errors += other.corrected_errors;
-  commits += other.commits;
-  rollbacks += other.rollbacks;
-  bucket_peak = std::max(bucket_peak, other.bucket_peak);
-  bucket_exhausted = bucket_exhausted || other.bucket_exhausted;
-  if (failed_op_index < 0) failed_op_index = other.failed_op_index;
-}
 
 std::string ExecutionReport::summary() const {
   std::ostringstream os;

@@ -49,9 +49,6 @@ struct ExecutionReport {
   friend bool operator==(const ExecutionReport&,
                          const ExecutionReport&) = default;
 
-  /// Merges counters of a sub-kernel report (ok is AND-ed, peaks max-ed).
-  void merge(const ExecutionReport& other);
-
   /// One-line human-readable summary.
   [[nodiscard]] std::string summary() const;
 };

@@ -39,8 +39,8 @@
 //         output pixels of one row per vector on stride-1 convs, weights
 //         re-broadcast per tap; border pixels stay scalar.
 //       - channel lanes (conv_channel_pixels): kFloatLanes output
-//         channels per vector over a once-per-weight-generation
-//         repacked [ky][kx][c][o] WeightPack, so every tap is one
+//         channels per vector over a [ky][kx][c][o] WeightPack repacked
+//         once, when the kernel is built, so every tap is one
 //         contiguous weight vector load times a scalar input broadcast.
 //         All lanes of a vector share (oy, ox) and therefore the tap
 //         ranges, so borders run through the same kernel — no
@@ -121,18 +121,6 @@ inline std::vector<TapRange> tap_ranges(std::size_t out_n, std::size_t stride,
     ranges[o] = valid_taps(o, stride, pad, k_size, in_n);
   }
   return ranges;
-}
-
-/// Sum of valid-tap counts along one axis — the closed-form per-row
-/// arithmetic mac_count() builds on (O(out_n) instead of out_n * k_size).
-inline std::uint64_t total_valid_taps(std::size_t out_n, std::size_t stride,
-                                      std::size_t pad, std::size_t k_size,
-                                      std::size_t in_n) noexcept {
-  std::uint64_t total = 0;
-  for (std::size_t o = 0; o < out_n; ++o) {
-    total += valid_taps(o, stride, pad, k_size, in_n).count();
-  }
-  return total;
 }
 
 /// Invokes `fn` with `exec` downcast to its concrete scheme type, so the
@@ -326,8 +314,8 @@ inline bool holds_nan(const float* v, std::size_t n) noexcept {
   return nan != 0;
 }
 
-/// holds_nan over a layer's weights and bias, checked once per weight
-/// generation (construction and set_weights).
+/// holds_nan over a layer's weights and bias, checked once, when the
+/// layer is constructed.
 inline bool params_hold_nan(const tensor::Tensor& weights,
                             const tensor::Tensor& bias) noexcept {
   return holds_nan(weights.data().data(), weights.count()) ||
@@ -417,9 +405,8 @@ HYBRIDCNN_CONTRACT(channel_pack_width(96) % runtime::isa::kFloatLanes == 0 &&
 /// instead re-broadcasts each weight scalar per tap). Padding lanes
 /// carry zero weights/bias and are never stored back, so they cannot
 /// perturb outputs. The pack is input-shape independent — one pack
-/// serves every forward geometry — and is built once per weight
-/// generation: owners (ReliableConv2d) cache it and compare `generation`
-/// against their current weight generation to invalidate.
+/// serves every forward geometry — and its owner (ReliableConv2d) builds
+/// it once, at construction.
 struct WeightPack {
   std::vector<float> weights;  ///< [(ky*kw + kx)*in_c + c][padded_oc]
   std::vector<float> bias;     ///< [padded_oc], zero beyond oc
@@ -428,20 +415,17 @@ struct WeightPack {
   std::size_t in_c = 0;
   std::size_t kh = 0;
   std::size_t kw = 0;
-  std::uint64_t generation = 0;  ///< weight generation the pack reflects
 };
 
 inline WeightPack build_weight_pack(std::size_t oc, std::size_t in_c,
                                     std::size_t kh, std::size_t kw,
-                                    const float* weights, const float* bias,
-                                    std::uint64_t generation) {
+                                    const float* weights, const float* bias) {
   WeightPack pack;
   pack.oc = oc;
   pack.padded_oc = channel_pack_width(oc);
   pack.in_c = in_c;
   pack.kh = kh;
   pack.kw = kw;
-  pack.generation = generation;
   pack.weights.assign(kh * kw * in_c * pack.padded_oc, 0.0f);
   pack.bias.assign(pack.padded_oc, 0.0f);
   for (std::size_t o = 0; o < oc; ++o) {
@@ -786,7 +770,7 @@ inline void conv_channel_unit(const ConvPlan& plan, const WeightPack& pack,
 /// shipped conv is faster on channel lanes. The measurements behind the
 /// rule are in src/reliable/README.md.
 ///
-/// Whether the rule picks channel lanes. Owners fetch their WeightPack
+/// Whether the rule picks channel lanes. Owners build their WeightPack
 /// only when it does, so conv_raw_compute dispatches on whether it got a
 /// pack.
 inline bool channel_lanes_selected(std::size_t stride,

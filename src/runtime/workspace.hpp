@@ -35,11 +35,6 @@ class Workspace {
   /// pointer stays valid until the enclosing Scope releases it.
   float* alloc(std::size_t count);
 
-  /// Span-returning convenience over alloc().
-  std::span<float> alloc_span(std::size_t count) {
-    return {alloc(count), count};
-  }
-
   /// Typed bump allocation: `count` uninitialised objects of a trivial
   /// type T (double series, mask bytes, run labels), aligned for T and
   /// carved out of the same float blocks. Same lifetime rules as alloc().

@@ -49,40 +49,6 @@ TEST(SafetyPolicy, DecisionNames) {
             "reliable_execution_failed");
 }
 
-TEST(ExecutionReport, MergeAccumulatesCounters) {
-  ExecutionReport a;
-  a.logical_ops = 10;
-  a.detected_errors = 2;
-  a.retries = 1;
-  a.bucket_peak = 3;
-
-  ExecutionReport b;
-  b.logical_ops = 5;
-  b.detected_errors = 1;
-  b.bucket_peak = 2;
-  b.ok = false;
-  b.bucket_exhausted = true;
-  b.failed_op_index = 12;
-
-  a.merge(b);
-  EXPECT_EQ(a.logical_ops, 15u);
-  EXPECT_EQ(a.detected_errors, 3u);
-  EXPECT_EQ(a.retries, 1u);
-  EXPECT_EQ(a.bucket_peak, 3u);
-  EXPECT_FALSE(a.ok);
-  EXPECT_TRUE(a.bucket_exhausted);
-  EXPECT_EQ(a.failed_op_index, 12);
-}
-
-TEST(ExecutionReport, MergeKeepsFirstFailureIndex) {
-  ExecutionReport a;
-  a.failed_op_index = 3;
-  ExecutionReport b;
-  b.failed_op_index = 9;
-  a.merge(b);
-  EXPECT_EQ(a.failed_op_index, 3);
-}
-
 TEST(ExecutionReport, SummaryMentionsFailure) {
   ExecutionReport r;
   r.stage = "conv1";

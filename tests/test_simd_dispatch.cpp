@@ -352,7 +352,7 @@ TEST(SimdDispatchConv, BothVectorKernelsAgreeOnStrideOneGeometries) {
       const ConvPlan plan = make_plan(conv, input.shape());
       const auto pack = hybridcnn::reliable::detail::build_weight_pack(
           g.out_c, g.in_c, g.k, g.k, conv.weights().data().data(),
-          conv.bias().data().data(), conv.weight_generation());
+          conv.bias().data().data());
       const auto oracle_exec = make_executor("simplex", nullptr);
       const Tensor oracle = conv.forward_generic(input, *oracle_exec).output;
       const WeightPack* const packs[] = {&pack, nullptr};
@@ -369,87 +369,82 @@ TEST(SimdDispatchConv, BothVectorKernelsAgreeOnStrideOneGeometries) {
   ComputeContext::set_global_threads(1);
 }
 
-// --------------------------------------------- weight-repack staleness
+// ------------------------------------------------- weight-repack lifetime
 
-TEST(WeightRepack, ConvPackIsInvalidatedBySetWeights) {
-  const Geometry& g = kGeometries[0];  // strided: the rule takes a pack
-  ReliableConv2d conv = make_conv(g);
-  const Tensor input = make_input(g);
-
-  conv.prepare_fast_path();
-  const auto pack_before = conv.channel_pack();
-  const std::uint64_t gen_before = conv.weight_generation();
-  ASSERT_NE(pack_before, nullptr);
-  EXPECT_EQ(pack_before->generation, gen_before);
-
-  // Mutate the weights: the cached pack must be rebuilt, and the forward
-  // must match a conv constructed fresh with the new weights bit for bit.
-  Rng rng(97);
-  Tensor new_weights(Shape{g.out_c, g.in_c, g.k, g.k});
-  new_weights.fill_normal(rng, 0.0f, 0.5f);
-  conv.set_weights(new_weights);
-  EXPECT_EQ(conv.weight_generation(), gen_before + 1);
-
-  const auto pack_after = conv.channel_pack();
-  ASSERT_NE(pack_after, nullptr);
-  EXPECT_NE(pack_before.get(), pack_after.get());
-  EXPECT_EQ(pack_after->generation, gen_before + 1);
-
-  Tensor bias(Shape{g.out_c});
-  Rng bias_rng(11);  // make_conv's seed: regenerate the same bias
-  Tensor w_dummy(Shape{g.out_c, g.in_c, g.k, g.k});
-  w_dummy.fill_normal(bias_rng, 0.0f, 0.5f);
-  bias.fill_normal(bias_rng, 0.0f, 0.1f);
-  const ReliableConv2d fresh(new_weights, bias, ConvSpec{g.stride, g.pad},
-                             {});
-
-  const auto stale_exec = make_executor("simplex", nullptr);
-  const auto fresh_exec = make_executor("simplex", nullptr);
-  const ReliableResult updated = conv.forward(input, *stale_exec);
-  const ReliableResult expected = fresh.forward(input, *fresh_exec);
-  expect_bits_equal(updated.output, expected.output);
-  EXPECT_TRUE(updated.report == expected.report);
-
-  // And a stale-shape update must be rejected without touching state.
-  Tensor bad(Shape{g.out_c, g.in_c, g.k, g.k + 1});
-  EXPECT_THROW(conv.set_weights(bad), std::invalid_argument);
-  EXPECT_EQ(conv.weight_generation(), gen_before + 1);
+/// The pack's fields, bit for bit: the owner's pack must be exactly what
+/// build_weight_pack makes of the constructor's weights.
+void expect_pack_equals(const WeightPack& got, const WeightPack& want) {
+  EXPECT_EQ(got.oc, want.oc);
+  EXPECT_EQ(got.padded_oc, want.padded_oc);
+  EXPECT_EQ(got.in_c, want.in_c);
+  EXPECT_EQ(got.kh, want.kh);
+  EXPECT_EQ(got.kw, want.kw);
+  EXPECT_EQ(got.weights, want.weights);
+  EXPECT_EQ(got.bias, want.bias);
 }
 
-TEST(WeightRepack, LinearPackIsInvalidatedBySetWeights) {
-  const std::size_t out_n = 2 * kFloatLanes + 3;
+TEST(WeightRepack, PackIsBuiltAtConstruction) {
+  // A strided conv takes channel lanes: its pack exists from the
+  // constructor on, is the repack of the constructor's weights, stays the
+  // same object for the kernel's life, and its forward matches the
+  // oracle.
+  {
+    const Geometry& g = kGeometries[0];
+    ASSERT_GT(g.stride, 1u);
+    const ReliableConv2d conv = make_conv(g);
+    const WeightPack* const pack = conv.channel_pack();
+    ASSERT_NE(pack, nullptr);
+    EXPECT_EQ(conv.channel_pack(), pack);
+    expect_pack_equals(
+        *pack, hybridcnn::reliable::detail::build_weight_pack(
+                   g.out_c, g.in_c, g.k, g.k, conv.weights().data().data(),
+                   conv.bias().data().data()));
+    const Tensor input = make_input(g);
+    const auto fast_exec = make_executor("simplex", nullptr);
+    const auto oracle_exec = make_executor("simplex", nullptr);
+    const ReliableResult fast = conv.forward(input, *fast_exec);
+    const ReliableResult oracle = conv.forward_generic(input, *oracle_exec);
+    expect_bits_equal(fast.output, oracle.output);
+    EXPECT_TRUE(fast.report == oracle.report);
+    EXPECT_EQ(conv.channel_pack(), pack);
+  }
+  // The qualifier's Sobel shape (stride 1, two maps) runs on pixel lanes
+  // and never gets a pack.
+  {
+    const ReliableConv2d sobel = make_conv({2, 1, 3, 1, 1, 96, 96, "pixel"});
+    EXPECT_EQ(sobel.channel_pack(), nullptr);
+  }
+  // A 1 x in linear with outputs to fill a vector gets the conv's pack of
+  // its [out, 1, 1, in] kernel; a width-3 one gets none.
   const std::size_t in_n = 19;
-  Rng rng(5);
-  Tensor weights(Shape{out_n, in_n});
-  weights.fill_normal(rng, 0.0f, 0.4f);
-  Tensor bias(Shape{out_n});
-  bias.fill_normal(rng, 0.0f, 0.1f);
-  ReliableLinear linear(weights, bias);
-  Tensor input(Shape{in_n});
-  input.fill_normal(rng, 0.0f, 1.0f);
-
-  linear.prepare_fast_path();
-  const std::uint64_t gen_before = linear.weight_generation();
-
-  Tensor new_weights(Shape{out_n, in_n});
-  new_weights.fill_normal(rng, 0.0f, 0.4f);
-  linear.set_weights(new_weights);
-  EXPECT_EQ(linear.weight_generation(), gen_before + 1);
-
-  const ReliableLinear fresh(new_weights, bias);
-  const auto updated_exec = make_executor("simplex", nullptr);
-  const auto fresh_exec = make_executor("simplex", nullptr);
-  const ReliableResult updated = linear.forward(input, *updated_exec);
-  const ReliableResult expected = fresh.forward(input, *fresh_exec);
-  expect_bits_equal(updated.output, expected.output);
-  EXPECT_TRUE(updated.report == expected.report);
-
-  Tensor bad(Shape{out_n, in_n + 1});
-  EXPECT_THROW(linear.set_weights(bad), std::invalid_argument);
-  // Same element count, transposed: must not pass as the conv's kernel.
-  EXPECT_THROW(linear.set_weights(Tensor(Shape{in_n, out_n})),
-               std::invalid_argument);
-  EXPECT_EQ(linear.weight_generation(), gen_before + 1);
+  for (const std::size_t out_n : {2 * kFloatLanes + 3, std::size_t{3}}) {
+    SCOPED_TRACE("out_n " + std::to_string(out_n));
+    Rng rng(5);
+    Tensor weights(Shape{out_n, in_n});
+    weights.fill_normal(rng, 0.0f, 0.4f);
+    Tensor bias(Shape{out_n});
+    bias.fill_normal(rng, 0.0f, 0.1f);
+    const ReliableLinear linear(weights, bias);
+    const WeightPack* const pack = linear.channel_pack();
+    if (out_n < kFloatLanes) {
+      EXPECT_EQ(pack, nullptr);
+    } else {
+      ASSERT_NE(pack, nullptr);
+      EXPECT_EQ(linear.channel_pack(), pack);
+      expect_pack_equals(*pack,
+                         hybridcnn::reliable::detail::build_weight_pack(
+                             out_n, 1, 1, in_n, weights.data().data(),
+                             bias.data().data()));
+    }
+    Tensor input(Shape{in_n});
+    input.fill_normal(rng, 0.0f, 1.0f);
+    const auto fast_exec = make_executor("simplex", nullptr);
+    const auto oracle_exec = make_executor("simplex", nullptr);
+    const ReliableResult fast = linear.forward(input, *fast_exec);
+    const ReliableResult oracle = linear.forward_generic(input, *oracle_exec);
+    expect_bits_equal(fast.output, oracle.output);
+    EXPECT_TRUE(fast.report == oracle.report);
+  }
 }
 
 }  // namespace

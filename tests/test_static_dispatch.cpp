@@ -983,34 +983,39 @@ TEST(WindowedPath, ForwardMatchesPerOpOracleAcrossTheMatrix) {
   }
 }
 
-TEST(WindowedPath, NanWeightFlagFollowsSetWeights) {
-  // The NaN-weight flag is recorded per weight generation: set_weights
-  // raises and clears it, and a flagged fault-free forward equals the
-  // per-op oracle bit for bit.
-  const Geometry sobel{2, 1, 3, 1, 1, 16, 16};
-  ReliableConv2d conv = make_conv(sobel);
-  const Tensor clean = conv.weights();
-  Tensor nan = clean;
-  plant_nans(nan, 0);
-  const Tensor input = make_input(sobel);
-  EXPECT_FALSE(conv.params_hold_nan());
-  conv.set_weights(nan);
-  EXPECT_TRUE(conv.params_hold_nan());
-  const auto fast_exec = make_executor("dmr", nullptr);
-  const auto oracle_exec = make_executor("dmr", nullptr);
-  expect_outputs_bit_identical(conv.forward(input, *fast_exec).output,
-                               conv.forward_generic(input, *oracle_exec).output);
-  conv.set_weights(clean);
-  EXPECT_FALSE(conv.params_hold_nan());
+TEST(WindowedPath, NanWeightFlagIsRecordedAtConstruction) {
+  // The NaN-weight flag is recorded when the kernel is built: set for NaN
+  // weights, clear for clean ones, and a flagged fault-free forward
+  // equals the per-op oracle bit for bit — on pixel lanes (the Sobel
+  // shape), on channel lanes (a strided conv) and through the linear.
+  for (const Geometry& g : {Geometry{2, 1, 3, 1, 1, 16, 16}, kGeometries[0]}) {
+    const ReliableConv2d clean = make_conv(g);
+    Tensor nan = clean.weights();
+    plant_nans(nan, 0);
+    const ReliableConv2d flagged(nan, clean.bias(), clean.spec());
+    EXPECT_FALSE(clean.params_hold_nan());
+    EXPECT_TRUE(flagged.params_hold_nan());
+    const Tensor input = make_input(g);
+    const auto fast_exec = make_executor("dmr", nullptr);
+    const auto oracle_exec = make_executor("dmr", nullptr);
+    expect_outputs_bit_identical(
+        flagged.forward(input, *fast_exec).output,
+        flagged.forward_generic(input, *oracle_exec).output);
+  }
 
-  ReliableLinear linear(Tensor(Shape{2, 4}, 0.5f), Tensor(Shape{2}, 0.0f));
+  const ReliableLinear clean(Tensor(Shape{2, 4}, 0.5f),
+                             Tensor(Shape{2}, 0.0f));
   Tensor linear_nan(Shape{2, 4}, 0.5f);
   plant_nans(linear_nan, 1);
-  EXPECT_FALSE(linear.params_hold_nan());
-  linear.set_weights(linear_nan);
-  EXPECT_TRUE(linear.params_hold_nan());
-  linear.set_weights(Tensor(Shape{2, 4}, 0.5f));
-  EXPECT_FALSE(linear.params_hold_nan());
+  const ReliableLinear flagged(linear_nan, Tensor(Shape{2}, 0.0f));
+  EXPECT_FALSE(clean.params_hold_nan());
+  EXPECT_TRUE(flagged.params_hold_nan());
+  const Tensor input(Shape{4}, 1.5f);
+  const auto fast_exec = make_executor("dmr", nullptr);
+  const auto oracle_exec = make_executor("dmr", nullptr);
+  expect_outputs_bit_identical(
+      flagged.forward(input, *fast_exec).output,
+      flagged.forward_generic(input, *oracle_exec).output);
 }
 
 TEST(WindowedPath, CampaignMatchesPerOpOracleAtEveryThreadCount) {

@@ -159,17 +159,20 @@ RULES = [
         "name": "nn-mutable",
         "kind": "regex",
         "description": (
-            "Bans mutable members in src/nn/: a mutable member is hidden "
-            "state a const infer path could write, which would break "
-            "re-entrant shared-model inference exactly where the compiler "
-            "can no longer see it."
+            "Bans mutable members in src/nn/ and src/reliable/: a mutable "
+            "member is hidden state a const infer or forward path could "
+            "write, which would break re-entrant shared-model inference "
+            "and the reliable kernels' immutability (one kernel shared "
+            "lock-free by every worker) exactly where the compiler can no "
+            "longer see it."
         ),
-        "paths": ["src/nn/**"],
+        "paths": ["src/nn/**", "src/reliable/**"],
         "allow_paths": [],
         "patterns": [
             (
                 r"\bmutable\b",
-                "mutable state in a layer defeats the const infer contract",
+                "mutable state in a layer or kernel defeats the const "
+                "infer/forward contract",
             ),
         ],
     },

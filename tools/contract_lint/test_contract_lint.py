@@ -45,6 +45,7 @@ VIOLATIONS = {
     "src/reliable/fp_contract_flag_violation.cpp": "fp-contract-flag",
     "src/nn/infer_const_violation.hpp": "infer-const",
     "src/nn/nn_mutable_violation.hpp": "nn-mutable",
+    "src/reliable/kernel_mutable_violation.hpp": "nn-mutable",
 }
 
 WAIVED = [
@@ -56,6 +57,7 @@ WAIVED = [
     "src/reliable/fp_contract_flag_waived.cpp",
     "src/nn/infer_const_waived.hpp",
     "src/nn/nn_mutable_waived.hpp",
+    "src/reliable/kernel_mutable_waived.hpp",
 ]
 
 # Fixtures that only make sense against a compilation database entry:
